@@ -7,16 +7,15 @@ topology, and scores recovered graphs with topology-aware metrics.
 
 from .geometry import (
     AffinityMatrix,
-    DiffusionOperator,
     NeighborGraph,
     PointCloud,
     adaptive_affinity,
     condense,
-    diffusion_operator,
     fiedler_filter,
     knn_graph,
     load_points_csv,
     save_points_csv,
+    transition_matrix,
 )
 from .graph import (
     BettiPair,
@@ -65,7 +64,6 @@ __all__ = [
     "BettiPair",
     "ComparisonResult",
     "DifficultyCoords",
-    "DiffusionOperator",
     "Edge",
     "GeneratorConfig",
     "MapperParams",
@@ -84,7 +82,6 @@ __all__ = [
     "condense",
     "connected_components",
     "dbscan",
-    "diffusion_operator",
     "disjoint_union",
     "edge_length_diagram",
     "embed_graph",
@@ -110,6 +107,7 @@ __all__ = [
     "screeb",
     "screeb_tower",
     "third_neighbor_eps",
+    "transition_matrix",
     "validate",
     "wasserstein_breakdown",
     "wasserstein_distance",

@@ -1,5 +1,5 @@
-"""Point-cloud geometry: kNN graphs, adaptive Gaussian affinities, diffusion
-operators, the Fiedler filter, and diffusion condensation.
+"""Point-cloud geometry: kNN graphs, adaptive Gaussian affinities, the
+Markov transition matrix, the Fiedler filter, and diffusion condensation.
 
 The affinity between graph-adjacent points is
 
@@ -7,10 +7,15 @@ The affinity between graph-adjacent points is
 
 with ``sigma_i`` the distance from ``x_i`` to its ``k_bw``-th nearest
 neighbor, so the kernel bandwidth adapts to local density. Row-normalizing
-the affinity matrix gives the diffusion operator ``P = D^-1 W``, whose
-second eigenvector (by eigenvalue magnitude) is the Fiedler filter used for
-Reeb-graph construction. Iterating ``X <- P^t X`` with a fresh operator each
-round is diffusion condensation.
+the affinity matrix gives the transition matrix ``P = D^-1 W``; the
+Fiedler filter used for Reeb-graph construction is P's second eigenvector
+(by eigenvalue magnitude) on each connected component, computed through
+the symmetric conjugate ``D^-1/2 W D^-1/2``. Iterating ``X <- P^t X`` with
+a fresh matrix each round is diffusion condensation.
+
+Neighbor graphs are built from the ``(n, k + 1)`` cKDTree query with array
+operations on flat ``(u, v, distance)`` entries; each vertex's list is a
+read-only view into one shared array.
 """
 
 from __future__ import annotations
@@ -74,20 +79,31 @@ class NeighborGraph:
 
     def undirected_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique undirected edges as ((E, 2) index array, (E,) distances),
-        sorted by (u, v)."""
-        seen: dict[tuple[int, int], float] = {}
-        for u in range(self.n):
-            ids = self.neighbor_ids[u]
-            dists = self.neighbor_dists[u]
-            for v, d in zip(ids.tolist(), dists.tolist()):
-                key = (u, v) if u < v else (v, u)
-                seen.setdefault(key, d)
-        if not seen:
-            return np.zeros((0, 2), dtype=int), np.zeros(0)
-        keys = sorted(seen)
-        edges = np.array(keys, dtype=int)
-        dists = np.array([seen[k] for k in keys])
-        return edges, dists
+        sorted by (u, v). A pair listed by both endpoints keeps the distance
+        from the smaller endpoint's list."""
+        u, v, d = _entries(self.neighbor_ids, self.neighbor_dists)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        _, first = np.unique(lo * self.n + hi, return_index=True)
+        return np.column_stack([lo[first], hi[first]]), d[first]
+
+
+def _entries(ids, dists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (list index, neighbor id, distance) arrays of neighbor lists."""
+    rows = np.repeat(np.arange(len(ids)), [len(a) for a in ids])
+    # The leading empty arrays fix the dtypes and allow an empty list of lists.
+    ids = np.concatenate([np.zeros(0, dtype=int), *ids])
+    return rows, ids, np.concatenate([np.zeros(0), *dists])
+
+
+def _neighbor_graph(n: int, u, v, d, symmetrized: bool) -> NeighborGraph:
+    """NeighborGraph from flat entries grouped by ascending ``u``."""
+    v, d = v.astype(int), d.astype(float)
+    v.setflags(write=False)
+    d.setflags(write=False)
+    # The last cut is len(v); [:n] drops the empty piece np.split leaves after it.
+    cuts = np.cumsum(np.bincount(u, minlength=n))
+    ids, dists = tuple(np.split(v, cuts)[:n]), tuple(np.split(d, cuts)[:n])
+    return NeighborGraph(n, ids, dists, bool(symmetrized))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,52 +117,6 @@ class AffinityMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-
-class DiffusionOperator:
-    """Row-stochastic diffusion operator ``P = D^-1 W`` with cached spectrum.
-
-    Eigenpairs are computed through the symmetric conjugate
-    ``M = D^-1/2 W D^-1/2`` (same spectrum, orthogonal eigenbasis) and mapped
-    back to right eigenvectors of P. Cached pairs are ordered by decreasing
-    eigenvalue magnitude, with ``|lambda_0| = 1``.
-    """
-
-    def __init__(self, affinity: AffinityMatrix):
-        w = affinity.matrix
-        degrees = np.asarray(w.sum(axis=1)).ravel()
-        if np.any(degrees <= 0):
-            raise IsolatedPointError("affinity matrix has a zero-degree row")
-        inv_d = sp.diags(1.0 / degrees)
-        self.P = (inv_d @ w).tocsr()
-        self.degrees = degrees
-        self._w = w.tocsr()
-        self._spectrum_rank = -1
-        self._eigenvalues: Optional[np.ndarray] = None
-        self._eigenvectors: Optional[np.ndarray] = None
-
-    @property
-    def n(self) -> int:
-        return self.P.shape[0]
-
-    def symmetric_conjugate(self) -> sp.csr_matrix:
-        inv_sqrt = sp.diags(1.0 / np.sqrt(self.degrees))
-        return (inv_sqrt @ self._w @ inv_sqrt).tocsr()
-
-    def spectrum(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues ``lambda_0..lambda_rank`` and right eigenvectors of P,
-        ordered by decreasing |lambda|."""
-        rank = min(rank, self.n - 1)
-        if rank <= self._spectrum_rank:
-            return self._eigenvalues[: rank + 1], self._eigenvectors[:, : rank + 1]
-        vals, vecs = _symmetric_spectrum(self.symmetric_conjugate(), rank)
-        # Map eigenvectors of M back to right eigenvectors of P.
-        phi = vecs / np.sqrt(self.degrees)[:, None]
-        phi /= np.linalg.norm(phi, axis=0, keepdims=True)
-        self._spectrum_rank = rank
-        self._eigenvalues = vals
-        self._eigenvectors = phi
-        return vals, phi
 
 
 def _symmetric_spectrum(m: sp.csr_matrix, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,43 +158,21 @@ def knn_graph(cloud: PointCloud, k: int, symmetrize: bool = True) -> NeighborGra
     k = min(k, n - 1)
     tree = cKDTree(cloud.points)
     dists, ids = tree.query(cloud.points, k=k + 1)
-    neighbor_ids: list[np.ndarray] = []
-    neighbor_dists: list[np.ndarray] = []
-    for i in range(n):
-        row_ids = ids[i].tolist()
-        row_d = dists[i].tolist()
-        # Drop the query point itself; with duplicates it may not be first.
-        out_ids, out_d = [], []
-        dropped_self = False
-        for j, d in zip(row_ids, row_d):
-            if j == i and not dropped_self:
-                dropped_self = True
-                continue
-            out_ids.append(j)
-            out_d.append(d)
-        neighbor_ids.append(np.array(out_ids[:k], dtype=int))
-        neighbor_dists.append(np.array(out_d[:k]))
+    # Drop each row's first self hit. Duplicates can push the query point out
+    # of its own row; the row's last (farthest) hit is dropped instead.
+    is_self = ids == np.arange(n)[:, None]
+    drop = np.where(is_self.any(axis=1), is_self.argmax(axis=1), k)
+    keep = np.arange(k + 1) != drop[:, None]
+    u, v, d = np.repeat(np.arange(n), k), ids[keep], dists[keep]
     if symmetrize:
-        extra: list[dict[int, float]] = [dict() for _ in range(n)]
-        for i in range(n):
-            for j, d in zip(neighbor_ids[i].tolist(), neighbor_dists[i].tolist()):
-                extra[j].setdefault(i, d)
-        for i in range(n):
-            have = set(neighbor_ids[i].tolist())
-            add = [(j, d) for j, d in extra[i].items() if j not in have]
-            if add:
-                ids_all = np.concatenate([neighbor_ids[i], np.array([j for j, _ in add], dtype=int)])
-                d_all = np.concatenate([neighbor_dists[i], np.array([d for _, d in add])])
-            else:
-                ids_all, d_all = neighbor_ids[i], neighbor_dists[i]
-            order = np.lexsort((ids_all, d_all))
-            neighbor_ids[i] = ids_all[order]
-            neighbor_dists[i] = d_all[order]
-    for arr in neighbor_ids:
-        arr.setflags(write=False)
-    for arr in neighbor_dists:
-        arr.setflags(write=False)
-    return NeighborGraph(n, tuple(neighbor_ids), tuple(neighbor_dists), bool(symmetrize))
+        # Union with the reversed edges; a pair in both directions keeps the
+        # distance from its own row. Each list is ordered by (distance, id).
+        u, v, d = np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([d, d])
+        _, first = np.unique(u * n + v, return_index=True)
+        u, v, d = u[first], v[first], d[first]
+        order = np.lexsort((v, d, u))
+        u, v, d = u[order], v[order], d[order]
+    return _neighbor_graph(n, u, v, d, symmetrize)
 
 
 def _smallest_positive_distance(points: np.ndarray) -> float:
@@ -285,9 +233,14 @@ def adaptive_affinity(cloud: PointCloud, nbrs: NeighborGraph, k_bw: int) -> Affi
     return AffinityMatrix(matrix, sigmas)
 
 
-def diffusion_operator(affinity: AffinityMatrix) -> DiffusionOperator:
-    """Row-normalize an affinity matrix into a Markov transition matrix."""
-    return DiffusionOperator(affinity)
+def transition_matrix(affinity: AffinityMatrix) -> sp.csr_matrix:
+    """Row-normalize an affinity matrix into the Markov transition matrix
+    ``P = D^-1 W``."""
+    w = affinity.matrix
+    degrees = np.asarray(w.sum(axis=1)).ravel()
+    if np.any(degrees <= 0):
+        raise IsolatedPointError("affinity matrix has a zero-degree row")
+    return (sp.diags(1.0 / degrees) @ w).tocsr()
 
 
 def affinity_components(affinity: AffinityMatrix) -> list[np.ndarray]:
@@ -298,10 +251,10 @@ def affinity_components(affinity: AffinityMatrix) -> list[np.ndarray]:
     return out
 
 
-def fiedler_filter(op: DiffusionOperator, component: np.ndarray) -> np.ndarray:
+def fiedler_filter(affinity: AffinityMatrix, component: np.ndarray) -> np.ndarray:
     """Fiedler filter values on a connected component.
 
-    Returns the right eigenvector of the component's sub-operator with
+    Returns the right eigenvector of the component's transition matrix with
     second-largest eigenvalue magnitude, sign-fixed so the entry of largest
     absolute value is positive. A single-vertex component gets the constant
     filter 0.
@@ -309,7 +262,7 @@ def fiedler_filter(op: DiffusionOperator, component: np.ndarray) -> np.ndarray:
     component = np.asarray(component, dtype=int)
     if component.size == 1:
         return np.zeros(1)
-    sub_w = op._w[component][:, component].tocsr()
+    sub_w = affinity.matrix[component][:, component].tocsr()
     n_comp, _ = _cs_components(sub_w, directed=False)
     if n_comp != 1:
         raise InvalidDataError(
@@ -329,7 +282,8 @@ def fiedler_filter(op: DiffusionOperator, component: np.ndarray) -> np.ndarray:
 
 def condense(cloud: PointCloud, k_smooth: int, t: int, k_bw: Optional[int] = None) -> PointCloud:
     """One diffusion-condensation round: ``X <- P^t X`` with a fresh adaptive
-    kNN operator built on the input. ``t = 0`` returns the cloud unchanged.
+    kNN transition matrix built on the input. ``t = 0`` returns the cloud
+    unchanged.
 
     ``k_bw`` sets the bandwidth neighbor rank for the adaptive kernel and
     defaults to ``k_smooth`` (kernel reach matches the smoothing support);
@@ -344,10 +298,10 @@ def condense(cloud: PointCloud, k_smooth: int, t: int, k_bw: Optional[int] = Non
     k_bw = k_smooth if k_bw is None else min(k_bw, cloud.n - 1)
     nbrs = knn_graph(cloud, k_smooth, symmetrize=True)
     affinity = adaptive_affinity(cloud, nbrs, k_bw)
-    op = diffusion_operator(affinity)
+    p = transition_matrix(affinity)
     x = cloud.points
     for _ in range(t):
-        x = op.P @ x
+        x = p @ x
     return PointCloud(x)
 
 
@@ -391,17 +345,10 @@ def load_points_csv(path) -> PointCloud:
 def induced_neighbor_subgraph(nbrs: NeighborGraph, vertices: np.ndarray) -> NeighborGraph:
     """Restrict a neighbor graph to ``vertices`` (reindexed 0..len-1)."""
     vertices = np.asarray(vertices, dtype=int)
-    relabel = {int(old): new for new, old in enumerate(vertices.tolist())}
-    ids_out: list[np.ndarray] = []
-    dists_out: list[np.ndarray] = []
-    for old in vertices.tolist():
-        ids = nbrs.neighbor_ids[old]
-        dists = nbrs.neighbor_dists[old]
-        keep = [(relabel[int(j)], d) for j, d in zip(ids.tolist(), dists.tolist()) if int(j) in relabel]
-        ids_arr = np.array([j for j, _ in keep], dtype=int)
-        d_arr = np.array([d for _, d in keep])
-        ids_arr.setflags(write=False)
-        d_arr.setflags(write=False)
-        ids_out.append(ids_arr)
-        dists_out.append(d_arr)
-    return NeighborGraph(len(vertices), tuple(ids_out), tuple(dists_out), nbrs.symmetrized)
+    relabel = np.full(nbrs.n, -1)
+    relabel[vertices] = np.arange(len(vertices))
+    rows = vertices.tolist()
+    u, v, d = _entries([nbrs.neighbor_ids[i] for i in rows], [nbrs.neighbor_dists[i] for i in rows])
+    v = relabel[v]
+    keep = v >= 0
+    return _neighbor_graph(len(vertices), u[keep], v[keep], d[keep], nbrs.symmetrized)

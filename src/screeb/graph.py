@@ -111,28 +111,46 @@ class Multigraph:
         return adj
 
 
+class UnionFind:
+    """Disjoint sets over ``0..n-1`` with path halving. A union keeps the
+    smaller root, so every root is the smallest element of its set."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of ``a`` and ``b``; False if already one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    def groups(self) -> list[list[int]]:
+        """The sets, each ascending, ordered by their smallest element."""
+        out: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
+
+
 def connected_components(g: Multigraph) -> list[list[int]]:
     """Partition vertices by reachability.
 
     Parts are each sorted ascending and ordered by their smallest vertex id,
     so the output is deterministic.
     """
-    parent = list(range(g.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(g.n_vertices)
     for e in g.edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n_vertices):
-        groups.setdefault(find(v), []).append(v)
-    return [groups[r] for r in sorted(groups)]
+        uf.union(e.u, e.v)
+    return uf.groups()
 
 
 def betti(g: Multigraph) -> BettiPair:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -133,10 +134,8 @@ def cmd_generate(
                 "pass --force to regenerate"
             )
         for child in sorted(out.iterdir()):
-            if child.is_dir():
-                for f in sorted(child.iterdir()):
-                    f.unlink()
-                child.rmdir()
+            if child.is_dir() and not child.is_symlink():
+                shutil.rmtree(child)
             else:
                 child.unlink()
     out.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import graph as graphmod
-from .geometry import PointCloud
+from .geometry import PointCloud, _smallest_positive_distance
 from .graph import Edge, Multigraph
 
 
@@ -29,7 +29,6 @@ class MapperParams:
     overlap: float = 0.35
     min_samples: int = 3
     eps_factor: float = 1.5
-    lens_seed: int = 0
     d_lens: Optional[int] = None  # None: min(2, ambient dim, n)
 
     def __post_init__(self):
@@ -46,14 +45,12 @@ class MapperParams:
         return min(2, ambient_dim, n)
 
 
-def pca_lens(cloud: PointCloud, d_lens: int, seed: int = 0) -> np.ndarray:
+def pca_lens(cloud: PointCloud, d_lens: int) -> np.ndarray:
     """Projections of the mean-centered cloud onto its top principal components.
 
     Component signs are fixed (largest-magnitude loading positive) so the
-    lens is deterministic; the seed parameter exists for interface parity
-    with randomized PCA solvers and is unused by the exact SVD. If the data
-    rank is below ``d_lens`` the missing columns are zero-padded with a
-    warning.
+    lens is deterministic. If the data rank is below ``d_lens`` the missing
+    columns are zero-padded with a warning.
     """
     x = cloud.points
     n, m = x.shape
@@ -146,15 +143,12 @@ def mapper_graph(cloud: PointCloud, params: MapperParams = MapperParams()) -> Mu
     d_lens = params.resolve_d_lens(cloud.n, cloud.dim)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # rank deficiency is fine for a lens
-        lens = pca_lens(cloud, d_lens, params.lens_seed)
+        lens = pca_lens(cloud, d_lens)
     eps = third_neighbor_eps(cloud.points, params.eps_factor)
     if eps <= 0.0:
         # Duplicate-heavy data: fall back to the smallest positive pairwise
         # distance; fully coincident clouds cluster at any positive radius.
-        tree = cKDTree(cloud.points)
-        dists, _ = tree.query(cloud.points, k=min(cloud.n, 2))
-        positive = dists[dists > 0]
-        eps = float(positive.min()) if positive.size else 1.0
+        eps = _smallest_positive_distance(cloud.points) or 1.0
 
     mins = lens.min(axis=0)
     maxs = lens.max(axis=0)

@@ -90,24 +90,6 @@ class PersistenceImage:
         object.__setattr__(self, "vector", vec)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
 def edge_length_diagram(g: Multigraph, normalize: bool = True) -> PersistenceDiagram:
     """Persistence of the edge-length filtration via a Kruskal sweep.
 
@@ -124,7 +106,7 @@ def edge_length_diagram(g: Multigraph, normalize: bool = True) -> PersistenceDia
     if scale <= 0:
         scale = 1.0
     order = sorted(g.edges, key=lambda e: (e.length, e.u, e.v))
-    uf = _UnionFind(g.n_vertices)
+    uf = graphmod.UnionFind(g.n_vertices)
     deaths: list[float] = []
     births: list[float] = []
     for e in order:

@@ -22,7 +22,6 @@ from .geometry import (
     adaptive_affinity,
     affinity_components,
     condense,
-    diffusion_operator,
     fiedler_filter,
     induced_neighbor_subgraph,
     knn_graph,
@@ -143,27 +142,14 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
                 if vtx not in local:
                     local[vtx] = len(touched)
                     touched.append(vtx)
-        parent = list(range(len(touched)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = graphmod.UnionFind(len(touched))
         for ei in eids:
-            a = local[int(edges[ei, 0])]
-            b = local[int(edges[ei, 1])]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        # Group touched vertices by component root, ordered by smallest vertex.
-        roots: dict[int, list[int]] = {}
-        for idx, vtx in enumerate(touched):
-            roots.setdefault(find(idx), []).append(vtx)
+            uf.union(local[int(edges[ei, 0])], local[int(edges[ei, 1])])
+        # Members keep touched order, which fixes the centroid sums; nodes
+        # are numbered by their smallest vertex.
+        groups = [[touched[i] for i in group] for group in uf.groups()]
         assign: dict[int, int] = {}
-        for root in sorted(roots, key=lambda r: min(roots[r])):
-            members = roots[root]
+        for members in sorted(groups, key=min):
             node_id = len(node_centroids)
             node_centroids.append(pts[members].mean(axis=0))
             for vtx in members:
@@ -186,7 +172,7 @@ def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:
     """Reduced Reeb graph of a point cloud under the Fiedler filter.
 
     Builds a symmetrized kNN graph, splits it into connected components,
-    computes the Fiedler filter of each component's diffusion sub-operator,
+    computes the Fiedler filter of each component's transition matrix,
     runs the Reeb construction per component, and reduces the disjoint
     union.
     """
@@ -194,10 +180,9 @@ def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:
         raise DegenerateInputError("screeb requires at least two points")
     nbrs = knn_graph(cloud, params.k, symmetrize=True)
     affinity = adaptive_affinity(cloud, nbrs, min(params.k, cloud.n - 1))
-    op = diffusion_operator(affinity)
     pieces: list[Multigraph] = []
     for comp in affinity_components(affinity):
-        f = fiedler_filter(op, comp)
+        f = fiedler_filter(affinity, comp)
         sub_nbrs = induced_neighbor_subgraph(nbrs, comp)
         sub_cloud = PointCloud(cloud.points[comp])
         pieces.append(reeb_graph(sub_nbrs, f, sub_cloud))

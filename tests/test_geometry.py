@@ -1,9 +1,10 @@
-"""Geometry: kNN graphs, adaptive affinities, diffusion operators, Fiedler
+"""Geometry: kNN graphs, adaptive affinities, the transition matrix, Fiedler
 filter, condensation, and the points.csv format."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
 from screeb import (
@@ -11,14 +12,14 @@ from screeb import (
     PointCloud,
     adaptive_affinity,
     condense,
-    diffusion_operator,
     fiedler_filter,
     knn_graph,
     load_points_csv,
     save_points_csv,
+    transition_matrix,
 )
-from screeb.errors import DegenerateInputError, InvalidDataError
-from screeb.geometry import affinity_components
+from screeb.errors import DegenerateInputError, InvalidDataError, IsolatedPointError
+from screeb.geometry import _symmetric_spectrum, affinity_components, induced_neighbor_subgraph
 
 from conftest import disk_points
 
@@ -87,16 +88,67 @@ def test_knn_matches_brute_force_oracle(rng):
 
 
 def test_knn_symmetrized_distances_exact(rng):
-    pts = rng.normal(size=(50, 3))
-    nbrs = knn_graph(PointCloud(pts), 5)
-    for u in range(50):
-        for v, d in zip(nbrs.neighbor_ids[u], nbrs.neighbor_dists[u]):
-            true = np.linalg.norm(pts[u] - pts[v])
-            assert d == pytest.approx(true, rel=1e-12)
-    # symmetric relation
-    for u in range(50):
-        for v in nbrs.neighbor_ids[u]:
-            assert u in nbrs.neighbor_ids[v]
+    # The duplicate-heavy cloud repeats each point 8 > k + 1 times, so the
+    # query point can be missing from its own kNN row.
+    normal = rng.normal(size=(50, 3))
+    duplicated = np.repeat(rng.normal(size=(10, 3)), 8, axis=0)[rng.permutation(80)]
+    for pts in (normal, duplicated):
+        n = len(pts)
+        nbrs = knn_graph(PointCloud(pts), 5)
+        for u in range(n):
+            assert u not in nbrs.neighbor_ids[u]
+            for v, d in zip(nbrs.neighbor_ids[u], nbrs.neighbor_dists[u]):
+                true = np.linalg.norm(pts[u] - pts[v])
+                assert d == pytest.approx(true, rel=1e-12)
+        # symmetric relation
+        for u in range(n):
+            for v in nbrs.neighbor_ids[u]:
+                assert u in nbrs.neighbor_ids[v]
+
+
+def test_neighbor_graph_matches_loop_reference(rng):
+    # Per-vertex loop reference for the array-built lists: the kNN row minus
+    # its first self hit (else its last hit), united with the vertices that
+    # selected the point, ordered by (distance, id); a pair listed twice keeps
+    # the first-listed distance; an induced subgraph keeps list order.
+    def pairs(ids, dists):
+        return list(zip(ids.tolist(), dists.tolist()))
+
+    for pts in (rng.normal(size=(60, 2)), np.repeat(rng.normal(size=(12, 2)), 5, axis=0)):
+        n, k = len(pts), 6
+        dists, ids = cKDTree(pts).query(pts, k=k + 1)
+        own = []
+        for i in range(n):
+            row = pairs(ids[i], dists[i])
+            if i in ids[i]:
+                row.pop(ids[i].tolist().index(i))
+            own.append(row[:k])
+        lists = [dict(row) for row in own]
+        for i in range(n):
+            for j, d in own[i]:
+                lists[j].setdefault(i, d)
+        nbrs = knn_graph(PointCloud(pts), k)
+        for i in range(n):
+            expect = sorted(lists[i].items(), key=lambda jd: (jd[1], jd[0]))
+            assert pairs(nbrs.neighbor_ids[i], nbrs.neighbor_dists[i]) == expect
+
+        first = {}
+        for i in range(n):
+            for j, d in pairs(nbrs.neighbor_ids[i], nbrs.neighbor_dists[i]):
+                first.setdefault((min(i, j), max(i, j)), d)
+        edges, edge_d = nbrs.undirected_edges()
+        assert edges.tolist() == [list(e) for e in sorted(first)]
+        assert edge_d.tolist() == [first[e] for e in sorted(first)]
+
+        sub = rng.permutation(n)[: n // 2]
+        relabel = {old: new for new, old in enumerate(sub.tolist())}
+        part = induced_neighbor_subgraph(nbrs, sub)
+        for new, old in enumerate(sub.tolist()):
+            row = pairs(nbrs.neighbor_ids[old], nbrs.neighbor_dists[old])
+            expect = [(relabel[j], d) for j, d in row if j in relabel]
+            assert pairs(part.neighbor_ids[new], part.neighbor_dists[new]) == expect
+    empty = induced_neighbor_subgraph(nbrs, [])
+    assert empty.n == 0 and empty.neighbor_ids == () and empty.undirected_edges()[0].shape == (0, 2)
 
 
 # -- adaptive_affinity --------------------------------------------------------
@@ -134,17 +186,22 @@ def test_affinity_invariants(rng):
         assert np.all(np.diag(w) == 1.0)
 
 
-# -- diffusion_operator ---------------------------------------------------------
+# -- transition_matrix ----------------------------------------------------------
 
 
 def test_operator_two_by_two_uniform():
-    op = diffusion_operator(uniform_affinity(np.ones((2, 2))))
-    assert np.allclose(op.P.toarray(), 0.5 * np.ones((2, 2)))
+    p = transition_matrix(uniform_affinity(np.ones((2, 2))))
+    assert np.allclose(p.toarray(), 0.5 * np.ones((2, 2)))
 
 
 def test_operator_identity_from_isolated_loops():
-    op = diffusion_operator(uniform_affinity(np.eye(2)))
-    assert np.allclose(op.P.toarray(), np.eye(2))
+    p = transition_matrix(uniform_affinity(np.eye(2)))
+    assert np.allclose(p.toarray(), np.eye(2))
+
+
+def test_transition_matrix_rejects_zero_degree_row():
+    with pytest.raises(IsolatedPointError):
+        transition_matrix(AffinityMatrix(sp.csr_matrix((2, 2)), np.ones(2)))
 
 
 def test_operator_rows_and_spectrum_oracle(rng):
@@ -152,15 +209,19 @@ def test_operator_rows_and_spectrum_oracle(rng):
         w = rng.uniform(0.1, 1.0, size=(10, 10))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 1.0)
-        op = diffusion_operator(AffinityMatrix(sp.csr_matrix(w), np.ones(10)))
-        rows = np.asarray(op.P.sum(axis=1)).ravel()
+        p = transition_matrix(AffinityMatrix(sp.csr_matrix(w), np.ones(10)))
+        rows = np.asarray(p.sum(axis=1)).ravel()
         assert np.allclose(rows, 1.0, atol=1e-10)
         # dense eigensolver oracle on P itself
-        eigvals = np.linalg.eigvals(op.P.toarray())
+        eigvals = np.linalg.eigvals(p.toarray())
         assert np.max(np.abs(eigvals)) == pytest.approx(1.0, abs=1e-8)
-        vals, _ = op.spectrum(3)
+        # the Fiedler solver's spectrum of the symmetric conjugate D^-1/2 W D^-1/2
+        inv_sqrt = np.diag(1.0 / np.sqrt(w.sum(axis=1)))
+        vals, _ = _symmetric_spectrum(sp.csr_matrix(inv_sqrt @ w @ inv_sqrt), 3)
         assert abs(vals[0]) == pytest.approx(1.0, abs=1e-10)
         assert np.all(np.diff(np.abs(vals)) <= 1e-12)
+        oracle = np.sort(np.abs(eigvals))[::-1][:4]
+        assert np.allclose(np.abs(vals), oracle, atol=1e-10)
 
 
 # -- fiedler_filter ---------------------------------------------------------------
@@ -168,32 +229,29 @@ def test_operator_rows_and_spectrum_oracle(rng):
 
 def test_fiedler_monotone_on_path():
     adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    op = diffusion_operator(uniform_affinity(adj))
-    f = fiedler_filter(op, np.arange(3))
+    f = fiedler_filter(uniform_affinity(adj), np.arange(3))
     diffs = np.diff(f)
     assert np.all(diffs > 0) or np.all(diffs < 0)
     assert np.max(np.abs(f)) == f[np.argmax(np.abs(f))]  # sign fix
 
 
 def test_fiedler_complete_graph_orthogonal_to_stationary():
-    adj = np.ones((6, 6)) - np.eye(6)
-    op = diffusion_operator(uniform_affinity(adj))
-    f = fiedler_filter(op, np.arange(6))
-    assert abs(np.dot(op.degrees, f)) < 1e-8
+    aff = uniform_affinity(np.ones((6, 6)) - np.eye(6))
+    f = fiedler_filter(aff, np.arange(6))
+    degrees = np.asarray(aff.matrix.sum(axis=1)).ravel()
+    assert abs(np.dot(degrees, f)) < 1e-8
 
 
 def test_fiedler_rejects_disconnected():
     adj = np.zeros((4, 4))
     adj[0, 1] = adj[1, 0] = 1
     adj[2, 3] = adj[3, 2] = 1
-    op = diffusion_operator(uniform_affinity(adj))
     with pytest.raises(InvalidDataError):
-        fiedler_filter(op, np.arange(4))
+        fiedler_filter(uniform_affinity(adj), np.arange(4))
 
 
 def test_fiedler_singleton_component():
-    op = diffusion_operator(uniform_affinity(np.eye(3)))
-    assert fiedler_filter(op, np.array([1])).tolist() == [0.0]
+    assert fiedler_filter(uniform_affinity(np.eye(3)), np.array([1])).tolist() == [0.0]
 
 
 def test_fiedler_matches_dense_oracle(rng):
@@ -205,9 +263,8 @@ def test_fiedler_matches_dense_oracle(rng):
         aff = adaptive_affinity(cloud, knn_graph(cloud, min(8, n - 1)), min(8, n - 1))
         comps = affinity_components(aff)
         comp = max(comps, key=len)
-        op = diffusion_operator(aff)
-        f = fiedler_filter(op, comp)
-        sub = op.P.toarray()[np.ix_(comp, comp)]
+        f = fiedler_filter(aff, comp)
+        sub = transition_matrix(aff).toarray()[np.ix_(comp, comp)]
         vals, vecs = np.linalg.eig(sub)
         order = np.argsort(-np.abs(vals))
         oracle = np.real(vecs[:, order[1]])

@@ -1,0 +1,83 @@
+"""Golden digests of the CI benchmark: the first samples of the shipped
+preset, generated and run through the harness, must keep their bytes.
+
+``tests/golden/ci_digests.json`` holds two tiers per file. The portable tier
+(Betti numbers, vertex and edge counts of every graph) is compared
+everywhere. The sha256 digests of each ``points.csv`` and ``graph.json`` are
+compared only under the numpy and scipy versions they were recorded with,
+because eigenvector bits can differ between LAPACK builds.
+
+Re-record (only for a change that is meant to move outputs, stating which
+digests changed and why): ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from screeb import betti, load_graph
+from screeb.harness import RunConfig, cmd_generate, cmd_run
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "ci_digests.json"
+CI_SEED = 20260422
+N_SAMPLES = 10
+METHODS = ("screeb", "screebtower", "mapper")
+
+
+def _graph_entry(path: Path) -> dict:
+    g = load_graph(path)
+    b = betti(g)
+    return {
+        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "betti": [b.b0, b.b1],
+        "vertices": g.n_vertices,
+        "edges": g.edge_count(),
+    }
+
+
+def ci_digests(root: Path) -> dict:
+    """Generate and run the CI samples under ``root``; digest every output."""
+    bench, run = root / "bench", root / "run"
+    assert cmd_generate(None, N_SAMPLES, CI_SEED, str(bench), workers=1) == 0
+    assert cmd_run(RunConfig(bench_dir=str(bench), methods=METHODS, out_dir=str(run), workers=1)) == 0
+    files = {}
+    for sid in sorted(p.name for p in bench.iterdir() if p.is_dir()):
+        points = bench / sid / "points.csv"
+        files[f"bench/{sid}/points.csv"] = {"sha256": hashlib.sha256(points.read_bytes()).hexdigest()}
+        files[f"bench/{sid}/graph.json"] = _graph_entry(bench / sid / "graph.json")
+        for method in METHODS:
+            files[f"{method}/{sid}/graph.json"] = _graph_entry(run / method / sid / "graph.json")
+    return {
+        "seed": CI_SEED,
+        "n_samples": N_SAMPLES,
+        "methods": list(METHODS),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "files": files,
+    }
+
+
+def test_ci_golden_digests(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    got = ci_digests(tmp_path)
+    assert sorted(got["files"]) == sorted(golden["files"])
+    for name, want in golden["files"].items():
+        for key in ("betti", "vertices", "edges"):
+            assert got["files"][name].get(key) == want.get(key), (name, key)
+    if (got["numpy"], got["scipy"]) == (golden["numpy"], golden["scipy"]):
+        changed = [n for n, want in golden["files"].items() if got["files"][n]["sha256"] != want["sha256"]]
+        assert not changed, f"digests changed: {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = ci_digests(Path(tmp))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN} ({len(doc['files'])} files)", file=sys.stderr)

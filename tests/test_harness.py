@@ -78,6 +78,11 @@ def test_generate_refuses_partial_without_force(tmp_path):
         cmd_generate(None, 2, 1, str(out))
     assert cmd_generate(None, 2, 1, str(out), force=True) == 0
     assert (out / "manifest.json").exists()
+    # --force also clears nested directories left by other tools.
+    (out / "a" / "b").mkdir(parents=True)
+    (out / "a" / "b" / "stray.txt").write_text("x")
+    assert cmd_generate(None, 2, 1, str(out), force=True) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["00000", "00001", "manifest.json"]
 
 
 def test_generate_invalid_config_names_field(tmp_path):

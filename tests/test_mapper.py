@@ -182,6 +182,17 @@ def test_mapper_circle_has_loop(rng):
     assert betti(g).b1 >= 1
 
 
+def test_mapper_duplicated_cloud_scale_invariant(rng):
+    # Every point has 3 copies, so the third-neighbor radius is 0 and the
+    # fallback radius (smallest positive distance) must scale with the data.
+    base = circle_cloud(rng, n=100).points
+    shapes = []
+    for scale in (1e-3, 1e3):
+        g = mapper_graph(PointCloud(scale * np.repeat(base, 4, axis=0)))
+        shapes.append((g.n_vertices, betti(g)))
+    assert shapes[0] == shapes[1]
+
+
 def test_mapper_deterministic(rng):
     cloud = circle_cloud(rng, n=120)
     assert graph_to_json(mapper_graph(cloud)) == graph_to_json(mapper_graph(cloud))
@@ -197,7 +208,7 @@ def test_mapper_membership_invariants(rng):
     cloud = circle_cloud(rng, n=150)
     params = MapperParams()
     d_lens = params.resolve_d_lens(cloud.n, cloud.dim)
-    lens = pca_lens(cloud, d_lens, params.lens_seed)
+    lens = pca_lens(cloud, d_lens)
     eps = eps_rule(cloud.points, params.eps_factor)
     mins, maxs = lens.min(axis=0), lens.max(axis=0)
     widths = (maxs - mins) / params.n_intervals

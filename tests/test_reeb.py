@@ -72,14 +72,13 @@ def test_reeb_connected_input_connected_output(rng):
 
 
 def test_reeb_negation_invariance(rng):
-    from screeb.geometry import adaptive_affinity, affinity_components, diffusion_operator, fiedler_filter
+    from screeb.geometry import adaptive_affinity, affinity_components, fiedler_filter
 
     cloud = ytree_cloud(rng, per_arm=60)
     nbrs = knn_graph(cloud, 10)
     aff = adaptive_affinity(cloud, nbrs, 10)
-    op = diffusion_operator(aff)
     comp = affinity_components(aff)[0]
-    f = fiedler_filter(op, comp)
+    f = fiedler_filter(aff, comp)
     g_pos = graphmod.reduce(reeb_graph(nbrs, f, cloud))
     g_neg = graphmod.reduce(reeb_graph(nbrs, -f, cloud))
     assert betti(g_pos) == betti(g_neg)
