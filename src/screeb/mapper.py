@@ -2,10 +2,10 @@
 
 The cover uses six equal-width intervals per lens dimension, each expanded
 by the overlap fraction on both sides; clustering inside cover cells uses
-DBSCAN with a radius derived once from the full cloud (1.5 x the median
-third-neighbor distance). Cluster nodes sit at member centroids, nodes
-sharing a data point are joined, duplicate nodes (identical member sets)
-are removed, and the nerve is reduced.
+DBSCAN with a radius derived once from the cloud's distinct points (1.5 x
+the median third-neighbor distance). Cluster nodes sit at member
+centroids, nodes sharing a data point are joined, duplicate nodes
+(identical member sets) are removed, and the nerve is reduced.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import graph as graphmod
-from .geometry import PointCloud, _smallest_positive_distance
+from .errors import DegenerateInputError
+from .geometry import PointCloud
 from .graph import Edge, Multigraph
 
 
@@ -139,16 +140,15 @@ def mapper_graph(cloud: PointCloud, params: MapperParams = MapperParams()) -> Mu
     none.
     """
     if cloud.n < 2:
-        raise ValueError("mapper requires at least two points")
+        raise DegenerateInputError("mapper requires at least two points")
     d_lens = params.resolve_d_lens(cloud.n, cloud.dim)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # rank deficiency is fine for a lens
         lens = pca_lens(cloud, d_lens)
-    eps = third_neighbor_eps(cloud.points, params.eps_factor)
-    if eps <= 0.0:
-        # Duplicate-heavy data: fall back to the smallest positive pairwise
-        # distance; fully coincident clouds cluster at any positive radius.
-        eps = _smallest_positive_distance(cloud.points) or 1.0
+    # Copies cannot shrink the radius of the distinct points to 0. Coincident points,
+    # or points closer than float distances resolve, cluster at any positive radius.
+    distinct = np.unique(cloud.points, axis=0)
+    eps = (len(distinct) > 1 and third_neighbor_eps(distinct, params.eps_factor)) or 1.0
 
     mins = lens.min(axis=0)
     maxs = lens.max(axis=0)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import graph as graphmod
 from .errors import DegenerateInputError, InvalidDataError
@@ -87,16 +89,21 @@ class ReebTower:
         return self.entries[level][2]
 
 
+# Slices are swept in blocks of consecutive slices holding about this many
+# (slice, edge) crossings: the summed slice span grows faster than n.
+_BLOCK_CROSSINGS = 1 << 16
+
+
 def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointCloud) -> Multigraph:
     """Reeb graph of a filter over a connected neighbor graph.
 
-    One threshold is placed between each pair of consecutive distinct filter
-    values; the level set at a threshold is the subgraph of edges crossing
-    it, each connected component becomes a node at the centroid of the data
-    points incident to its crossing edges, and nodes at adjacent thresholds
-    are joined when their components share a data point. Edge length is the
-    distance between node centroids. A constant filter yields the
-    single-vertex graph at the data centroid.
+    A slice sits between each pair of consecutive distinct filter values;
+    its level set is the subgraph of edges crossing it. Each component of a
+    level set is a node at the mean of its data points, taken in the order
+    the slice's edges (ascending) first touch them, and nodes are numbered
+    by (slice, smallest vertex). Nodes at adjacent slices that share a data
+    point are joined, with the distance between centroids as length. A
+    constant filter yields the single-vertex graph at the data centroid.
     """
     f = np.asarray(filter_values, dtype=float)
     pts = positions.points
@@ -105,67 +112,59 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
         raise ValueError("filter must assign one value per vertex")
     distinct = np.unique(f)
     if distinct.size == 1:
-        centroid = pts.mean(axis=0, keepdims=True)
-        return Multigraph(1, (), centroid)
+        return Multigraph(1, (), pts.mean(axis=0, keepdims=True))
 
     edges, _ = nbrs.undirected_edges()
-    fu = f[edges[:, 0]]
-    fv = f[edges[:, 1]]
     # Slice s sits between distinct values s and s+1; an edge crosses every
     # slice in [rank(min f), rank(max f)).
-    lo = np.searchsorted(distinct, np.minimum(fu, fv))
-    hi = np.searchsorted(distinct, np.maximum(fu, fv))
-    n_slices = distinct.size - 1
+    lo, hi = np.searchsorted(distinct, np.sort(f[edges], axis=1)).T
+    opened = np.bincount(lo, minlength=distinct.size) - np.bincount(hi, minlength=distinct.size)
+    per_slice = np.cumsum(opened)[:-1]
+    if not per_slice.all():  # a connected graph has an edge across every value cut
+        raise InvalidDataError("level set between consecutive filter values has no crossing "
+                               "edges; the neighbor graph is disconnected")
+    # A block starts where the running crossing count passes a multiple of the block size.
+    starts = np.flatnonzero(np.diff(np.cumsum(per_slice) // _BLOCK_CROSSINGS, prepend=-1))
 
-    slice_edges: list[list[int]] = [[] for _ in range(n_slices)]
-    for ei in range(len(edges)):
-        for s in range(lo[ei], hi[ei]):
-            slice_edges[s].append(ei)
+    centroids, joins, n_nodes = [], [], 0
+    prev_keys, prev_nodes = np.zeros(0, dtype=int), np.zeros(0, dtype=int)  # the slice before the block
+    for s0, s1 in zip(starts, np.append(starts[1:], per_slice.size)):
+        first = np.maximum(lo, s0)
+        span = np.maximum(np.minimum(hi, s1) - first, 0)
+        eid = np.repeat(np.arange(len(edges)), span)
+        slices = np.repeat(first - np.cumsum(span) + span, span) + np.arange(eid.size)
+        # Crossing j of edge e lies at slice s = first[e] + j and puts keys s * n + u
+        # and s * n + v in its level set. Entries go by edge, so a key's first
+        # entry ranks it in its slice's touched order.
+        flat = np.repeat(slices, 2) * n + edges[eid].ravel()
+        keys, touched, inv = np.unique(flat, return_index=True, return_inverse=True)
+        level_sets = coo_matrix((np.ones(eid.size), (inv[0::2], inv[1::2])), shape=(keys.size, keys.size))
+        labels = connected_components(level_sets, directed=False)[1]
+        # Keys ascend, so a component's first key is its (slice, smallest vertex).
+        node = np.argsort(np.argsort(np.unique(labels, return_index=True)[1]))[labels]
+        # One mean over all nodes of a size sums each node's rows in touched
+        # order, exactly as ``pts[members].mean(axis=0)`` does.
+        members = keys[np.lexsort((touched, node))] % n
+        sizes = np.bincount(node)
+        offsets = np.cumsum(sizes) - sizes
+        block = np.empty((sizes.size, pts.shape[1]))
+        for size in np.unique(sizes):
+            ids = np.flatnonzero(sizes == size)
+            block[ids] = pts[members[offsets[ids, None] + np.arange(size)]].mean(axis=1)
+        centroids.append(block)
+        node += n_nodes
+        n_nodes += sizes.size
+        # Join each node to the nodes holding its vertices one slice down.
+        all_keys, all_nodes = np.append(prev_keys, keys), np.append(prev_nodes, node)
+        _, down, up = np.intersect1d(all_keys + n, keys, assume_unique=True, return_indices=True)
+        joins.append(np.unique(np.column_stack([all_nodes[down], node[up]]), axis=0))
+        top = keys >= (s1 - 1) * n
+        prev_keys, prev_nodes = keys[top], node[top]
 
-    node_centroids: list[np.ndarray] = []
-    # vertex_node[s] maps touched data vertices of slice s to a Reeb node id.
-    prev_assign: dict[int, int] = {}
-    reeb_edges: set[tuple[int, int]] = set()
-
-    for s in range(n_slices):
-        eids = slice_edges[s]
-        if not eids:
-            # A connected graph always has an edge across every value cut.
-            raise InvalidDataError(
-                "level set between consecutive filter values has no crossing "
-                "edges; the neighbor graph is disconnected"
-            )
-        touched: list[int] = []
-        local: dict[int, int] = {}
-        for ei in eids:
-            for vtx in (int(edges[ei, 0]), int(edges[ei, 1])):
-                if vtx not in local:
-                    local[vtx] = len(touched)
-                    touched.append(vtx)
-        uf = graphmod.UnionFind(len(touched))
-        for ei in eids:
-            uf.union(local[int(edges[ei, 0])], local[int(edges[ei, 1])])
-        # Members keep touched order, which fixes the centroid sums; nodes
-        # are numbered by their smallest vertex.
-        groups = [[touched[i] for i in group] for group in uf.groups()]
-        assign: dict[int, int] = {}
-        for members in sorted(groups, key=min):
-            node_id = len(node_centroids)
-            node_centroids.append(pts[members].mean(axis=0))
-            for vtx in members:
-                assign[vtx] = node_id
-        for vtx, node_id in assign.items():
-            prev_node = prev_assign.get(vtx)
-            if prev_node is not None:
-                reeb_edges.add((prev_node, node_id))
-        prev_assign = assign
-
-    centroids = np.array(node_centroids)
-    out_edges = tuple(
-        Edge(a, b, float(np.linalg.norm(centroids[a] - centroids[b])), 1)
-        for a, b in sorted(reeb_edges)
-    )
-    return Multigraph(len(node_centroids), out_edges, centroids)
+    centroids = np.concatenate(centroids)
+    pairs = np.concatenate(joins).tolist()
+    out_edges = tuple(Edge(a, b, float(np.linalg.norm(centroids[a] - centroids[b])), 1) for a, b in pairs)
+    return Multigraph(n_nodes, out_edges, centroids)
 
 
 def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:

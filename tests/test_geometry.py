@@ -3,7 +3,9 @@ filter, condensation, and the points.csv format."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
@@ -16,9 +18,11 @@ from screeb import (
     knn_graph,
     load_points_csv,
     save_points_csv,
+    screeb,
     transition_matrix,
 )
-from screeb.errors import DegenerateInputError, InvalidDataError, IsolatedPointError
+from screeb import geometry
+from screeb.errors import DegenerateInputError, InvalidDataError, IsolatedPointError, SolverError
 from screeb.geometry import _symmetric_spectrum, affinity_components, induced_neighbor_subgraph
 
 from conftest import disk_points
@@ -270,6 +274,37 @@ def test_fiedler_matches_dense_oracle(rng):
         oracle = np.real(vecs[:, order[1]])
         cos = abs(np.dot(f, oracle)) / (np.linalg.norm(f) * np.linalg.norm(oracle))
         assert cos > 1 - 1e-6
+
+
+def _no_convergence(m, k, **kwargs):
+    raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((m.shape[0], 0)))
+
+
+def test_arpack_failure_falls_back_to_dense_eigh(rng, monkeypatch):
+    # 384 < n <= 4096: a failed ARPACK solve gives the dense eigh pairs.
+    cloud = PointCloud(disk_points(rng, 500, 1.0, (0.0, 0.0)))
+    aff = adaptive_affinity(cloud, knn_graph(cloud, 10), 10)
+    comp = np.arange(cloud.n)
+    arpack = fiedler_filter(aff, comp)
+    monkeypatch.setattr(geometry, "eigsh", _no_convergence)
+    fallback = fiedler_filter(aff, comp)
+    np.testing.assert_allclose(fallback, arpack, atol=1e-8)
+    m = sp.random(500, 500, density=0.02, random_state=1, format="csr")
+    m = (m + m.T).tocsr()
+    vals, vecs = _symmetric_spectrum(m, 1)
+    dense_vals, dense_vecs = scipy.linalg.eigh(m.toarray())
+    order = np.argsort(-np.abs(dense_vals), kind="stable")[:2]
+    assert np.array_equal(vals, dense_vals[order]) and np.array_equal(vecs, dense_vecs[:, order])
+
+
+def test_arpack_failure_above_dense_limit_raises_solver_error(rng, monkeypatch):
+    # n > 4096 has no dense fallback; screeb surfaces the SolverError.
+    monkeypatch.setattr(geometry, "eigsh", _no_convergence)
+    m = sp.diags(np.arange(1.0, 4098.0)).tocsr()
+    with pytest.raises(SolverError, match="converged 0 of 2"):
+        _symmetric_spectrum(m, 1)
+    with pytest.raises(SolverError):
+        screeb(PointCloud(disk_points(rng, 4097, 1.0, (0.0, 0.0))))
 
 
 # -- condense -----------------------------------------------------------------------

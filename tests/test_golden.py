@@ -1,7 +1,11 @@
 """Golden digests of the CI benchmark: the first samples of the shipped
 preset, generated and run through the harness, must keep their bytes.
 
-``tests/golden/ci_digests.json`` holds two tiers per file. The portable tier
+``tests/golden/ci_digests.json`` holds two tiers per file, and
+``tests/golden/circle_digest.json`` the same two tiers for ``screeb`` on one
+pinned noisy circle whose level sets hold about 290k (slice, edge)
+crossings, so ``reeb_graph`` works through several slice blocks (no CI
+sample reaches a second one). The portable tier
 (Betti numbers, vertex and edge counts of every graph) is compared
 everywhere. The sha256 digests of each ``points.csv`` and ``graph.json`` are
 compared only under the numpy and scipy versions they were recorded with,
@@ -19,11 +23,13 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from screeb import betti, load_graph
+from screeb import PointCloud, betti, graph_to_json, load_graph, screeb
 from screeb.harness import RunConfig, cmd_generate, cmd_run
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "ci_digests.json"
+CIRCLE_GOLDEN = GOLDEN.parent / "circle_digest.json"
 CI_SEED = 20260422
+CIRCLE_N = 2000
 N_SAMPLES = 10
 METHODS = ("screeb", "screebtower", "mapper")
 
@@ -61,6 +67,26 @@ def ci_digests(root: Path) -> dict:
     }
 
 
+def circle_digest() -> dict:
+    """``screeb`` on a noisy unit circle of ``CIRCLE_N`` points drawn from
+    ``CI_SEED`` (the ``ladder`` benchmark circle, unrotated)."""
+    rng = np.random.default_rng((CI_SEED, CIRCLE_N))
+    theta = rng.uniform(0.0, 2.0 * np.pi, CIRCLE_N)
+    points = np.c_[np.cos(theta), np.sin(theta)] + rng.normal(0.0, 0.05, (CIRCLE_N, 2))
+    g = screeb(PointCloud(points))
+    b = betti(g)
+    return {
+        "n": CIRCLE_N,
+        "seed": CI_SEED,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "sha256": hashlib.sha256(graph_to_json(g).encode()).hexdigest(),
+        "betti": [b.b0, b.b1],
+        "vertices": g.n_vertices,
+        "edges": g.edge_count(),
+    }
+
+
 def test_ci_golden_digests(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     got = ci_digests(tmp_path)
@@ -73,6 +99,15 @@ def test_ci_golden_digests(tmp_path):
         assert not changed, f"digests changed: {changed}"
 
 
+def test_multi_block_circle_golden_digest():
+    golden = json.loads(CIRCLE_GOLDEN.read_text())
+    got = circle_digest()
+    for key in ("betti", "vertices", "edges"):
+        assert got[key] == golden[key], key
+    if (got["numpy"], got["scipy"]) == (golden["numpy"], golden["scipy"]):
+        assert got["sha256"] == golden["sha256"]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -81,3 +116,5 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} ({len(doc['files'])} files)", file=sys.stderr)
+    CIRCLE_GOLDEN.write_text(json.dumps(circle_digest(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {CIRCLE_GOLDEN}", file=sys.stderr)

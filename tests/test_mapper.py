@@ -14,6 +14,8 @@ from screeb import (
     pca_lens,
     third_neighbor_eps,
 )
+from screeb import mapper as mapper_module
+from screeb.errors import DegenerateInputError
 
 from conftest import circle_cloud, disk_points
 
@@ -58,6 +60,11 @@ def test_params_validation():
         MapperParams(n_intervals=0)
     assert MapperParams().resolve_d_lens(100, 5) == 2
     assert MapperParams().resolve_d_lens(100, 1) == 1
+
+
+def test_mapper_rejects_single_point():
+    with pytest.raises(DegenerateInputError):
+        mapper_graph(PointCloud(np.zeros((1, 2))))
 
 
 # -- pca_lens ------------------------------------------------------------------
@@ -182,15 +189,29 @@ def test_mapper_circle_has_loop(rng):
     assert betti(g).b1 >= 1
 
 
-def test_mapper_duplicated_cloud_scale_invariant(rng):
-    # Every point has 3 copies, so the third-neighbor radius is 0 and the
-    # fallback radius (smallest positive distance) must scale with the data.
+def test_mapper_duplicated_cloud_scale_invariant(rng, monkeypatch):
+    # Every point has 3 copies, so the third-neighbor radius of the raw cloud
+    # is 0; the radius must be that of the distinct points, which scales
+    # with the data.
     base = circle_cloud(rng, n=100).points
+    radii = []
+
+    def recording_dbscan(points, eps, min_samples):
+        radii.append(eps)
+        return dbscan(points, eps, min_samples)
+
+    monkeypatch.setattr(mapper_module, "dbscan", recording_dbscan)
     shapes = []
     for scale in (1e-3, 1e3):
+        radii.clear()
         g = mapper_graph(PointCloud(scale * np.repeat(base, 4, axis=0)))
         shapes.append((g.n_vertices, betti(g)))
+        assert radii and set(radii) == {third_neighbor_eps(scale * base)}
     assert shapes[0] == shapes[1]
+    # A fully coincident cloud still clusters, at a positive radius.
+    radii.clear()
+    g = mapper_graph(PointCloud(np.ones((12, 2))))
+    assert g.n_vertices == 1 and radii and min(radii) > 0
 
 
 def test_mapper_deterministic(rng):

@@ -1,9 +1,12 @@
 """Reeb construction, the full screeb pipeline, and the condensation tower."""
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screeb import (
     PointCloud,
@@ -16,7 +19,8 @@ from screeb import (
     screeb_tower,
 )
 from screeb import graph as graphmod
-from screeb.errors import DegenerateInputError
+from screeb import reeb as reeb_module
+from screeb.errors import DegenerateInputError, InvalidDataError
 
 from conftest import add_noise, circle_cloud, segment_cloud, two_blob_cloud, ytree_cloud
 
@@ -104,6 +108,117 @@ def test_reeb_rejects_disconnected_neighbor_graph():
 
     with pytest.raises(InvalidDataError):
         reeb_graph(nbrs, np.array([0.0, 1.0, 2.0, 3.0]), pts)
+
+
+def brute_force_reeb(nbrs, f, pts):
+    """Slice-by-slice oracle: BFS over the edges crossing each slice, node
+    centroids by ``pts[members].mean(axis=0)`` with members in the order the
+    slice's ascending edges first touch them, nodes by (slice, smallest
+    vertex), joins through shared vertices. None if a slice has no edge; a
+    constant filter gives the data centroid."""
+    edges, _ = nbrs.undirected_edges()
+    fmin, fmax = np.minimum(f[edges[:, 0]], f[edges[:, 1]]), np.maximum(f[edges[:, 0]], f[edges[:, 1]])
+    distinct = np.unique(f)
+    if distinct.size == 1:
+        return pts.mean(axis=0, keepdims=True), []
+    positions, pairs, prev = [], set(), {}
+    for below, above in zip(distinct[:-1], distinct[1:]):
+        crossing = edges[(fmin <= below) & (fmax >= above)].tolist()
+        if not crossing:
+            return None
+        touched, adjacent = [], {}
+        for u, v in crossing:
+            for x in (u, v):
+                if x not in adjacent:
+                    touched.append(x)
+                    adjacent[x] = []
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+        root = {}
+        for start in touched:
+            if start not in root:
+                root[start] = start
+                queue = [start]
+                for x in queue:
+                    for y in adjacent[x]:
+                        if y not in root:
+                            root[y] = start
+                            queue.append(y)
+        groups = {}
+        for x in touched:
+            groups.setdefault(root[x], []).append(x)
+        current = {}
+        for members in sorted(groups.values(), key=min):
+            current.update((x, len(positions)) for x in members)
+            positions.append(pts[members].mean(axis=0))
+        pairs |= {(prev[x], node) for x, node in current.items() if x in prev}
+        prev = current
+    return np.array(positions), sorted(pairs)
+
+
+def assert_matches_oracle(cloud, f, k):
+    nbrs = knn_graph(cloud, k, symmetrize=True)
+    want = brute_force_reeb(nbrs, f, cloud.points)
+    if want is None:
+        with pytest.raises(InvalidDataError):
+            reeb_graph(nbrs, f, cloud)
+        return
+    g = reeb_graph(nbrs, f, cloud)
+    positions, pairs = want
+    assert g.n_vertices == len(positions)
+    assert g.positions.shape == positions.shape
+    assert g.positions.tobytes() == positions.tobytes()
+    assert [(e.u, e.v, e.multiplicity) for e in g.edges] == [(a, b, 1) for a, b in pairs]
+    for e in g.edges:
+        assert e.length == float(np.linalg.norm(positions[e.u] - positions[e.v]))
+
+
+@st.composite
+def reeb_inputs(draw):
+    """Small clouds drawn from a few distinct points (duplicates) with a
+    filter drawn from a few distinct values (ties)."""
+    n = draw(st.integers(2, 40))
+    dim = draw(st.integers(1, 3))
+    coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=1, max_size=n))
+    values = draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=n))
+    pick = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    points = np.array(pool)[np.array(draw(pick)) % len(pool)]
+    f = np.array(values)[np.array(draw(pick)) % len(values)]
+    k = draw(st.integers(1, min(6, n - 1)))
+    return PointCloud(points), f, k
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@given(reeb_inputs())
+@settings(max_examples=60, deadline=None)
+def test_reeb_matches_brute_force_oracle(block, inputs):
+    # Tiny blocks make every join cross a block boundary.
+    cloud, f, k = inputs
+    with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block or reeb_module._BLOCK_CROSSINGS):
+        assert_matches_oracle(cloud, f, k)
+
+
+@pytest.mark.parametrize("block", [None, 1, 2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_reeb_matches_brute_force_oracle_on_path(block, sign):
+    # Growing gaps make the 1-NN graph a path, and a monotone filter makes
+    # consecutive slices share one vertex: the largest (or smallest) vertex
+    # of the slice before, which a block boundary must carry over.
+    cloud = PointCloud(np.c_[np.cumsum(1.0 + 0.1 * np.arange(12)), np.zeros(12)])
+    with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block or reeb_module._BLOCK_CROSSINGS):
+        assert_matches_oracle(cloud, sign * np.arange(12.0), 1)
+
+
+@pytest.mark.parametrize("block", [None, 7, 500])
+def test_reeb_matches_brute_force_oracle_on_fiedler_filter(rng, block):
+    from screeb import adaptive_affinity, fiedler_filter
+
+    cloud = add_noise(circle_cloud(rng, n=300), rng, 0.05)
+    nbrs = knn_graph(cloud, 15, symmetrize=True)
+    f = fiedler_filter(adaptive_affinity(cloud, nbrs, 15), np.arange(cloud.n))
+    with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block or reeb_module._BLOCK_CROSSINGS):
+        assert_matches_oracle(cloud, f, 15)
 
 
 # -- screeb ------------------------------------------------------------------------
