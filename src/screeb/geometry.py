@@ -211,7 +211,11 @@ def adaptive_affinity(cloud: PointCloud, nbrs: NeighborGraph, k_bw: int) -> Affi
     if np.any(sigmas <= 0):
         clamp = _smallest_positive_distance(cloud.points)
         if clamp <= 0:
-            raise InvalidDataError("all points are identical; affinities are undefined")
+            if np.all(cloud.points == cloud.points[0]):
+                raise InvalidDataError("all points are identical; affinities are undefined")
+            raise InvalidDataError(
+                "distances between distinct points are below floating-point resolution; affinities are undefined"
+            )
         sigmas = np.where(sigmas > 0, sigmas, clamp)
 
     edges, edge_d = nbrs.undirected_edges()

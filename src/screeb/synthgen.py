@@ -617,66 +617,68 @@ def _unit(vec: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndar
     return vec / norm
 
 
-def _segment_distance(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> float:
-    """Minimum distance between segments [p1, p2] and [q1, q2] in R^d."""
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (m, d) arrays. Each row is one BLAS
+    ``ddot``, the call a 1-D ``x @ y`` or ``np.linalg.norm`` makes, so the
+    values match those bit for bit; ``einsum`` or hand-expanded sums do not
+    where BLAS fuses multiply-adds."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _clamp01(x: np.ndarray) -> np.ndarray:
+    """``min(1.0, max(0.0, x))`` elementwise."""
+    return np.where(x < 1.0, np.where(x > 0.0, x, 0.0), 1.0)
+
+
+def _segment_distances(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Minimum distances between segments [p1[i], p2[i]] and [q1[i], q2[i]]
+    for (m, d) endpoint arrays: the clamped closed form of Ericson,
+    *Real-Time Collision Detection*, 5.1.9. A segment whose squared length
+    is at most 1e-30 is a point."""
     d1 = p2 - p1
     d2 = q2 - q1
     r = p1 - q1
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
-    if a <= 1e-30 and e <= 1e-30:
-        return float(np.linalg.norm(r))
-    if a <= 1e-30:
-        t = min(1.0, max(0.0, f / e))
-        return float(np.linalg.norm(p1 - (q1 + t * d2)))
-    c = float(d1 @ r)
-    if e <= 1e-30:
-        s = min(1.0, max(0.0, -c / a))
-        return float(np.linalg.norm(p1 + s * d1 - q1))
-    b = float(d1 @ d2)
-    denom = a * e - b * b
-    s = min(1.0, max(0.0, (b * f - c * e) / denom)) if denom > 1e-30 else 0.0
-    t = (b * s + f) / e
-    if t < 0.0:
-        t = 0.0
-        s = min(1.0, max(0.0, -c / a))
-    elif t > 1.0:
-        t = 1.0
-        s = min(1.0, max(0.0, (b - c) / a))
-    return float(np.linalg.norm((p1 + s * d1) - (q1 + t * d2)))
+    a = _dots(d1, d1)
+    e = _dots(d2, d2)
+    f = _dots(d2, r)
+    c = _dots(d1, r)
+    b = _dots(d1, d2)
+    p_point = a <= 1e-30
+    q_point = e <= 1e-30
+    # Every branch is evaluated and the degenerate ones are masked out, so
+    # their divisions by zero are expected.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = a * e - b * b
+        s = np.where(denom > 1e-30, _clamp01((b * f - c * e) / denom), 0.0)
+        t = (b * s + f) / e
+        s = np.where(t < 0.0, _clamp01(-c / a), np.where(t > 1.0, _clamp01((b - c) / a), s))
+        t = _clamp01(t)
+        s = np.where(p_point, 0.0, np.where(q_point, _clamp01(-c / a), s))
+        t = np.where(q_point, 0.0, np.where(p_point, _clamp01(f / e), t))
+    gap = (p1 + s[:, None] * d1) - (q1 + t[:, None] * d2)
+    return np.sqrt(_dots(gap, gap))
 
 
 def _min_clearance(positions: np.ndarray, g: Multigraph) -> float:
     """Minimum distance between non-adjacent features (edge segments and
     isolated vertices)."""
-    segs: list[tuple[int, int]] = [(e.u, e.v) for e in g.edges]
-    deg = g.degrees()
-    isolated = [int(v) for v in np.flatnonzero(deg == 0)]
-    feats = segs + [(v, v) for v in isolated]
-    best = math.inf
-    for i in range(len(feats)):
-        a1, a2 = feats[i]
-        for j in range(i + 1, len(feats)):
-            b1, b2 = feats[j]
-            if {a1, a2} & {b1, b2}:
-                continue
-            d = _segment_distance(positions[a1], positions[a2], positions[b1], positions[b2])
-            best = min(best, d)
-    return best
+    isolated = np.flatnonzero(g.degrees() == 0)
+    feats = np.array([(e.u, e.v) for e in g.edges] + [(v, v) for v in isolated], dtype=int).reshape(-1, 2)
+    i, j = np.triu_indices(len(feats), k=1)
+    a, b = feats[i], feats[j]
+    keep = ~(a[:, :, None] == b[:, None, :]).any(axis=(1, 2))
+    a, b = a[keep], b[keep]
+    if not len(a):
+        return math.inf
+    return float(np.min(_segment_distances(positions[a[:, 0]], positions[a[:, 1]], positions[b[:, 0]], positions[b[:, 1]])))
 
 
 def _hole_scales(positions: np.ndarray, loops: list[list[int]]) -> list[float]:
     out = []
     for loop in loops:
         pts = positions[loop]
-        centroid = pts.mean(axis=0)
-        scale = math.inf
-        for i in range(len(loop)):
-            a = pts[i]
-            b = pts[(i + 1) % len(loop)]
-            scale = min(scale, _segment_distance(centroid, centroid, a, b))
-        out.append(scale)
+        centroid = np.broadcast_to(pts.mean(axis=0), pts.shape)
+        out.append(float(np.min(_segment_distances(centroid, centroid, pts, np.roll(pts, -1, axis=0)))))
     return out
 
 
@@ -877,20 +879,16 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
 
     # Assemble components with controlled gaps.
     positions = np.zeros((g.n_vertices, dim))
-    placed_feats: list[tuple[np.ndarray, np.ndarray]] = []
+    deg = g.degrees()
+    # Features as (k, 2, dim) endpoint arrays: edges, then isolated vertices
+    # as point segments.
+    placed = np.zeros((0, 2, dim))
 
-    def comp_feats(comp: list[int], arr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        comp_set = set(comp)
+    def comp_feats(comp: list[int]) -> np.ndarray:
+        """Local endpoint indices of the component's features, (k, 2)."""
         idx = {v: i for i, v in enumerate(comp)}
-        feats = []
-        deg = g.degrees()
-        for e in g.edges:
-            if e.u in comp_set:
-                feats.append((arr[idx[e.u]], arr[idx[e.v]]))
-        for v in comp:
-            if deg[v] == 0:
-                feats.append((arr[idx[v]], arr[idx[v]]))
-        return feats
+        ends = [(idx[e.u], idx[e.v]) for e in g.edges if e.u in idx]
+        return np.array(ends + [(idx[v], idx[v]) for v in comp if deg[v] == 0], dtype=int).reshape(-1, 2)
 
     max_edge_len = cfg.feature_scale
     for comp, arr in zip(comps, comp_positions):
@@ -901,26 +899,26 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
 
     for ci, (comp, arr) in enumerate(zip(comps, comp_positions)):
         arr = arr - arr.mean(axis=0, keepdims=True)
+        feats = comp_feats(comp)
         if ci == 0:
             for i, v in enumerate(comp):
                 positions[v] = arr[i]
-            placed_feats.extend(comp_feats(comp, arr))
+            placed = arr[feats]
             continue
         gap = rng.uniform(*cfg.gap_ratio_range) * max_edge_len
         direction = rng.normal(size=dim)
         direction /= np.linalg.norm(direction)
-        placed_pts = np.array([p for f in placed_feats for p in f])
+        placed_pts = placed.reshape(-1, dim)
         center_all = placed_pts.mean(axis=0)
         r_all = float(np.max(np.linalg.norm(placed_pts - center_all, axis=1)))
         r_new = float(np.max(np.linalg.norm(arr, axis=1))) if len(arr) else 0.0
+        # Every new feature against every placed one.
+        mine = np.repeat(feats, len(placed), axis=0)
+        theirs = np.tile(placed, (len(feats), 1, 1))
 
         def min_dist_at(dist: float) -> float:
-            offset = center_all + direction * dist
-            best = math.inf
-            for f1, f2 in comp_feats(comp, arr + offset):
-                for g1, g2 in placed_feats:
-                    best = min(best, _segment_distance(f1, f2, g1, g2))
-            return best
+            moved = arr + (center_all + direction * dist)
+            return float(np.min(_segment_distances(moved[mine[:, 0]], moved[mine[:, 1]], theirs[:, 0], theirs[:, 1])))
 
         hi = r_all + r_new + gap + max_edge_len
         while min_dist_at(hi) < gap:
@@ -937,7 +935,7 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
         arr = arr + (center_all + direction * hi)
         for i, v in enumerate(comp):
             positions[v] = arr[i]
-        placed_feats.extend(comp_feats(comp, arr))
+        placed = np.concatenate([placed, arr[feats]])
     return positions
 
 
@@ -1244,24 +1242,20 @@ def validate(sample: SyntheticSample, cfg: GeneratorConfig) -> ValidationResult:
         dist_matrix = np.column_stack(
             [_point_segment_distances(points, positions[e.u], positions[e.v]) for e in edges]
         )
-        endpoints = [(e.u, e.v) for e in edges]
-        gamma = cfg.min_separation_gamma
-        for i in range(len(points)):
-            if parent_kinds[i] == "e":
-                pe = int(parent_ids[i])
-                own = dist_matrix[i, pe]
-                pu, pv = endpoints[pe]
-                exclude = {pe}
-                for ej, (u, v) in enumerate(endpoints):
-                    if u in (pu, pv) or v in (pu, pv):
-                        exclude.add(ej)
-            else:
-                pv_ = int(parent_ids[i])
-                own = float(np.linalg.norm(points[i] - positions[pv_]))
-                exclude = {ej for ej, (u, v) in enumerate(endpoints) if u == pv_ or v == pv_}
-            foreign = [dist_matrix[i, ej] for ej in range(len(edges)) if ej not in exclude]
-            if foreign and min(foreign) < own - gamma:
-                return ValidationResult(False, "noise-confusion")
+        ends = np.array([(e.u, e.v) for e in edges])
+        on_edge = np.asarray(parent_kinds) == "e"
+        # Each point's parent feature as two vertex ids (a vertex twice).
+        parent_ends = np.repeat(parent_ids[:, None], 2, axis=1)
+        parent_ends[on_edge] = ends[parent_ids[on_edge]]
+        own = np.empty(len(points))
+        own[on_edge] = dist_matrix[np.flatnonzero(on_edge), parent_ids[on_edge]]
+        off = points[~on_edge] - positions[parent_ids[~on_edge]]
+        own[~on_edge] = np.sqrt(_dots(off, off))
+        # Edges that share a vertex with the parent feature are not foreign.
+        adjacent = (ends[None, :, :, None] == parent_ends[:, None, None, :]).any(axis=(2, 3))
+        foreign = np.where(adjacent, math.inf, dist_matrix).min(axis=1)
+        if np.any(foreign < own - cfg.min_separation_gamma):
+            return ValidationResult(False, "noise-confusion")
     return ValidationResult(True, None)
 
 

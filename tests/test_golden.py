@@ -1,5 +1,7 @@
-"""Golden digests of the CI benchmark: the first samples of the shipped
-preset, generated and run through the harness, must keep their bytes.
+"""Golden digests of the CI benchmark: the samples of the shipped preset,
+generated and run through the harness, must keep their bytes. The generator
+outputs are pinned for all ``N_GENERATED`` CI samples, the method outputs
+for the first ``N_SAMPLES``.
 
 ``tests/golden/ci_digests.json`` holds two tiers per file, and
 ``tests/golden/circle_digest.json`` the same two tiers for ``screeb`` on one
@@ -31,6 +33,7 @@ CIRCLE_GOLDEN = GOLDEN.parent / "circle_digest.json"
 CI_SEED = 20260422
 CIRCLE_N = 2000
 N_SAMPLES = 10
+N_GENERATED = 40
 METHODS = ("screeb", "screebtower", "mapper")
 
 
@@ -46,20 +49,27 @@ def _graph_entry(path: Path) -> dict:
 
 
 def ci_digests(root: Path) -> dict:
-    """Generate and run the CI samples under ``root``; digest every output."""
-    bench, run = root / "bench", root / "run"
+    """Generate the CI samples under ``root`` and run the methods on the
+    first ``N_SAMPLES``; digest every output."""
+    gen, bench, run = root / "gen", root / "bench", root / "run"
+    assert cmd_generate(None, N_GENERATED, CI_SEED, str(gen), workers=1) == 0
     assert cmd_generate(None, N_SAMPLES, CI_SEED, str(bench), workers=1) == 0
     assert cmd_run(RunConfig(bench_dir=str(bench), methods=METHODS, out_dir=str(run), workers=1)) == 0
     files = {}
-    for sid in sorted(p.name for p in bench.iterdir() if p.is_dir()):
-        points = bench / sid / "points.csv"
+    for sid in sorted(p.name for p in gen.iterdir() if p.is_dir()):
+        points = gen / sid / "points.csv"
         files[f"bench/{sid}/points.csv"] = {"sha256": hashlib.sha256(points.read_bytes()).hexdigest()}
-        files[f"bench/{sid}/graph.json"] = _graph_entry(bench / sid / "graph.json")
+        files[f"bench/{sid}/graph.json"] = _graph_entry(gen / sid / "graph.json")
+    for sid in sorted(p.name for p in bench.iterdir() if p.is_dir()):
+        for name in ("points.csv", "graph.json"):
+            # A sample is a function of (seed, index) alone, not of the batch size.
+            assert (bench / sid / name).read_bytes() == (gen / sid / name).read_bytes(), (sid, name)
         for method in METHODS:
             files[f"{method}/{sid}/graph.json"] = _graph_entry(run / method / sid / "graph.json")
     return {
         "seed": CI_SEED,
         "n_samples": N_SAMPLES,
+        "n_generated": N_GENERATED,
         "methods": list(METHODS),
         "numpy": np.__version__,
         "scipy": scipy.__version__,

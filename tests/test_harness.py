@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import screeb
 from screeb import GeneratorConfig
 from screeb.cli import main as cli_main
 from screeb.errors import ConfigError
@@ -296,7 +297,10 @@ def test_cli_invalid_method_exit_code(tmp_path):
 
 def test_cli_subprocess_entry(tmp_path):
     # The installed console script must exist per the external interface.
-    env = dict(os.environ)
+    # The child imports the package this process imported, also when pytest
+    # put it on sys.path itself (pyproject's pythonpath) rather than PYTHONPATH.
+    src = str(Path(screeb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "screeb.cli", "generate", "--n", "1", "--seed", "9", "--out", str(tmp_path / "b")],
         capture_output=True,

@@ -2,6 +2,7 @@
 ``screeb.errors`` type, never a bare numpy, scipy or Python error."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,3 +84,12 @@ def test_mapper_points_closer_than_distances_resolve():
     # Distinct points whose squared distances underflow make the radius rule 0.
     points = np.c_[np.arange(6) * 1e-200, np.zeros(6)]
     assert isinstance(mapper_graph(PointCloud(points)), Multigraph)
+
+
+def test_screeb_points_closer_than_distances_resolve():
+    # Distinct points whose squared distances underflow are not "identical".
+    points = np.c_[np.arange(6) * 1e-200, np.zeros(6)]
+    with pytest.raises(errors.InvalidDataError, match="below floating-point resolution"):
+        screeb(PointCloud(points))
+    with pytest.raises(errors.InvalidDataError, match="all points are identical"):
+        screeb(PointCloud(np.ones((6, 2))))

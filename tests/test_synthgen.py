@@ -1,8 +1,13 @@
 """Synthetic benchmark generator: topology sampling, embedding, tube
 sampling, validation, and reproducibility."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screeb import (
     Edge,
@@ -21,8 +26,11 @@ from screeb import graph as graphmod
 from screeb.errors import ConfigError, GenerationReject, InvalidDataError
 from screeb.synthgen import (
     DifficultyCoords,
+    _cycle_loops,
+    _hole_scales,
     _min_clearance,
-    _segment_distance,
+    _point_segment_distances,
+    _segment_distances,
     draw_difficulty,
     sample_subseed,
     splitmix64,
@@ -38,6 +46,14 @@ def component_subgraph(g, comp):
         if e.u in comp_set
     )
     return Multigraph(len(comp), edges)
+
+
+def parent_feature_distances(points, g, kinds, pids):
+    """Distance from each point to its parent edge segment or vertex."""
+    pos = np.asarray(g.positions)
+    ends = np.array([(e.u, e.v) for e in g.edges]).reshape(-1, 2)
+    feat = np.array([ends[p] if k == "e" else (p, p) for k, p in zip(kinds, pids)]).reshape(-1, 2)
+    return _segment_distances(points, points, pos[feat[:, 0]], pos[feat[:, 1]])
 
 
 CLASS_CONTRACT = {
@@ -172,7 +188,7 @@ def test_embed_component_gap(rng):
     g = Multigraph(4, (Edge(0, 1, 1.0), Edge(2, 3, 1.0)))
     pos = embed_graph(g, 2, cfg, rng)
     max_len = max(np.linalg.norm(pos[e.u] - pos[e.v]) for e in g.edges)
-    gap = _segment_distance(pos[0], pos[1], pos[2], pos[3])
+    gap = _segment_distances(pos[[0]], pos[[1]], pos[[2]], pos[[3]])[0]
     assert gap >= 6.0 * max_len * (1 - 1e-9)
     assert gap <= 6.0 * max_len * (1 + 0.02)
 
@@ -239,15 +255,8 @@ def test_tube_support_hexagon(rng):
     g = embedded(Multigraph(6, tuple(Edge(i, (i + 1) % 6, 1.0) for i in range(6))), cfg, rng)
     coords = DifficultyCoords(noise_ratio=0.02, separation=0.0, density=12.0, thickness=1.0)
     cloud, geom = sample_point_cloud(g, cfg, rng, coords)
-    pos = np.asarray(geom.graph.positions)
-    edges = list(geom.graph.edges)
-    for i in range(cloud.n):
-        if geom.parent_kinds[i] == "e":
-            e = edges[geom.parent_ids[i]]
-            seg = _segment_distance(cloud.points[i], cloud.points[i], pos[e.u], pos[e.v])
-        else:
-            seg = float(np.linalg.norm(cloud.points[i] - pos[geom.parent_ids[i]]))
-        assert seg <= geom.tube_radius + 6 * geom.noise_scale + 1e-9
+    d = parent_feature_distances(cloud.points, geom.graph, geom.parent_kinds, geom.parent_ids)
+    assert np.all(d <= geom.tube_radius + 6 * geom.noise_scale + 1e-9)
 
 
 def test_noise_capped_by_clearance(rng):
@@ -338,17 +347,179 @@ def test_points_near_graph(rng):
     cfg = GeneratorConfig()
     for i in range(10):
         s = generate_sample(cfg, 77, i)
-        pos = np.asarray(s.graph.positions)
-        edges = list(s.graph.edges)
-        kinds = s.metadata["parent_kinds"]
-        pids = s.metadata["parent_ids"]
         r = s.metadata["realized"]["tube_radius"]
         sig = s.metadata["realized"]["noise_scale"]
-        for j in range(s.cloud.n):
-            p = s.cloud.points[j]
-            if kinds[j] == "e":
-                e = edges[pids[j]]
-                d = _segment_distance(p, p, pos[e.u], pos[e.v])
-            else:
-                d = float(np.linalg.norm(p - pos[pids[j]]))
-            assert d <= r + 6 * sig + 1e-9
+        d = parent_feature_distances(s.cloud.points, s.graph, s.metadata["parent_kinds"], s.metadata["parent_ids"])
+        assert np.all(d <= r + 6 * sig + 1e-9)
+
+
+# -- segment distances: batched kernel against the scalar formula ------------
+
+
+def scalar_segment_distance(p1, p2, q1, q2):
+    """The scalar clamped closed form, one pair at a time: the oracle the
+    batched kernel must match bit for bit."""
+    d1 = p2 - p1
+    d2 = q2 - q1
+    r = p1 - q1
+    a = float(d1 @ d1)
+    e = float(d2 @ d2)
+    f = float(d2 @ r)
+    if a <= 1e-30 and e <= 1e-30:
+        return float(np.linalg.norm(r))
+    if a <= 1e-30:
+        t = min(1.0, max(0.0, f / e))
+        return float(np.linalg.norm(p1 - (q1 + t * d2)))
+    c = float(d1 @ r)
+    if e <= 1e-30:
+        s = min(1.0, max(0.0, -c / a))
+        return float(np.linalg.norm(p1 + s * d1 - q1))
+    b = float(d1 @ d2)
+    denom = a * e - b * b
+    s = min(1.0, max(0.0, (b * f - c * e) / denom)) if denom > 1e-30 else 0.0
+    t = (b * s + f) / e
+    if t < 0.0:
+        t = 0.0
+        s = min(1.0, max(0.0, -c / a))
+    elif t > 1.0:
+        t = 1.0
+        s = min(1.0, max(0.0, (b - c) / a))
+    return float(np.linalg.norm((p1 + s * d1) - (q1 + t * d2)))
+
+
+PAIR_KINDS = ("general", "point-point", "point-segment", "segment-point", "parallel", "collinear", "shared", "tiny")
+
+
+@st.composite
+def segment_pairs(draw):
+    """(m, d) endpoint arrays in d = 2..5 mixing generic pairs with the
+    degenerate ones each branch of the formula handles. A coordinate scale
+    of 1e-15 puts squared lengths at the 1e-30 point guards."""
+    dim = draw(st.integers(2, 5))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(PAIR_KINDS))
+        scale = draw(st.sampled_from([1e-16, 1e-15, 3e-15, 1.0, 1e3]))
+        p1, p2, q1, q2 = (scale * np.array(draw(st.lists(unit, min_size=dim, max_size=dim))) for _ in range(4))
+        if kind in ("point-point", "point-segment"):
+            p2 = p1.copy()
+        if kind in ("point-point", "segment-point"):
+            q2 = q1.copy()
+        if kind == "parallel":
+            q2 = q1 + draw(st.floats(-3.0, 3.0)) * (p2 - p1)
+        if kind == "collinear":
+            q1, q2 = (p1 + draw(st.floats(-2.0, 3.0)) * (p2 - p1) for _ in range(2))
+        if kind == "shared":
+            q1 = draw(st.sampled_from([p1, p2])).copy()
+        if kind == "tiny":
+            p2 = p1 + draw(st.floats(1e-16, 1e-14)) * np.ones(dim) / math.sqrt(dim)
+        rows.append((p1, p2, q1, q2))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+@given(segment_pairs())
+@settings(max_examples=300, deadline=None)
+def test_segment_distances_match_scalar_oracle(pairs):
+    got = _segment_distances(*pairs)
+    want = [scalar_segment_distance(*row) for row in zip(*pairs)]
+    assert got.tolist() == want
+
+
+def test_segment_distances_known_values():
+    o, x, y = np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    cases = [
+        ((o, x, y, x + y), 1.0),  # parallel, offset by 1
+        ((o, x, 0.5 * x, 2 * x), 0.0),  # collinear, overlapping
+        ((o, x, x, x + y), 0.0),  # shared endpoint
+        ((o, o, y, y), 1.0),  # point-point
+        ((y, y, -x, x), 1.0),  # point-segment
+        ((-x, x, 2 * y, 2 * y), 2.0),  # segment-point
+    ]
+    got = _segment_distances(*(np.array(col) for col in zip(*(c for c, _ in cases))))
+    assert got.tolist() == [want for _, want in cases]
+
+
+@pytest.fixture(scope="module")
+def ci_samples():
+    """The 40 samples of the shipped preset at the CI seed."""
+    cfg = GeneratorConfig()
+    return cfg, [generate_sample(cfg, 20260422, i) for i in range(40)]
+
+
+def loop_min_clearance(positions, g):
+    isolated = [int(v) for v in np.flatnonzero(g.degrees() == 0)]
+    feats = [(e.u, e.v) for e in g.edges] + [(v, v) for v in isolated]
+    best = math.inf
+    for i in range(len(feats)):
+        a1, a2 = feats[i]
+        for j in range(i + 1, len(feats)):
+            b1, b2 = feats[j]
+            if not {a1, a2} & {b1, b2}:
+                best = min(best, scalar_segment_distance(positions[a1], positions[a2], positions[b1], positions[b2]))
+    return best
+
+
+def loop_hole_scales(positions, loops):
+    out = []
+    for loop in loops:
+        pts = positions[loop]
+        centroid = pts.mean(axis=0)
+        out.append(min(scalar_segment_distance(centroid, centroid, pts[i], pts[(i + 1) % len(loop)]) for i in range(len(loop))))
+    return out
+
+
+def loop_own_and_foreign(sample):
+    """Per point, by a loop over points and edges: the distance to its own
+    parent feature and to the nearest edge sharing no vertex with it."""
+    g = sample.graph
+    positions = np.asarray(g.positions)
+    points = sample.cloud.points
+    kinds, pids = sample.metadata["parent_kinds"], sample.metadata["parent_ids"]
+    edges = list(g.edges)
+    if not edges:
+        return []
+    dist = np.column_stack([_point_segment_distances(points, positions[e.u], positions[e.v]) for e in edges])
+    out = []
+    for i in range(len(points)):
+        if kinds[i] == "e":
+            mine = {edges[pids[i]].u, edges[pids[i]].v}
+            own = dist[i, pids[i]]
+        else:
+            mine = {pids[i]}
+            own = float(np.linalg.norm(points[i] - positions[pids[i]]))
+        foreign = [dist[i, j] for j, e in enumerate(edges) if not {e.u, e.v} & mine]
+        if foreign:
+            out.append((own, min(foreign)))
+    return out
+
+
+def test_clearance_and_hole_scales_match_loop_reference(ci_samples):
+    _, samples = ci_samples
+    loops_seen = 0
+    for s in samples:
+        positions = np.asarray(s.graph.positions)
+        assert _min_clearance(positions, s.graph) == loop_min_clearance(positions, s.graph)
+        loops = _cycle_loops(s.graph)
+        loops_seen += len(loops)
+        assert _hole_scales(positions, loops) == loop_hole_scales(positions, loops)
+    assert loops_seen > 0
+
+
+def test_validate_noise_confusion_matches_loop_reference(ci_samples):
+    # Check (d) rejects when some point is nearer a foreign edge than its own
+    # feature by more than gamma. Gammas at each sample's margin and one ulp
+    # either side of it make the outcome flip.
+    cfg, samples = ci_samples
+    rejected = 0
+    for s in samples:
+        pairs = loop_own_and_foreign(s)
+        if not pairs:
+            continue
+        margin = max(own - foreign for own, foreign in pairs)
+        for gamma in (cfg.min_separation_gamma, margin, np.nextafter(margin, -math.inf), np.nextafter(margin, math.inf)):
+            want = any(foreign < own - gamma for own, foreign in pairs)
+            got = validate(s, dataclasses.replace(cfg, min_separation_gamma=float(gamma)))
+            assert got.reason == ("noise-confusion" if want else None), (s.metadata.get("sample_id"), gamma)
+            rejected += want
+    assert rejected >= 10  # 13 of the 40 samples have a foreign edge to reject on
