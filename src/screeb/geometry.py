@@ -14,13 +14,16 @@ the symmetric conjugate ``D^-1/2 W D^-1/2``. Iterating ``X <- P^t X`` with
 a fresh matrix each round is diffusion condensation.
 
 Neighbor graphs are built from the ``(n, k + 1)`` cKDTree query with array
-operations on flat ``(u, v, distance)`` entries; each vertex's list is a
-read-only view into one shared array.
+operations on flat ``(u, v, distance)`` entries and stored in compressed
+sparse row (CSR) form: vertex ``i``'s neighbors and distances are
+``indices[indptr[i]:indptr[i + 1]]`` and the matching slice of
+``distances``. Per-vertex lists are read-only views, built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -64,46 +67,55 @@ class PointCloud:
         return self.points.shape[1]
 
 
+def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (m, d) arrays. Each row is one BLAS
+    ``ddot``, the call a 1-D ``x @ y`` or ``np.linalg.norm`` makes, so the
+    values match those bit for bit; ``einsum`` or hand-expanded sums do not
+    where BLAS fuses multiply-adds."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class NeighborGraph:
-    """Per-vertex neighbor lists with Euclidean distances.
-
-    When ``symmetrized`` the lists hold the union of directed kNN edges, so
-    adjacency is a symmetric relation.
-    """
+    """Neighbor lists with Euclidean distances in CSR form: vertex ``i``'s
+    neighbors are ``indices[indptr[i]:indptr[i + 1]]`` (by (distance, id) in
+    a kNN graph), at the same slice of ``distances``. When ``symmetrized``
+    the lists hold the union of directed kNN edges, so adjacency is a
+    symmetric relation. ``neighbor_ids`` and ``neighbor_dists`` are the
+    per-vertex views, built on first access."""
 
     n: int
-    neighbor_ids: tuple[np.ndarray, ...]
-    neighbor_dists: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    distances: np.ndarray
     symmetrized: bool
+
+    @cached_property
+    def neighbor_ids(self) -> tuple[np.ndarray, ...]:
+        # The last cut is len(indices); [:n] drops the empty piece np.split leaves after it.
+        return tuple(np.split(self.indices, self.indptr[1:])[: self.n])
+
+    @cached_property
+    def neighbor_dists(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.split(self.distances, self.indptr[1:])[: self.n])
 
     def undirected_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique undirected edges as ((E, 2) index array, (E,) distances),
         sorted by (u, v). A pair listed by both endpoints keeps the distance
         from the smaller endpoint's list."""
-        u, v, d = _entries(self.neighbor_ids, self.neighbor_dists)
+        u, v = np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         _, first = np.unique(lo * self.n + hi, return_index=True)
-        return np.column_stack([lo[first], hi[first]]), d[first]
-
-
-def _entries(ids, dists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (list index, neighbor id, distance) arrays of neighbor lists."""
-    rows = np.repeat(np.arange(len(ids)), [len(a) for a in ids])
-    # The leading empty arrays fix the dtypes and allow an empty list of lists.
-    ids = np.concatenate([np.zeros(0, dtype=int), *ids])
-    return rows, ids, np.concatenate([np.zeros(0), *dists])
+        return np.column_stack([lo[first], hi[first]]), self.distances[first]
 
 
 def _neighbor_graph(n: int, u, v, d, symmetrized: bool) -> NeighborGraph:
     """NeighborGraph from flat entries grouped by ascending ``u``."""
     v, d = v.astype(int), d.astype(float)
-    v.setflags(write=False)
-    d.setflags(write=False)
-    # The last cut is len(v); [:n] drops the empty piece np.split leaves after it.
-    cuts = np.cumsum(np.bincount(u, minlength=n))
-    ids, dists = tuple(np.split(v, cuts)[:n]), tuple(np.split(d, cuts)[:n])
-    return NeighborGraph(n, ids, dists, bool(symmetrized))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=n))])
+    for a in (indptr, v, d):
+        a.setflags(write=False)
+    return NeighborGraph(n, indptr, v, d, bool(symmetrized))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,23 +135,21 @@ def _symmetric_spectrum(m: sp.csr_matrix, rank: int) -> tuple[np.ndarray, np.nda
     """Top ``rank + 1`` eigenpairs of a symmetric sparse matrix by magnitude."""
     n = m.shape[0]
     k = rank + 1
-    if n <= _DENSE_EIG_LIMIT or k >= n - 1:
-        vals, vecs = scipy.linalg.eigh(m.toarray())
-        order = np.argsort(-np.abs(vals), kind="stable")[:k]
-        return vals[order], vecs[:, order]
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    try:
-        vals, vecs = eigsh(m, k=k, which="LM", v0=v0, maxiter=max(2000, 40 * n))
-    except ArpackNoConvergence as exc:
-        if n <= 4096:
-            vals, vecs = scipy.linalg.eigh(m.toarray())
-            order = np.argsort(-np.abs(vals), kind="stable")[:k]
+    if n > _DENSE_EIG_LIMIT and k < n - 1:
+        v0 = np.full(n, 1.0 / np.sqrt(n))
+        try:
+            vals, vecs = eigsh(m, k=k, which="LM", v0=v0, maxiter=max(2000, 40 * n))
+        except ArpackNoConvergence as exc:
+            if n > 4096:  # smaller matrices fall back to the dense solve below
+                raise SolverError(
+                    f"eigensolver failed to converge: {exc} "
+                    f"(converged {len(exc.eigenvalues)} of {k} pairs)"
+                ) from exc
+        else:
+            order = np.argsort(-np.abs(vals), kind="stable")
             return vals[order], vecs[:, order]
-        raise SolverError(
-            f"eigensolver failed to converge: {exc} "
-            f"(converged {len(exc.eigenvalues)} of {k} pairs)"
-        ) from exc
-    order = np.argsort(-np.abs(vals), kind="stable")
+    vals, vecs = scipy.linalg.eigh(m.toarray())
+    order = np.argsort(-np.abs(vals), kind="stable")[:k]
     return vals[order], vecs[:, order]
 
 
@@ -156,8 +166,7 @@ def knn_graph(cloud: PointCloud, k: int, symmetrize: bool = True) -> NeighborGra
     if k < 1:
         raise ValueError("k must be positive")
     k = min(k, n - 1)
-    tree = cKDTree(cloud.points)
-    dists, ids = tree.query(cloud.points, k=k + 1)
+    dists, ids = cKDTree(cloud.points).query(cloud.points, k=k + 1)
     # Drop each row's first self hit. Duplicates can push the query point out
     # of its own row; the row's last (farthest) hit is dropped instead.
     is_self = ids == np.arange(n)[:, None]
@@ -205,8 +214,7 @@ def adaptive_affinity(cloud: PointCloud, nbrs: NeighborGraph, k_bw: int) -> Affi
         raise InvalidDataError("neighbor graph does not match the point cloud")
     if not (1 <= k_bw <= n - 1):
         raise ValueError("k_bw must satisfy 1 <= k_bw <= n - 1")
-    tree = cKDTree(cloud.points)
-    dists, _ = tree.query(cloud.points, k=k_bw + 1)
+    dists, _ = cKDTree(cloud.points).query(cloud.points, k=k_bw + 1)
     sigmas = dists[:, -1].astype(float)
     if np.any(sigmas <= 0):
         clamp = _smallest_positive_distance(cloud.points)
@@ -219,17 +227,11 @@ def adaptive_affinity(cloud: PointCloud, nbrs: NeighborGraph, k_bw: int) -> Affi
         sigmas = np.where(sigmas > 0, sigmas, clamp)
 
     edges, edge_d = nbrs.undirected_edges()
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [np.ones(n)]
-    if len(edges):
-        u, v = edges[:, 0], edges[:, 1]
-        w = np.exp(-(edge_d**2) / (sigmas[u] * sigmas[v]))
-        rows.extend([u, v])
-        cols.extend([v, u])
-        vals.extend([w, w])
+    u, v, diag = edges[:, 0], edges[:, 1], np.arange(n)
+    w = np.exp(-(edge_d**2) / (sigmas[u] * sigmas[v]))
     matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        (np.concatenate([np.ones(n), w, w]), (np.concatenate([diag, u, v]), np.concatenate([diag, v, u]))),
+        shape=(n, n),
     )
     # Duplicate (i, i) entries cannot arise: the diagonal is added once and
     # undirected_edges never reports u == v.
@@ -278,10 +280,7 @@ def fiedler_filter(affinity: AffinityMatrix, component: np.ndarray) -> np.ndarra
     m = (inv_sqrt @ sub_w @ inv_sqrt).tocsr()
     _, vecs = _symmetric_spectrum(m, 1)
     phi = vecs[:, 1] / np.sqrt(degrees)
-    imax = int(np.argmax(np.abs(phi)))
-    if phi[imax] < 0:
-        phi = -phi
-    return phi
+    return -phi if phi[np.argmax(np.abs(phi))] < 0 else phi
 
 
 def condense(cloud: PointCloud, k_smooth: int, t: int, k_bw: Optional[int] = None) -> PointCloud:
@@ -351,8 +350,10 @@ def induced_neighbor_subgraph(nbrs: NeighborGraph, vertices: np.ndarray) -> Neig
     vertices = np.asarray(vertices, dtype=int)
     relabel = np.full(nbrs.n, -1)
     relabel[vertices] = np.arange(len(vertices))
-    rows = vertices.tolist()
-    u, v, d = _entries([nbrs.neighbor_ids[i] for i in rows], [nbrs.neighbor_dists[i] for i in rows])
-    v = relabel[v]
+    # Gather the CSR rows of ``vertices`` in order: row r's entries start at
+    # indptr[vertices[r]].
+    counts = np.diff(nbrs.indptr)[vertices]
+    at = np.repeat(nbrs.indptr[vertices] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    u, v = np.repeat(np.arange(len(vertices)), counts), relabel[nbrs.indices[at]]
     keep = v >= 0
-    return _neighbor_graph(len(vertices), u[keep], v[keep], d[keep], nbrs.symmetrized)
+    return _neighbor_graph(len(vertices), u[keep], v[keep], nbrs.distances[at][keep], nbrs.symmetrized)

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from . import graph as graphmod
 from .errors import DegenerateInputError
-from .geometry import PointCloud
+from .geometry import PointCloud, row_dots
 from .graph import Edge, Multigraph
 
 
@@ -187,9 +187,8 @@ def mapper_graph(cloud: PointCloud, params: MapperParams = MapperParams()) -> Mu
     for nodes in point_to_nodes.values():
         for a, b in itertools.combinations(nodes, 2):
             pairs.add((a, b) if a < b else (b, a))
-    edges = tuple(
-        Edge(a, b, float(np.linalg.norm(centroids[a] - centroids[b])), 1)
-        for a, b in sorted(pairs)
-    )
+    a, b = np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
+    gaps = centroids[a] - centroids[b]
+    edges = tuple(map(Edge, a.tolist(), b.tolist(), np.sqrt(row_dots(gaps, gaps)).tolist()))
     nerve = Multigraph(n_nodes, edges, centroids)
     return graphmod.reduce(nerve)

@@ -27,6 +27,7 @@ from .geometry import (
     fiedler_filter,
     induced_neighbor_subgraph,
     knn_graph,
+    row_dots,
 )
 from .graph import Edge, Multigraph
 
@@ -61,18 +62,14 @@ class ReebParams:
             raise ValueError("k_bw must be >= 1")
 
     def resolve_k_smooth(self, n: int) -> int:
-        if self.k_smooth is not None:
-            return min(self.k_smooth, n - 1)
-        return min(80, n - 1)
+        return min(80 if self.k_smooth is None else self.k_smooth, n - 1)
 
     def resolve_k_bw(self, n: int) -> int:
         # Kernel bandwidth rank for condensation. The default caps it below
         # the smoothing support: the 80th-neighbor scale on dense tube
         # samples reaches across distinct nearby structures and bridges
         # them, while rank 32 still smooths noise at the canonical scales.
-        if self.k_bw is not None:
-            return min(self.k_bw, n - 1)
-        return min(32, self.resolve_k_smooth(n))
+        return min(self.k_bw, n - 1) if self.k_bw is not None else min(32, self.resolve_k_smooth(n))
 
 
 @dataclass(frozen=True)
@@ -154,16 +151,20 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
         centroids.append(block)
         node += n_nodes
         n_nodes += sizes.size
-        # Join each node to the nodes holding its vertices one slice down.
+        # Join each node to the nodes one slice down holding its vertices: look up key - n
+        # in the sorted keys of the block and the slice before it (it sorts before key, so
+        # the index stays in range). Codes ascend by (down, up) node pair.
         all_keys, all_nodes = np.append(prev_keys, keys), np.append(prev_nodes, node)
-        _, down, up = np.intersect1d(all_keys + n, keys, assume_unique=True, return_indices=True)
-        joins.append(np.unique(np.column_stack([all_nodes[down], node[up]]), axis=0))
+        at = np.searchsorted(all_keys, keys - n)
+        up = np.flatnonzero(all_keys[at] == keys - n)
+        joins.append(np.divmod(np.unique(all_nodes[at[up]] * n_nodes + node[up]), n_nodes))
         top = keys >= (s1 - 1) * n
         prev_keys, prev_nodes = keys[top], node[top]
 
     centroids = np.concatenate(centroids)
-    pairs = np.concatenate(joins).tolist()
-    out_edges = tuple(Edge(a, b, float(np.linalg.norm(centroids[a] - centroids[b])), 1) for a, b in pairs)
+    a, b = np.concatenate(joins, axis=1)
+    gaps = centroids[a] - centroids[b]
+    out_edges = tuple(map(Edge, a.tolist(), b.tolist(), np.sqrt(row_dots(gaps, gaps)).tolist()))
     return Multigraph(n_nodes, out_edges, centroids)
 
 
@@ -172,21 +173,19 @@ def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:
 
     Builds a symmetrized kNN graph, splits it into connected components,
     computes the Fiedler filter of each component's transition matrix,
-    runs the Reeb construction per component, and reduces the disjoint
-    union.
+    runs the Reeb construction per component, and returns the disjoint union
+    of the reduced pieces (the reduction of the union, built piece by piece).
     """
     if cloud.n < 2:
         raise DegenerateInputError("screeb requires at least two points")
     nbrs = knn_graph(cloud, params.k, symmetrize=True)
     affinity = adaptive_affinity(cloud, nbrs, min(params.k, cloud.n - 1))
-    pieces: list[Multigraph] = []
+    pieces = []
     for comp in affinity_components(affinity):
         f = fiedler_filter(affinity, comp)
-        sub_nbrs = induced_neighbor_subgraph(nbrs, comp)
-        sub_cloud = PointCloud(cloud.points[comp])
-        pieces.append(reeb_graph(sub_nbrs, f, sub_cloud))
-    union = graphmod.disjoint_union(pieces)
-    return graphmod.reduce(union)
+        raw = reeb_graph(induced_neighbor_subgraph(nbrs, comp), f, PointCloud(cloud.points[comp]))
+        pieces.append(graphmod.reduce(raw))
+    return graphmod.disjoint_union(pieces)
 
 
 def screeb_tower(cloud: PointCloud, params: ReebParams = ReebParams()) -> ReebTower:

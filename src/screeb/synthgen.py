@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from . import graph as graphmod
 from .errors import ConfigError, GenerationError, GenerationReject, InvalidDataError
-from .geometry import PointCloud
+from .geometry import PointCloud, row_dots
 from .graph import Edge, Multigraph
 
 _MASK64 = (1 << 64) - 1
@@ -617,14 +617,6 @@ def _unit(vec: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndar
     return vec / norm
 
 
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (m, d) arrays. Each row is one BLAS
-    ``ddot``, the call a 1-D ``x @ y`` or ``np.linalg.norm`` makes, so the
-    values match those bit for bit; ``einsum`` or hand-expanded sums do not
-    where BLAS fuses multiply-adds."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
 def _clamp01(x: np.ndarray) -> np.ndarray:
     """``min(1.0, max(0.0, x))`` elementwise."""
     return np.where(x < 1.0, np.where(x > 0.0, x, 0.0), 1.0)
@@ -638,11 +630,11 @@ def _segment_distances(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.nd
     d1 = p2 - p1
     d2 = q2 - q1
     r = p1 - q1
-    a = _dots(d1, d1)
-    e = _dots(d2, d2)
-    f = _dots(d2, r)
-    c = _dots(d1, r)
-    b = _dots(d1, d2)
+    a = row_dots(d1, d1)
+    e = row_dots(d2, d2)
+    f = row_dots(d2, r)
+    c = row_dots(d1, r)
+    b = row_dots(d1, d2)
     p_point = a <= 1e-30
     q_point = e <= 1e-30
     # Every branch is evaluated and the degenerate ones are masked out, so
@@ -656,7 +648,7 @@ def _segment_distances(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.nd
         s = np.where(p_point, 0.0, np.where(q_point, _clamp01(-c / a), s))
         t = np.where(q_point, 0.0, np.where(p_point, _clamp01(f / e), t))
     gap = (p1 + s[:, None] * d1) - (q1 + t[:, None] * d2)
-    return np.sqrt(_dots(gap, gap))
+    return np.sqrt(row_dots(gap, gap))
 
 
 def _min_clearance(positions: np.ndarray, g: Multigraph) -> float:
@@ -1250,7 +1242,7 @@ def validate(sample: SyntheticSample, cfg: GeneratorConfig) -> ValidationResult:
         own = np.empty(len(points))
         own[on_edge] = dist_matrix[np.flatnonzero(on_edge), parent_ids[on_edge]]
         off = points[~on_edge] - positions[parent_ids[~on_edge]]
-        own[~on_edge] = np.sqrt(_dots(off, off))
+        own[~on_edge] = np.sqrt(row_dots(off, off))
         # Edges that share a vertex with the parent feature are not foreign.
         adjacent = (ends[None, :, :, None] == parent_ends[:, None, None, :]).any(axis=(2, 3))
         foreign = np.where(adjacent, math.inf, dist_matrix).min(axis=1)

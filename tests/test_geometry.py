@@ -155,6 +155,50 @@ def test_neighbor_graph_matches_loop_reference(rng):
     assert empty.n == 0 and empty.neighbor_ids == () and empty.undirected_edges()[0].shape == (0, 2)
 
 
+def test_neighbor_graph_csr_views(rng):
+    # The per-vertex views are the indptr slices of the flat CSR arrays.
+    normal = rng.normal(size=(50, 3))
+    duplicated = np.repeat(rng.normal(size=(10, 3)), 8, axis=0)[rng.permutation(80)]
+    for pts in (normal, duplicated):
+        for symmetrize in (True, False):
+            nbrs = knn_graph(PointCloud(pts), 5, symmetrize=symmetrize)
+            ptr = nbrs.indptr
+            assert len(ptr) == nbrs.n + 1 and ptr[0] == 0 and np.all(np.diff(ptr) >= 0)
+            assert ptr[-1] == len(nbrs.indices) == len(nbrs.distances)
+            assert len(nbrs.neighbor_ids) == len(nbrs.neighbor_dists) == nbrs.n
+            for i in range(nbrs.n):
+                assert nbrs.neighbor_ids[i].tolist() == nbrs.indices[ptr[i] : ptr[i + 1]].tolist()
+                assert nbrs.neighbor_dists[i].tolist() == nbrs.distances[ptr[i] : ptr[i + 1]].tolist()
+            for a in (ptr, nbrs.indices, nbrs.distances, nbrs.neighbor_ids[0], nbrs.neighbor_dists[0]):
+                assert not a.flags.writeable
+
+
+def test_induced_subgraph_unsorted_and_empty_selections(rng):
+    # Loop reference: row r lists the kept neighbors of vertices[r], relabeled,
+    # in the parent's list order.
+    nbrs = knn_graph(PointCloud(rng.normal(size=(40, 2))), 4)
+    selections = (rng.permutation(40)[:15], np.arange(40)[::-1], [7, 3], [11], [], np.zeros(0, dtype=int))
+    for sub in selections:
+        sub = list(map(int, sub))
+        relabel = {old: new for new, old in enumerate(sub)}
+        part = induced_neighbor_subgraph(nbrs, sub)
+        assert part.n == len(sub) and part.symmetrized and len(part.indptr) == len(sub) + 1
+        for new, old in enumerate(sub):
+            row = zip(nbrs.neighbor_ids[old].tolist(), nbrs.neighbor_dists[old].tolist())
+            expect = [(relabel[j], d) for j, d in row if j in relabel]
+            row = slice(part.indptr[new], part.indptr[new + 1])
+            assert list(zip(part.indices[row].tolist(), part.distances[row].tolist())) == expect
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 200])
+def test_row_dots_match_linalg_norm_bitwise(rng, dim):
+    # Spread magnitudes so rounding differs wherever the summation order would.
+    x = rng.normal(size=(400, dim)) * 10.0 ** rng.uniform(-8, 8, size=(400, 1))
+    y = rng.normal(size=(400, dim))
+    assert np.sqrt(geometry.row_dots(x, x)).tolist() == [np.linalg.norm(row) for row in x]
+    assert geometry.row_dots(x, y).tolist() == [a @ b for a, b in zip(x, y)]
+
+
 # -- adaptive_affinity --------------------------------------------------------
 
 

@@ -1,7 +1,6 @@
-"""Golden digests of the CI benchmark: the samples of the shipped preset,
-generated and run through the harness, must keep their bytes. The generator
-outputs are pinned for all ``N_GENERATED`` CI samples, the method outputs
-for the first ``N_SAMPLES``.
+"""Golden digests of the CI benchmark: the ``N_SAMPLES`` samples of the
+shipped preset, generated, run through every method and evaluated by the
+harness, must keep their bytes, down to ``aggregate.csv``.
 
 ``tests/golden/ci_digests.json`` holds two tiers per file, and
 ``tests/golden/circle_digest.json`` the same two tiers for ``screeb`` on one
@@ -26,14 +25,14 @@ import numpy as np
 import scipy
 
 from screeb import PointCloud, betti, graph_to_json, load_graph, screeb
-from screeb.harness import RunConfig, cmd_generate, cmd_run
+from screeb.harness import RunConfig, cmd_evaluate, cmd_generate, cmd_run
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "ci_digests.json"
 CIRCLE_GOLDEN = GOLDEN.parent / "circle_digest.json"
 CI_SEED = 20260422
 CIRCLE_N = 2000
-N_SAMPLES = 10
-N_GENERATED = 40
+N_SAMPLES = 40
+N_BATCH = 10
 METHODS = ("screeb", "screebtower", "mapper")
 
 
@@ -49,27 +48,27 @@ def _graph_entry(path: Path) -> dict:
 
 
 def ci_digests(root: Path) -> dict:
-    """Generate the CI samples under ``root`` and run the methods on the
-    first ``N_SAMPLES``; digest every output."""
-    gen, bench, run = root / "gen", root / "bench", root / "run"
-    assert cmd_generate(None, N_GENERATED, CI_SEED, str(gen), workers=1) == 0
+    """Generate, run and evaluate the CI samples under ``root``; digest every
+    output."""
+    bench, batch, run, results = root / "bench", root / "batch", root / "run", root / "results"
     assert cmd_generate(None, N_SAMPLES, CI_SEED, str(bench), workers=1) == 0
+    assert cmd_generate(None, N_BATCH, CI_SEED, str(batch), workers=1) == 0
     assert cmd_run(RunConfig(bench_dir=str(bench), methods=METHODS, out_dir=str(run), workers=1)) == 0
-    files = {}
-    for sid in sorted(p.name for p in gen.iterdir() if p.is_dir()):
-        points = gen / sid / "points.csv"
-        files[f"bench/{sid}/points.csv"] = {"sha256": hashlib.sha256(points.read_bytes()).hexdigest()}
-        files[f"bench/{sid}/graph.json"] = _graph_entry(gen / sid / "graph.json")
+    assert cmd_evaluate(str(bench), str(run), str(results)) == 0
+    files = {"aggregate.csv": {"sha256": hashlib.sha256((results / "aggregate.csv").read_bytes()).hexdigest()}}
     for sid in sorted(p.name for p in bench.iterdir() if p.is_dir()):
-        for name in ("points.csv", "graph.json"):
-            # A sample is a function of (seed, index) alone, not of the batch size.
-            assert (bench / sid / name).read_bytes() == (gen / sid / name).read_bytes(), (sid, name)
+        points = bench / sid / "points.csv"
+        files[f"bench/{sid}/points.csv"] = {"sha256": hashlib.sha256(points.read_bytes()).hexdigest()}
+        files[f"bench/{sid}/graph.json"] = _graph_entry(bench / sid / "graph.json")
         for method in METHODS:
             files[f"{method}/{sid}/graph.json"] = _graph_entry(run / method / sid / "graph.json")
+    for sid in sorted(p.name for p in batch.iterdir() if p.is_dir()):
+        for name in ("points.csv", "graph.json"):
+            # A sample is a function of (seed, index) alone, not of the batch size.
+            assert (batch / sid / name).read_bytes() == (bench / sid / name).read_bytes(), (sid, name)
     return {
         "seed": CI_SEED,
         "n_samples": N_SAMPLES,
-        "n_generated": N_GENERATED,
         "methods": list(METHODS),
         "numpy": np.__version__,
         "scipy": scipy.__version__,

@@ -32,6 +32,30 @@ def multigraphs(draw, max_vertices=12, max_edges=18):
 
 
 @st.composite
+def reeb_pieces(draw):
+    """Graphs of the shapes ``screeb`` reduces piece by piece: pure cycles
+    (one vertex is a self-loop, two a parallel pair), self-loops with a tail,
+    isolated vertices and random multigraphs; all with positions or none."""
+    lengths = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+    out = []
+    for kind in draw(st.lists(st.sampled_from(["cycle", "loop", "isolated", "random"]), max_size=5)):
+        if kind == "cycle":
+            k = draw(st.integers(1, 6))
+            out.append(Multigraph(k, tuple(Edge(i, (i + 1) % k, draw(lengths)) for i in range(k))))
+        elif kind == "loop":
+            loop = Edge(0, 0, draw(lengths), draw(st.integers(1, 3)))
+            out.append(Multigraph(3, (loop, Edge(0, 1, draw(lengths)), Edge(1, 2, draw(lengths)))))
+        elif kind == "isolated":
+            out.append(Multigraph(draw(st.integers(1, 3)), ()))
+        else:
+            out.append(draw(multigraphs()))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        out = [Multigraph(g.n_vertices, g.edges, rng.normal(size=(g.n_vertices, 2))) for g in out]
+    return out
+
+
+@st.composite
 def diagrams(draw):
     deaths = sorted(draw(st.lists(st.floats(0.01, 1.0, allow_nan=False), max_size=5)))
     births = sorted(draw(st.lists(st.floats(0.0, 0.99, allow_nan=False), max_size=3)))
@@ -48,6 +72,14 @@ def test_reduce_invariants(g):
     assert r.edge_count() <= g.edge_count()
     assert abs(r.total_length() - g.total_length()) <= 1e-9 * max(1.0, g.total_length())
     assert graph_to_json(graphmod.reduce(r)) == graph_to_json(r)
+
+
+@given(reeb_pieces())
+@settings(max_examples=150, deadline=None)
+def test_reduce_per_piece_matches_reduce_of_union(pieces):
+    # screeb reduces each piece and unions the results instead of reducing the union.
+    per_piece = graphmod.disjoint_union([graphmod.reduce(g) for g in pieces])
+    assert graph_to_json(per_piece) == graph_to_json(graphmod.reduce(graphmod.disjoint_union(pieces)))
 
 
 @given(multigraphs())

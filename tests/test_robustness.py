@@ -1,5 +1,7 @@
 """Adversarial inputs: every public entry point returns a graph or raises a
-``screeb.errors`` type, never a bare numpy, scipy or Python error."""
+``screeb.errors`` type, never a bare numpy, scipy or Python error. The clouds
+are duplicate-heavy, collinear, 1-D, 200-dimensional, many 2-point
+components, or extremely anisotropic."""
 
 import numpy as np
 import pytest
@@ -50,7 +52,19 @@ def two_point_components(draw):
     return np.vstack([centers, centers + [gap, 0.0]])
 
 
-clouds = st.one_of(duplicate_heavy(), collinear(), one_dimensional(), high_ambient(), two_point_components())
+@st.composite
+def anisotropic(draw):
+    # Axis scales span 1e-8 to 1e4: the thin axes sit far below the kNN spacing.
+    dim = draw(st.integers(2, 5))
+    inner = draw(st.lists(st.floats(-8.0, 4.0), min_size=dim - 2, max_size=dim - 2))
+    scales = 10.0 ** np.array([-8.0, *inner, 4.0])
+    n = draw(st.integers(2, 40))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, dim)) * scales
+
+
+clouds = st.one_of(
+    duplicate_heavy(), collinear(), one_dimensional(), high_ambient(), two_point_components(), anisotropic()
+)
 
 
 def assert_graph_or_package_error(call, points):
