@@ -18,8 +18,10 @@ class IsolatedPointError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """An iterative eigensolver failed to converge; the message carries the
-    solver's iteration diagnostics."""
+    """The Fiedler solve on a component of more than 4096 points, where no
+    dense fallback runs, failed: the shift-invert eigensolver did not
+    converge, its sparse LU was singular, or its pairs failed the magnitude
+    certificate. The message carries the solver's diagnostics."""
 
 
 class UnitMismatchError(ValueError):

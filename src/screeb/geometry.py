@@ -10,14 +10,16 @@ neighbor, so the kernel bandwidth adapts to local density. Row-normalizing
 the affinity matrix gives the transition matrix ``P = D^-1 W``; the
 Fiedler filter used for Reeb-graph construction is P's second eigenvector
 (by eigenvalue magnitude) on each connected component, computed through
-the symmetric conjugate ``D^-1/2 W D^-1/2``. Iterating ``X <- P^t X`` with
-a fresh matrix each round is diffusion condensation.
+the symmetric conjugate ``M = D^-1/2 W D^-1/2`` by one shift-invert
+``eigsh`` near 1. Its pairs, the largest by value, are the largest by
+magnitude once the smallest exceeds ``c = 1 - 2/d_max``: ``W + cD`` is
+diagonally dominant (``W`` is non-negative with unit diagonal), so M has no
+eigenvalue below ``-c``. Otherwise a dense ``eigh`` decides. Iterating
+``X <- P^t X`` with a fresh matrix each round is diffusion condensation.
 
-Neighbor graphs are built from the ``(n, k + 1)`` cKDTree query with array
-operations on flat ``(u, v, distance)`` entries and stored in compressed
-sparse row (CSR) form: vertex ``i``'s neighbors and distances are
-``indices[indptr[i]:indptr[i + 1]]`` and the matching slice of
-``distances``. Per-vertex lists are read-only views, built only when read.
+Neighbor graphs are stored in CSR form (see ``NeighborGraph``), built from
+the ``(n, k + 1)`` cKDTree query with array operations on flat
+``(u, v, distance)`` entries.
 """
 
 from __future__ import annotations
@@ -30,14 +32,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cs_components
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateInputError, InvalidDataError, IsolatedPointError, SolverError
 
-# Above this size the Fiedler solve switches from a dense eigendecomposition
-# to ARPACK with a fixed start vector.
-_DENSE_EIG_LIMIT = 384
+_DENSE_FALLBACK_LIMIT = 4096  # rows; above it a failed or uncertified Fiedler solve raises SolverError
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,22 +132,24 @@ class AffinityMatrix:
 
 
 def _symmetric_spectrum(m: sp.csr_matrix, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top ``rank + 1`` eigenpairs of a symmetric sparse matrix by magnitude."""
-    n = m.shape[0]
-    k = rank + 1
-    if n > _DENSE_EIG_LIMIT and k < n - 1:
-        v0 = np.full(n, 1.0 / np.sqrt(n))
+    """Top ``rank + 1`` eigenpairs by magnitude of ``M = D^-1/2 W D^-1/2``
+    (``W`` symmetric, non-negative, unit diagonal): one shift-invert ``eigsh``
+    at sigma = 1 + 1e-6, accepted if its smallest eigenvalue exceeds
+    ``c = 1 - 2 min diag(M) = 1 - 2/d_max`` (``W + cD`` is diagonally dominant,
+    so ``M >= -c``), else a dense ``eigh`` up to ``_DENSE_FALLBACK_LIMIT`` rows."""
+    n, k = m.shape[0], rank + 1
+    if k < n - 1:
         try:
-            vals, vecs = eigsh(m, k=k, which="LM", v0=v0, maxiter=max(2000, 40 * n))
-        except ArpackNoConvergence as exc:
-            if n > 4096:  # smaller matrices fall back to the dense solve below
-                raise SolverError(
-                    f"eigensolver failed to converge: {exc} "
-                    f"(converged {len(exc.eigenvalues)} of {k} pairs)"
-                ) from exc
+            vals, vecs = eigsh(m, k=k, sigma=1.0 + 1e-6, which="LM", v0=np.full(n, 1.0 / np.sqrt(n)))
+        except RuntimeError as exc:  # ArpackNoConvergence, or SuperLU's "exactly singular"
+            failure = str(exc)
         else:
-            order = np.argsort(-np.abs(vals), kind="stable")
-            return vals[order], vecs[:, order]
+            if vals.min() > 1.0 - 2.0 * m.diagonal().min():
+                order = np.argsort(-np.abs(vals), kind="stable")
+                return vals[order], vecs[:, order]
+            failure = f"eigenvalue {vals.min():.6g} is under the magnitude bound"
+        if n > _DENSE_FALLBACK_LIMIT:
+            raise SolverError(f"{n}-row Fiedler solve: {failure}; no dense fallback above {_DENSE_FALLBACK_LIMIT}")
     vals, vecs = scipy.linalg.eigh(m.toarray())
     order = np.argsort(-np.abs(vals), kind="stable")[:k]
     return vals[order], vecs[:, order]
@@ -240,8 +242,7 @@ def adaptive_affinity(cloud: PointCloud, nbrs: NeighborGraph, k_bw: int) -> Affi
 
 
 def transition_matrix(affinity: AffinityMatrix) -> sp.csr_matrix:
-    """Row-normalize an affinity matrix into the Markov transition matrix
-    ``P = D^-1 W``."""
+    """Row-normalize an affinity matrix into the transition matrix ``P = D^-1 W``."""
     w = affinity.matrix
     degrees = np.asarray(w.sum(axis=1)).ravel()
     if np.any(degrees <= 0):
@@ -277,8 +278,7 @@ def fiedler_filter(affinity: AffinityMatrix, component: np.ndarray) -> np.ndarra
         )
     degrees = np.asarray(sub_w.sum(axis=1)).ravel()
     inv_sqrt = sp.diags(1.0 / np.sqrt(degrees))
-    m = (inv_sqrt @ sub_w @ inv_sqrt).tocsr()
-    _, vecs = _symmetric_spectrum(m, 1)
+    _, vecs = _symmetric_spectrum((inv_sqrt @ sub_w @ inv_sqrt).tocsr(), 1)
     phi = vecs[:, 1] / np.sqrt(degrees)
     return -phi if phi[np.argmax(np.abs(phi))] < 0 else phi
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
@@ -324,31 +324,99 @@ def _no_convergence(m, k, **kwargs):
     raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((m.shape[0], 0)))
 
 
+def _singular_factor(m, k, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _dense_pairs(m, k):
+    vals, vecs = scipy.linalg.eigh(m.toarray())
+    order = np.argsort(-np.abs(vals), kind="stable")[:k]
+    return vals[order], vecs[:, order]
+
+
+def _normalized(w):
+    """``D^-1/2 W D^-1/2`` and the degrees of a dense affinity ``w``."""
+    d = w.sum(axis=1)
+    return sp.csr_matrix(w / np.sqrt(np.outer(d, d))), d
+
+
 def test_arpack_failure_falls_back_to_dense_eigh(rng, monkeypatch):
-    # 384 < n <= 4096: a failed ARPACK solve gives the dense eigh pairs.
+    # n <= 4096: a shift-invert solve that does not converge, or whose LU is
+    # singular, gives exactly the dense eigh pairs.
     cloud = PointCloud(disk_points(rng, 500, 1.0, (0.0, 0.0)))
     aff = adaptive_affinity(cloud, knn_graph(cloud, 10), 10)
     comp = np.arange(cloud.n)
-    arpack = fiedler_filter(aff, comp)
-    monkeypatch.setattr(geometry, "eigsh", _no_convergence)
-    fallback = fiedler_filter(aff, comp)
-    np.testing.assert_allclose(fallback, arpack, atol=1e-8)
+    shift_invert = fiedler_filter(aff, comp)
     m = sp.random(500, 500, density=0.02, random_state=1, format="csr")
     m = (m + m.T).tocsr()
-    vals, vecs = _symmetric_spectrum(m, 1)
-    dense_vals, dense_vecs = scipy.linalg.eigh(m.toarray())
-    order = np.argsort(-np.abs(dense_vals), kind="stable")[:2]
-    assert np.array_equal(vals, dense_vals[order]) and np.array_equal(vecs, dense_vecs[:, order])
+    for failure in (_no_convergence, _singular_factor):
+        monkeypatch.setattr(geometry, "eigsh", failure)
+        np.testing.assert_allclose(fiedler_filter(aff, comp), shift_invert, atol=1e-8)
+        vals, vecs = _symmetric_spectrum(m, 1)
+        dense_vals, dense_vecs = _dense_pairs(m, 2)
+        assert np.array_equal(vals, dense_vals) and np.array_equal(vecs, dense_vecs)
 
 
 def test_arpack_failure_above_dense_limit_raises_solver_error(rng, monkeypatch):
     # n > 4096 has no dense fallback; screeb surfaces the SolverError.
-    monkeypatch.setattr(geometry, "eigsh", _no_convergence)
     m = sp.diags(np.arange(1.0, 4098.0)).tocsr()
-    with pytest.raises(SolverError, match="converged 0 of 2"):
-        _symmetric_spectrum(m, 1)
+    for failure, message in ((_no_convergence, "no convergence"), (_singular_factor, "exactly singular")):
+        monkeypatch.setattr(geometry, "eigsh", failure)
+        with pytest.raises(SolverError, match=message):
+            _symmetric_spectrum(m, 1)
     with pytest.raises(SolverError):
         screeb(PointCloud(disk_points(rng, 4097, 1.0, (0.0, 0.0))))
+
+
+def test_magnitude_certificate_bounds_bottom_eigenvalue(rng):
+    # W non-negative with unit diagonal: lambda_min(D^-1/2 W D^-1/2) >= -1 + 2/d_max.
+    for trial in range(40):
+        n = int(rng.integers(2, 40))
+        scale = 10.0 ** rng.uniform(-2, 3)
+        w = rng.uniform(0, scale, (n, n)) * (rng.uniform(size=(n, n)) < rng.uniform(0.1, 1))
+        if trial % 2:  # bipartite support pushes the bottom eigenvalue towards -1
+            side = rng.uniform(size=n) < 0.5
+            w *= side[:, None] != side[None, :]
+        w = np.triu(w, 1)
+        w = w + w.T + np.eye(n)
+        m, d = _normalized(w)
+        assert scipy.linalg.eigvalsh(m.toarray()).min() >= -1 + 2 / d.max() - 1e-12
+
+
+def test_uncertified_shift_invert_falls_back_to_dense(monkeypatch):
+    # Even cycle with weak self-loops: the bottom eigenvalue (about -0.99) beats
+    # the second largest (about 0.95) by magnitude, so the shift-invert pairs
+    # (the largest by value) fail the certificate and the dense pairs come back.
+    # A pendant vertex of degree 2 makes the bound from d_min (0) accept them.
+    n = 20
+    cycle = np.roll(np.eye(n), 1, axis=1)
+    w = np.eye(n + 1)
+    w[:n, :n] += 100.0 * (cycle + cycle.T)
+    w[0, n] = w[n, 0] = 1.0
+    m, d = _normalized(w)
+    calls = []
+    monkeypatch.setattr(geometry, "eigsh", lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
+    vals, vecs = _symmetric_spectrum(m, 1)
+    dense_vals, dense_vecs = _dense_pairs(m, 2)
+    assert calls and dense_vals[1] < -0.98
+    assert np.array_equal(vals, dense_vals) and np.array_equal(vecs, dense_vecs)
+
+
+def test_fiedler_filter_order_matches_dense_on_large_circle(rng, monkeypatch):
+    # n = 1000 noisy circle, as screeb builds it: the shift-invert filter has
+    # the dense filter's order and ties, which is all reeb_graph reads.
+    theta = rng.uniform(0, 2 * np.pi, 1000)
+    cloud = PointCloud(np.c_[np.cos(theta), np.sin(theta)] + rng.normal(0, 0.05, (1000, 2)))
+    aff = adaptive_affinity(cloud, knn_graph(cloud, 15), 15)
+    comp = np.arange(cloud.n)
+    m, d = _normalized(aff.matrix.toarray())
+    assert _dense_pairs(m, 2)[0][1] > 1 - 2 / d.max()  # the certificate accepts the sparse pairs
+    f = fiedler_filter(aff, comp)
+    monkeypatch.setattr(geometry, "eigsh", _no_convergence)
+    dense = fiedler_filter(aff, comp)
+    assert np.array_equal(np.argsort(f, kind="stable"), np.argsort(dense, kind="stable"))
+    assert np.array_equal(np.unique(f, return_counts=True)[1], np.unique(dense, return_counts=True)[1])
+    assert abs(np.dot(f, dense)) / (np.linalg.norm(f) * np.linalg.norm(dense)) > 1 - 1e-9
 
 
 # -- condense -----------------------------------------------------------------------

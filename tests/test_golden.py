@@ -7,8 +7,10 @@ harness, must keep their bytes, down to ``aggregate.csv``.
 pinned noisy circle whose level sets hold about 290k (slice, edge)
 crossings, so ``reeb_graph`` works through several slice blocks (no CI
 sample reaches a second one). The portable tier
-(Betti numbers, vertex and edge counts of every graph) is compared
-everywhere. The sha256 digests of each ``points.csv`` and ``graph.json`` are
+(Betti numbers, vertex and edge counts, and sorted edge lengths to a
+relative and absolute 1e-9, of every graph) is compared everywhere, so a
+solver change that moves a graph under another LAPACK build still shows.
+The sha256 digests of each ``points.csv`` and ``graph.json`` are
 compared only under the numpy and scipy versions they were recorded with,
 because eigenvector bits can differ between LAPACK builds.
 
@@ -44,7 +46,18 @@ def _graph_entry(path: Path) -> dict:
         "betti": [b.b0, b.b1],
         "vertices": g.n_vertices,
         "edges": g.edge_count(),
+        "edge_lengths": _edge_lengths(g),
     }
+
+
+def _edge_lengths(g) -> list[float]:
+    """Every edge's length, once per unit of multiplicity, ascending."""
+    return sorted(e.length for e in g.edges for _ in range(e.multiplicity))
+
+
+def _assert_edge_lengths(got: list[float], want: list[float], name) -> None:
+    assert len(got) == len(want), name
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9, err_msg=str(name))
 
 
 def ci_digests(root: Path) -> dict:
@@ -93,6 +106,7 @@ def circle_digest() -> dict:
         "betti": [b.b0, b.b1],
         "vertices": g.n_vertices,
         "edges": g.edge_count(),
+        "edge_lengths": _edge_lengths(g),
     }
 
 
@@ -103,6 +117,8 @@ def test_ci_golden_digests(tmp_path):
     for name, want in golden["files"].items():
         for key in ("betti", "vertices", "edges"):
             assert got["files"][name].get(key) == want.get(key), (name, key)
+        if "edge_lengths" in want:
+            _assert_edge_lengths(got["files"][name]["edge_lengths"], want["edge_lengths"], name)
     if (got["numpy"], got["scipy"]) == (golden["numpy"], golden["scipy"]):
         changed = [n for n, want in golden["files"].items() if got["files"][n]["sha256"] != want["sha256"]]
         assert not changed, f"digests changed: {changed}"
@@ -113,6 +129,7 @@ def test_multi_block_circle_golden_digest():
     got = circle_digest()
     for key in ("betti", "vertices", "edges"):
         assert got[key] == golden[key], key
+    _assert_edge_lengths(got["edge_lengths"], golden["edge_lengths"], "circle")
     if (got["numpy"], got["scipy"]) == (golden["numpy"], golden["scipy"]):
         assert got["sha256"] == golden["sha256"]
 
