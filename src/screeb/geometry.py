@@ -75,6 +75,49 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    new = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    return new
+
+
+def _sorted_unique(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(key, return_index=True, return_inverse=True)`` for keys
+    below ``n * n`` (pairs of ids below ``n`` packed as ``a * n + b``), by one
+    ``np.sort`` of ``key * len(key) + position``: equal keys sort by position,
+    so each run of a key starts at its first position.
+
+    Every packed value is below ``n**2 * len(key)``, and an ``InvalidDataError``
+    naming n is raised when that exceeds 2**63. The packed keys built on it:
+
+    - ``knn_graph``: (u, v) with positions over 2nk entries, below 2k n^3, so
+      n up to about 3.9e5 at k = 80; then (u, rank of d, v) below n^2 R with
+      R <= nk distinct distances (n about 4.8e5 at k = 80), implied by the first.
+    - ``NeighborGraph.undirected_edges``: (lo, hi) with positions, below n^2 nnz.
+    - ``reeb_graph``, per block of m = 2 x crossings entries: (slice, vertex)
+      with positions below n^2 m, and (node, first position) below
+      keys x m <= n^2 m, both covered by this check; join codes (down, up)
+      below (node count)^2.
+    """
+    m = len(key)
+    if int(n) ** 2 * m > 1 << 63:
+        raise InvalidDataError(f"n = {n} is too large: {m} sort keys below n^2 overflow int64 with their positions")
+    # In place where possible: on condense's k = 80 graphs copies set peak memory.
+    packed = np.asarray(key, dtype=np.int64) * m
+    packed += np.arange(m)
+    packed.sort()
+    pos = packed % m
+    packed //= m
+    new = _run_starts(packed)
+    keys, first = packed[new], pos[new]
+    np.cumsum(new, out=packed)
+    packed -= 1
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[pos] = packed
+    return keys, first, inverse
+
+
 @dataclass(frozen=True, eq=False)
 class NeighborGraph:
     """Neighbor lists with Euclidean distances in CSR form: vertex ``i``'s
@@ -104,9 +147,8 @@ class NeighborGraph:
         sorted by (u, v). A pair listed by both endpoints keeps the distance
         from the smaller endpoint's list."""
         u, v = np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        _, first = np.unique(lo * self.n + hi, return_index=True)
-        return np.column_stack([lo[first], hi[first]]), self.distances[first]
+        keys, first, _ = _sorted_unique(np.minimum(u, v) * self.n + np.maximum(u, v), self.n)
+        return np.column_stack(np.divmod(keys, self.n)), self.distances[first]
 
 
 def _neighbor_graph(n: int, u, v, d, symmetrized: bool) -> NeighborGraph:
@@ -176,13 +218,17 @@ def knn_graph(cloud: PointCloud, k: int, symmetrize: bool = True) -> NeighborGra
     keep = np.arange(k + 1) != drop[:, None]
     u, v, d = np.repeat(np.arange(n), k), ids[keep], dists[keep]
     if symmetrize:
-        # Union with the reversed edges; a pair in both directions keeps the
-        # distance from its own row. Each list is ordered by (distance, id).
-        u, v, d = np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([d, d])
-        _, first = np.unique(u * n + v, return_index=True)
-        u, v, d = u[first], v[first], d[first]
-        order = np.lexsort((v, d, u))
-        u, v, d = u[order], v[order], d[order]
+        # Union with the reversed edges: entry p is own entry p mod nk, reversed
+        # from nk on. The own rows come first, so a pair in both directions keeps
+        # the distance from its own row even if the other row's differs. Each
+        # list is ordered by (distance, id) through one sort of (u, distance
+        # rank, v) packed below n^2 R (see _sorted_unique).
+        distinct, rank = np.unique(d, return_inverse=True)
+        keys, first, _ = _sorted_unique(np.concatenate([u * n + v, v * n + u]), n)
+        packed = (keys // n * distinct.size + rank[first % rank.size]) * n + keys % n
+        packed.sort()
+        (u, rank), v = np.divmod(packed // n, distinct.size), packed % n
+        d = distinct[rank]
     return _neighbor_graph(n, u, v, d, symmetrize)
 
 

@@ -133,11 +133,14 @@ def cmd_generate(
                 f"output directory {out} already contains a {state} benchmark; "
                 "pass --force to regenerate"
             )
-        for child in sorted(out.iterdir()):
-            if child.is_dir() and not child.is_symlink():
-                shutil.rmtree(child)
-            else:
-                child.unlink()
+        try:
+            for child in sorted(out.iterdir()):
+                if child.is_dir() and not child.is_symlink():
+                    shutil.rmtree(child)
+                else:
+                    child.unlink()
+        except OSError as exc:
+            raise ConfigError(f"--force could not clear output directory {out}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     workers = workers or default_workers()
     tasks = [(cfg.to_dict(), seed, i, str(out)) for i in range(n)]

@@ -21,6 +21,8 @@ from .errors import DegenerateInputError, InvalidDataError
 from .geometry import (
     NeighborGraph,
     PointCloud,
+    _run_starts,
+    _sorted_unique,
     adaptive_affinity,
     affinity_components,
     condense,
@@ -134,14 +136,15 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
         # and s * n + v in its level set. Entries go by edge, so a key's first
         # entry ranks it in its slice's touched order.
         flat = np.repeat(slices, 2) * n + edges[eid].ravel()
-        keys, touched, inv = np.unique(flat, return_index=True, return_inverse=True)
+        keys, touched, inv = _sorted_unique(flat, n)
         level_sets = coo_matrix((np.ones(eid.size), (inv[0::2], inv[1::2])), shape=(keys.size, keys.size))
         labels = connected_components(level_sets, directed=False)[1]
         # Keys ascend, so a component's first key is its (slice, smallest vertex).
         node = np.argsort(np.argsort(np.unique(labels, return_index=True)[1]))[labels]
         # One mean over all nodes of a size sums each node's rows in touched
-        # order, exactly as ``pts[members].mean(axis=0)`` does.
-        members = keys[np.lexsort((touched, node))] % n
+        # order, exactly as ``pts[members].mean(axis=0)`` does. Sorting
+        # node * len + touched lists each node's first positions in flat in order.
+        members = flat[np.sort(node * flat.size + touched) % flat.size] % n
         sizes = np.bincount(node)
         offsets = np.cumsum(sizes) - sizes
         block = np.empty((sizes.size, pts.shape[1]))
@@ -157,7 +160,8 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
         all_keys, all_nodes = np.append(prev_keys, keys), np.append(prev_nodes, node)
         at = np.searchsorted(all_keys, keys - n)
         up = np.flatnonzero(all_keys[at] == keys - n)
-        joins.append(np.divmod(np.unique(all_nodes[at[up]] * n_nodes + node[up]), n_nodes))
+        codes = np.sort(all_nodes[at[up]] * n_nodes + node[up])
+        joins.append(np.divmod(codes[_run_starts(codes)], n_nodes))
         top = keys >= (s1 - 1) * n
         prev_keys, prev_nodes = keys[top], node[top]
 

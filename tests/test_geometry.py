@@ -110,17 +110,44 @@ def test_knn_symmetrized_distances_exact(rng):
                 assert u in nbrs.neighbor_ids[v]
 
 
-def test_neighbor_graph_matches_loop_reference(rng):
+class _SkewedTree:
+    """cKDTree whose distances carry a relative skew of 1e-12 per query row,
+    so a pair listed by both endpoints gets two different distances: nothing
+    guarantees cKDTree's d(i, j) and d(j, i) agree to the bit."""
+
+    def __init__(self, points):
+        self.tree = cKDTree(points)
+
+    def query(self, x, k):
+        d, i = self.tree.query(x, k=k)
+        return d * (1.0 + 1e-12 * np.arange(len(x)))[:, None], i
+
+
+def test_neighbor_graph_matches_loop_reference(rng, monkeypatch):
     # Per-vertex loop reference for the array-built lists: the kNN row minus
     # its first self hit (else its last hit), united with the vertices that
     # selected the point, ordered by (distance, id); a pair listed twice keeps
-    # the first-listed distance; an induced subgraph keeps list order.
+    # the first-listed distance; an induced subgraph keeps list order. The
+    # grid and the evenly spaced line tie many distances exactly, so their
+    # order rests on the ids; k >= n/2 is condense's regime on small clouds.
     def pairs(ids, dists):
         return list(zip(ids.tolist(), dists.tolist()))
 
-    for pts in (rng.normal(size=(60, 2)), np.repeat(rng.normal(size=(12, 2)), 5, axis=0)):
-        n, k = len(pts), 6
-        dists, ids = cKDTree(pts).query(pts, k=k + 1)
+    grid = np.indices((7, 6)).reshape(2, -1).T.astype(float)
+    cases = [
+        (rng.normal(size=(60, 2)), 6, cKDTree),
+        (np.repeat(rng.normal(size=(12, 2)), 5, axis=0), 6, cKDTree),
+        (grid, 8, cKDTree),
+        (0.25 * np.arange(40.0)[:, None], 5, cKDTree),
+        (rng.normal(size=(20, 3)), 12, cKDTree),
+        (rng.normal(size=(30, 2)), 80, cKDTree),  # k clamps to n - 1
+        (rng.normal(size=(60, 2)), 6, _SkewedTree),
+        (grid, 8, _SkewedTree),
+    ]
+    for pts, k, tree in cases:
+        monkeypatch.setattr(geometry, "cKDTree", tree)
+        n, k = len(pts), min(k, len(pts) - 1)
+        dists, ids = tree(pts).query(pts, k=k + 1)
         own = []
         for i in range(n):
             row = pairs(ids[i], dists[i])
@@ -131,28 +158,42 @@ def test_neighbor_graph_matches_loop_reference(rng):
         for i in range(n):
             for j, d in own[i]:
                 lists[j].setdefault(i, d)
-        nbrs = knn_graph(PointCloud(pts), k)
-        for i in range(n):
-            expect = sorted(lists[i].items(), key=lambda jd: (jd[1], jd[0]))
-            assert pairs(nbrs.neighbor_ids[i], nbrs.neighbor_dists[i]) == expect
+        for symmetrize in (True, False):
+            nbrs = knn_graph(PointCloud(pts), k, symmetrize=symmetrize)
+            for i in range(n):
+                expect = sorted(lists[i].items(), key=lambda jd: (jd[1], jd[0])) if symmetrize else own[i]
+                assert pairs(nbrs.neighbor_ids[i], nbrs.neighbor_dists[i]) == expect
 
-        first = {}
-        for i in range(n):
-            for j, d in pairs(nbrs.neighbor_ids[i], nbrs.neighbor_dists[i]):
-                first.setdefault((min(i, j), max(i, j)), d)
-        edges, edge_d = nbrs.undirected_edges()
-        assert edges.tolist() == [list(e) for e in sorted(first)]
-        assert edge_d.tolist() == [first[e] for e in sorted(first)]
+            first = {}
+            for i in range(n):
+                for j, d in pairs(nbrs.neighbor_ids[i], nbrs.neighbor_dists[i]):
+                    first.setdefault((min(i, j), max(i, j)), d)
+            edges, edge_d = nbrs.undirected_edges()
+            assert edges.tolist() == [list(e) for e in sorted(first)]
+            assert edge_d.tolist() == [first[e] for e in sorted(first)]
 
-        sub = rng.permutation(n)[: n // 2]
-        relabel = {old: new for new, old in enumerate(sub.tolist())}
-        part = induced_neighbor_subgraph(nbrs, sub)
-        for new, old in enumerate(sub.tolist()):
-            row = pairs(nbrs.neighbor_ids[old], nbrs.neighbor_dists[old])
-            expect = [(relabel[j], d) for j, d in row if j in relabel]
-            assert pairs(part.neighbor_ids[new], part.neighbor_dists[new]) == expect
+            sub = rng.permutation(n)[: n // 2]
+            relabel = {old: new for new, old in enumerate(sub.tolist())}
+            part = induced_neighbor_subgraph(nbrs, sub)
+            for new, old in enumerate(sub.tolist()):
+                row = pairs(nbrs.neighbor_ids[old], nbrs.neighbor_dists[old])
+                expect = [(relabel[j], d) for j, d in row if j in relabel]
+                assert pairs(part.neighbor_ids[new], part.neighbor_dists[new]) == expect
     empty = induced_neighbor_subgraph(nbrs, [])
     assert empty.n == 0 and empty.neighbor_ids == () and empty.undirected_edges()[0].shape == (0, 2)
+
+
+def test_sorted_unique_matches_np_unique_up_to_int64_bound(rng):
+    for key in (rng.integers(0, 50, size=300), np.zeros(0, dtype=np.int64), np.array([7])):
+        got = geometry._sorted_unique(key, 50)
+        want = np.unique(key, return_index=True, return_inverse=True)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # key * len + position tops out at n^2 * len - 1: 2^63 - 1 here, still exact.
+    n = 1 << 31
+    keys, first, inverse = geometry._sorted_unique(np.array([n * n - 1, 0]), n)
+    assert keys.tolist() == [0, n * n - 1] and first.tolist() == [1, 0] and inverse.tolist() == [1, 0]
+    with pytest.raises(InvalidDataError, match=f"n = {n} "):
+        geometry._sorted_unique(np.array([0, 0, 1]), n)
 
 
 def test_neighbor_graph_csr_views(rng):

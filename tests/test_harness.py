@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -84,6 +85,33 @@ def test_generate_refuses_partial_without_force(tmp_path):
     (out / "a" / "b" / "stray.txt").write_text("x")
     assert cmd_generate(None, 2, 1, str(out), force=True) == 0
     assert sorted(p.name for p in out.iterdir()) == ["00000", "00001", "manifest.json"]
+
+
+@pytest.mark.parametrize("target", ["shutil.rmtree", "pathlib.Path.unlink"])
+def test_generate_force_clear_failure_is_config_error(tmp_path, monkeypatch, target):
+    # A tree --force cannot clear (read-only, foreign owner) is a ConfigError
+    # naming the directory, not a traceback from the OSError.
+    out = tmp_path / "bench"
+    assert cmd_generate(None, 1, 1, str(out)) == 0
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(target, refuse)
+    with pytest.raises(ConfigError, match=f"clear output directory {re.escape(str(out))}: .*Permission denied"):
+        cmd_generate(None, 1, 1, str(out), force=True)
+
+
+def test_generate_force_through_symlinked_output(tmp_path):
+    # A symlinked output directory keeps its link: --force clears the
+    # target's children and the samples are written into the target.
+    target, link = tmp_path / "target", tmp_path / "link"
+    (target / "stale").mkdir(parents=True)
+    (target / "stale.txt").write_text("x")
+    link.symlink_to(target, target_is_directory=True)
+    assert cmd_generate(None, 2, 1, str(link), force=True) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert sorted(p.name for p in target.iterdir()) == ["00000", "00001", "manifest.json"]
 
 
 def test_generate_invalid_config_names_field(tmp_path):
