@@ -17,9 +17,9 @@ diagonally dominant (``W`` is non-negative with unit diagonal), so M has no
 eigenvalue below ``-c``. Otherwise a dense ``eigh`` decides. Iterating
 ``X <- P^t X`` with a fresh matrix each round is diffusion condensation.
 
-Neighbor graphs are stored in CSR form (see ``NeighborGraph``), built from
-the ``(n, k + 1)`` cKDTree query with array operations on flat
-``(u, v, distance)`` entries.
+A neighbor graph stores the own lists of its ``(n, k + 1)`` cKDTree query
+(see ``NeighborGraph``); its undirected edges, the bandwidths and the
+adjacency lists are derived from them with array operations.
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ def _sorted_unique(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
     Every packed value is below ``n**2 * len(key)``, and an ``InvalidDataError``
     naming n is raised when that exceeds 2**63. The packed keys built on it:
 
-    - ``knn_graph``: (u, v) with positions over 2nk entries, below 2k n^3, so
-      n up to about 3.9e5 at k = 80; then (u, rank of d, v) below n^2 R with
-      R <= nk distinct distances (n about 4.8e5 at k = 80), implied by the first.
-    - ``NeighborGraph.undirected_edges``: (lo, hi) with positions, below n^2 nnz.
+    - ``NeighborGraph.undirected_edges``: (lo, hi) with positions over the m
+      own entries, below n^2 m; m = nk in a kNN graph (n about 4.8e5 at k = 80).
+    - its symmetrized lists: (u, v) with positions over 2m entries, below
+      2m n^2 (n about 3.9e5), then (u, rank of d, v) below n^2 R, R <= m.
     - ``reeb_graph``, per block of m = 2 x crossings entries: (slice, vertex)
       with positions below n^2 m, and (node, first position) below
       keys x m <= n^2 m, both covered by this check; join codes (down, up)
@@ -120,18 +120,46 @@ def _sorted_unique(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
 
 @dataclass(frozen=True, eq=False)
 class NeighborGraph:
-    """Neighbor lists with Euclidean distances in CSR form: vertex ``i``'s
-    neighbors are ``indices[indptr[i]:indptr[i + 1]]`` (by (distance, id) in
-    a kNN graph), at the same slice of ``distances``. When ``symmetrized``
-    the lists hold the union of directed kNN edges, so adjacency is a
-    symmetric relation. ``neighbor_ids`` and ``neighbor_dists`` are the
-    per-vertex views, built on first access."""
+    """Own neighbor lists as a kNN query returns them, in CSR form: vertex
+    ``i``'s are ``own_indices[own_indptr[i]:own_indptr[i + 1]]`` by distance,
+    at the same slice of ``own_distances``. ``indptr``, ``indices`` and
+    ``distances`` are the adjacency lists in that form, built on first
+    access: the own lists, their union with the reversed entries by
+    (distance, id) when ``symmetrized``, or the lists of ``parent`` (graph,
+    vertices) restricted in order. ``neighbor_ids`` and ``neighbor_dists``
+    are their per-vertex views."""
 
     n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    distances: np.ndarray
+    own_indptr: np.ndarray
+    own_indices: np.ndarray
+    own_distances: np.ndarray
     symmetrized: bool
+    parent: Optional[tuple[NeighborGraph, np.ndarray]] = None
+
+    @cached_property
+    def _lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.parent is not None:
+            graph, vertices = self.parent
+            return _restrict(graph.indptr, graph.indices, graph.distances, vertices, graph.n)
+        if not self.symmetrized:
+            return self.own_indptr, self.own_indices, self.own_distances
+        # Union with the reversed edges: entry p is own entry p mod m, reversed
+        # from m on. The own rows come first, so a pair in both directions keeps
+        # the distance from its own row even if the other row's differs. Each
+        # list is ordered by (distance, id) through one sort of (u, distance
+        # rank, v) packed below n^2 R (see _sorted_unique).
+        n, v = self.n, self.own_indices
+        u = np.repeat(np.arange(n), np.diff(self.own_indptr))
+        distinct, rank = np.unique(self.own_distances, return_inverse=True)
+        keys, first, _ = _sorted_unique(np.concatenate([u * n + v, v * n + u]), n)
+        packed = (keys // n * distinct.size + rank[first % rank.size]) * n + keys % n
+        packed.sort()
+        (u, rank), v = np.divmod(packed // n, distinct.size), packed % n
+        return _csr(n, u, v, distinct[rank])
+
+    indptr = property(lambda self: self._lists[0])
+    indices = property(lambda self: self._lists[1])
+    distances = property(lambda self: self._lists[2])
 
     @cached_property
     def neighbor_ids(self) -> tuple[np.ndarray, ...]:
@@ -144,20 +172,33 @@ class NeighborGraph:
 
     def undirected_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique undirected edges as ((E, 2) index array, (E,) distances),
-        sorted by (u, v). A pair listed by both endpoints keeps the distance
-        from the smaller endpoint's list."""
-        u, v = np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
-        keys, first, _ = _sorted_unique(np.minimum(u, v) * self.n + np.maximum(u, v), self.n)
-        return np.column_stack(np.divmod(keys, self.n)), self.distances[first]
+        sorted by (u, v), from the own lists. A pair listed by both endpoints
+        keeps the distance from the smaller endpoint's list, the first listed."""
+        n, v = self.n, self.own_indices
+        u = np.repeat(np.arange(n), np.diff(self.own_indptr))
+        keys, first, _ = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v), n)
+        return np.column_stack(np.divmod(keys, n)), self.own_distances[first]
 
 
-def _neighbor_graph(n: int, u, v, d, symmetrized: bool) -> NeighborGraph:
-    """NeighborGraph from flat entries grouped by ascending ``u``."""
-    v, d = v.astype(int), d.astype(float)
+def _csr(n: int, u, v, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only CSR arrays (indptr, v, d) of flat entries grouped by ascending ``u``."""
     indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=n))])
     for a in (indptr, v, d):
         a.setflags(write=False)
-    return NeighborGraph(n, indptr, v, d, bool(symmetrized))
+    return indptr, v, d
+
+
+def _restrict(indptr, indices, distances, vertices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR lists of the rows ``vertices`` of an n-vertex CSR graph, reindexed
+    0..len-1, each keeping its entries inside ``vertices`` in order."""
+    relabel = np.full(n, -1)
+    relabel[vertices] = np.arange(len(vertices))
+    # Gather the rows of ``vertices`` in order: row r's entries start at indptr[vertices[r]].
+    counts = np.diff(indptr)[vertices]
+    at = np.repeat(indptr[vertices] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    u, v = np.repeat(np.arange(len(vertices)), counts), relabel[indices[at]]
+    keep = v >= 0
+    return _csr(len(vertices), u[keep], v[keep], distances[at][keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,20 +257,7 @@ def knn_graph(cloud: PointCloud, k: int, symmetrize: bool = True) -> NeighborGra
     is_self = ids == np.arange(n)[:, None]
     drop = np.where(is_self.any(axis=1), is_self.argmax(axis=1), k)
     keep = np.arange(k + 1) != drop[:, None]
-    u, v, d = np.repeat(np.arange(n), k), ids[keep], dists[keep]
-    if symmetrize:
-        # Union with the reversed edges: entry p is own entry p mod nk, reversed
-        # from nk on. The own rows come first, so a pair in both directions keeps
-        # the distance from its own row even if the other row's differs. Each
-        # list is ordered by (distance, id) through one sort of (u, distance
-        # rank, v) packed below n^2 R (see _sorted_unique).
-        distinct, rank = np.unique(d, return_inverse=True)
-        keys, first, _ = _sorted_unique(np.concatenate([u * n + v, v * n + u]), n)
-        packed = (keys // n * distinct.size + rank[first % rank.size]) * n + keys % n
-        packed.sort()
-        (u, rank), v = np.divmod(packed // n, distinct.size), packed % n
-        d = distinct[rank]
-    return _neighbor_graph(n, u, v, d, symmetrize)
+    return NeighborGraph(n, *_csr(n, np.repeat(np.arange(n), k), ids[keep], dists[keep]), bool(symmetrize))
 
 
 def _smallest_positive_distance(points: np.ndarray) -> float:
@@ -252,18 +280,19 @@ def _smallest_positive_distance(points: np.ndarray) -> float:
 def adaptive_affinity(cloud: PointCloud, nbrs: NeighborGraph, k_bw: int) -> AffinityMatrix:
     """Adaptive Gaussian affinities on the kNN support.
 
-    ``sigma_i`` is the distance from point i to its ``k_bw``-th nearest
-    neighbor; zero bandwidths (duplicate points) are clamped to the smallest
-    positive pairwise distance. The matrix carries an explicit unit diagonal
-    and is exactly symmetric.
+    ``sigma_i`` is the ``k_bw``-th distance in point i's own list, which in a
+    kNN graph is the distance to its ``k_bw``-th nearest neighbor; zero
+    bandwidths (duplicate points) are clamped to the smallest positive
+    pairwise distance. The matrix carries an explicit unit diagonal and is
+    exactly symmetric.
     """
     n = cloud.n
     if nbrs.n != n:
         raise InvalidDataError("neighbor graph does not match the point cloud")
-    if not (1 <= k_bw <= n - 1):
-        raise ValueError("k_bw must satisfy 1 <= k_bw <= n - 1")
-    dists, _ = cKDTree(cloud.points).query(cloud.points, k=k_bw + 1)
-    sigmas = dists[:, -1].astype(float)
+    ptr, shortest = nbrs.own_indptr, np.diff(nbrs.own_indptr).min()
+    if not (1 <= k_bw <= shortest):
+        raise ValueError(f"k_bw must satisfy 1 <= k_bw <= {shortest}, the length of the shortest own list")
+    sigmas = nbrs.own_distances[ptr[:-1] + k_bw - 1]
     if np.any(sigmas <= 0):
         clamp = _smallest_positive_distance(cloud.points)
         if clamp <= 0:
@@ -298,8 +327,8 @@ def transition_matrix(affinity: AffinityMatrix) -> sp.csr_matrix:
 
 def affinity_components(affinity: AffinityMatrix) -> list[np.ndarray]:
     """Connected components of the affinity graph, ordered by smallest id."""
-    n_comp, labels = _cs_components(affinity.matrix, directed=False)
-    out = [np.flatnonzero(labels == c) for c in range(n_comp)]
+    _, labels = _cs_components(affinity.matrix, directed=False)
+    out = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     out.sort(key=lambda idx: idx[0])
     return out
 
@@ -337,7 +366,8 @@ def condense(cloud: PointCloud, k_smooth: int, t: int, k_bw: Optional[int] = Non
     ``k_bw`` sets the bandwidth neighbor rank for the adaptive kernel and
     defaults to ``k_smooth`` (kernel reach matches the smoothing support);
     callers whose local scale is narrower than the smoothing support may
-    pass it explicitly.
+    pass a smaller one. It is read from the ``k_smooth`` lists, so a larger
+    one raises ``ValueError``.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -393,13 +423,6 @@ def load_points_csv(path) -> PointCloud:
 
 def induced_neighbor_subgraph(nbrs: NeighborGraph, vertices: np.ndarray) -> NeighborGraph:
     """Restrict a neighbor graph to ``vertices`` (reindexed 0..len-1)."""
-    vertices = np.asarray(vertices, dtype=int)
-    relabel = np.full(nbrs.n, -1)
-    relabel[vertices] = np.arange(len(vertices))
-    # Gather the CSR rows of ``vertices`` in order: row r's entries start at
-    # indptr[vertices[r]].
-    counts = np.diff(nbrs.indptr)[vertices]
-    at = np.repeat(nbrs.indptr[vertices] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    u, v = np.repeat(np.arange(len(vertices)), counts), relabel[nbrs.indices[at]]
-    keep = v >= 0
-    return _neighbor_graph(len(vertices), u[keep], v[keep], nbrs.distances[at][keep], nbrs.symmetrized)
+    vertices = np.array(vertices, dtype=int)  # a private copy: the lists are restricted on first access
+    own = _restrict(nbrs.own_indptr, nbrs.own_indices, nbrs.own_distances, vertices, nbrs.n)
+    return NeighborGraph(len(vertices), *own, nbrs.symmetrized, (nbrs, vertices))

@@ -42,7 +42,7 @@ class ReebParams:
     iterations (0 disables the tower), ``k_smooth`` the condensation
     neighbor count (None means min(80, n - 1)), ``t`` the diffusion steps
     per condensation iteration, and ``k_bw`` the condensation kernel
-    bandwidth rank (None means min(32, k_smooth)).
+    bandwidth rank, at most k_smooth (None means min(32, k_smooth)).
     """
 
     k: int = 15
@@ -62,6 +62,8 @@ class ReebParams:
             raise ValueError("t must be >= 1")
         if self.k_bw is not None and self.k_bw < 1:
             raise ValueError("k_bw must be >= 1")
+        if self.k_bw is not None and self.k_bw > (80 if self.k_smooth is None else self.k_smooth):
+            raise ValueError("k_bw must not exceed k_smooth (80 if unset): bandwidths are read from its kNN lists")
 
     def resolve_k_smooth(self, n: int) -> int:
         return min(80 if self.k_smooth is None else self.k_smooth, n - 1)
@@ -138,9 +140,12 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
         flat = np.repeat(slices, 2) * n + edges[eid].ravel()
         keys, touched, inv = _sorted_unique(flat, n)
         level_sets = coo_matrix((np.ones(eid.size), (inv[0::2], inv[1::2])), shape=(keys.size, keys.size))
-        labels = connected_components(level_sets, directed=False)[1]
-        # Keys ascend, so a component's first key is its (slice, smallest vertex).
-        node = np.argsort(np.argsort(np.unique(labels, return_index=True)[1]))[labels]
+        n_comp, labels = connected_components(level_sets, directed=False)
+        # Keys ascend, so numbering components by first key orders them by (slice, smallest vertex).
+        lead = np.full(n_comp, keys.size)
+        np.minimum.at(lead, labels, np.arange(keys.size))
+        lead = lead[labels]  # the first key of each key's component
+        node = np.cumsum(lead == np.arange(keys.size))[lead] - 1
         # One mean over all nodes of a size sums each node's rows in touched
         # order, exactly as ``pts[members].mean(axis=0)`` does. Sorting
         # node * len + touched lists each node's first positions in flat in order.

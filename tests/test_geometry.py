@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
@@ -273,6 +274,46 @@ def test_affinity_invariants(rng):
         assert np.allclose(w, w.T, atol=1e-12)
         assert w.min() >= 0 and w.max() <= 1 + 1e-15
         assert np.all(np.diag(w) == 1.0)
+
+
+def test_affinity_bandwidths_match_pdist_rank(rng):
+    # sigma_i is the (k_bw + 1)-th smallest entry of row i of the distance
+    # matrix, self included, read from the kNN graph's own lists; zeros are
+    # clamped to the smallest positive distance. The duplicated cloud repeats
+    # each point 8 > k + 1 times, so a point can be missing from its own row;
+    # the grid ties distances exactly.
+    normal = rng.normal(size=(60, 3))
+    duplicated = np.repeat(rng.normal(size=(12, 3)), 8, axis=0)[rng.permutation(96)]
+    grid = np.indices((7, 6)).reshape(2, -1).T.astype(float)
+    for pts in (normal, duplicated, grid):
+        dmat = squareform(pdist(pts))
+        for k, k_bw in ((6, 6), (6, 2), (12, 1), (12, 10)):
+            cloud = PointCloud(pts)
+            aff = adaptive_affinity(cloud, knn_graph(cloud, k), k_bw)
+            raw = np.sort(dmat, axis=1)[:, k_bw]
+            assert aff.bandwidths.tolist() == np.where(raw > 0, raw, dmat[dmat > 0].min()).tolist()
+
+
+def test_affinity_rejects_k_bw_beyond_own_lists(rng):
+    cloud = PointCloud(rng.normal(size=(30, 2)))
+    nbrs = knn_graph(cloud, 4)
+    adaptive_affinity(cloud, nbrs, 4)
+    for k_bw in (0, 5, 29):
+        with pytest.raises(ValueError, match="k_bw"):
+            adaptive_affinity(cloud, nbrs, k_bw)
+
+
+def test_affinity_components_many_tiny_components(rng):
+    # Reference: one scan of the labels per component, ordered by smallest id.
+    n = 3000
+    pairs = rng.permutation(n)[: 2 * (n // 5)].reshape(-1, 2)  # 600 pairs, 1800 singletons
+    adj = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    aff = AffinityMatrix((adj + adj.T + sp.identity(n)).tocsr(), np.ones(n))
+    _, labels = connected_components(aff.matrix, directed=False)
+    want = sorted((np.flatnonzero(labels == c) for c in range(labels.max() + 1)), key=lambda idx: idx[0])
+    got = affinity_components(aff)
+    assert len(got) == len(want) == n - len(pairs)
+    assert all(a.tolist() == b.tolist() for a, b in zip(got, want))
 
 
 # -- transition_matrix ----------------------------------------------------------

@@ -32,6 +32,9 @@ def test_params_validation():
         ReebParams(levels=-1)
     with pytest.raises(ValueError):
         ReebParams(t=0)
+    for k_smooth, k_bw in ((10, 11), (None, 81)):
+        with pytest.raises(ValueError, match="k_bw must not exceed k_smooth"):
+            ReebParams(k_smooth=k_smooth, k_bw=k_bw)
     assert ReebParams().resolve_k_smooth(1000) == 80
     assert ReebParams().resolve_k_smooth(50) == 49
     assert ReebParams().resolve_k_bw(1000) == 32
@@ -221,6 +224,25 @@ def test_reeb_matches_brute_force_oracle_on_fiedler_filter(rng, block):
         assert_matches_oracle(cloud, f, 15)
 
 
+def test_reeb_numbering_ignores_component_label_order(rng):
+    # Nodes are numbered by (slice, smallest vertex) in whatever order
+    # connected_components labels the level-set components.
+    from screeb import adaptive_affinity, fiedler_filter
+
+    cloud = add_noise(circle_cloud(rng, n=300), rng, 0.05)
+    f = fiedler_filter(adaptive_affinity(cloud, knn_graph(cloud, 15), 15), np.arange(cloud.n))
+    label = reeb_module.connected_components
+
+    def shuffled(*args, **kwargs):
+        n_comp, labels = label(*args, **kwargs)
+        return n_comp, rng.permutation(n_comp)[labels]
+
+    with mock.patch.object(reeb_module, "connected_components", shuffled):
+        for block in (7, reeb_module._BLOCK_CROSSINGS):
+            with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block):
+                assert_matches_oracle(cloud, f, 15)
+
+
 # -- screeb ------------------------------------------------------------------------
 
 
@@ -262,6 +284,28 @@ def test_screeb_deterministic_bytes(rng):
 
 
 # -- screeb_tower ----------------------------------------------------------------
+
+
+def test_pipeline_builds_one_tree_per_knn_graph(rng, monkeypatch):
+    # knn_graph builds the only cKDTree of a duplicate-free screeb: the
+    # bandwidths come from its lists. A two-level tower runs 3 screeb and 2
+    # condense calls, each with one knn_graph.
+    from screeb import geometry
+
+    built = []
+
+    class CountingTree(geometry.cKDTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(len(args[0]))
+
+    monkeypatch.setattr(geometry, "cKDTree", CountingTree)
+    cloud = add_noise(circle_cloud(rng, n=200), rng, 0.05)
+    screeb(cloud)
+    assert built == [200]
+    built.clear()
+    screeb_tower(cloud, ReebParams(levels=2))
+    assert built == [200] * 5
 
 
 def test_tower_zero_levels_matches_screeb(rng):
