@@ -101,15 +101,6 @@ class Multigraph:
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(self.degrees().tolist()))
 
-    def adjacency_lists(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, edge index); self-loops appear once."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        for i, e in enumerate(self.edges):
-            adj[e.u].append((e.v, i))
-            if e.u != e.v:
-                adj[e.v].append((e.u, i))
-        return adj
-
 
 class UnionFind:
     """Disjoint sets over ``0..n-1`` with path halving. A union keeps the

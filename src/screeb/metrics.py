@@ -208,16 +208,6 @@ def _node_signatures(g: Multigraph) -> list[tuple]:
     ]
 
 
-def _signature_cost(sa: tuple, sb: tuple) -> float:
-    deg_a, loop_a, prof_a = sa
-    deg_b, loop_b, prof_b = sb
-    width = max(len(prof_a), len(prof_b))
-    pa = list(prof_a) + [0] * (width - len(prof_a))
-    pb = list(prof_b) + [0] * (width - len(prof_b))
-    prof = sum(abs(x - y) for x, y in zip(pa, pb))
-    return abs(deg_a - deg_b) + abs(loop_a - loop_b) + prof
-
-
 def _adjacency_multiset(g: Multigraph) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
     for e in g.edges:
@@ -249,43 +239,48 @@ def edit_cost(g1: Multigraph, g2: Multigraph, mapping: dict[int, int]) -> float:
     return float(node_cost + edge_cost)
 
 
+def _assignment_cost(g1: Multigraph, g2: Multigraph) -> np.ndarray:
+    """Bipartite (Riesen-Bunke) cost matrix matching g1's vertices to g2's.
+
+    Each vertex gets an integer row: degree, self-loops, and its multiplicity
+    profile zero-padded to the widest of both graphs. Each is refined with
+    one round of neighbor aggregation, (signature, sorted neighbor
+    signatures), so the assignment distinguishes nodes whose local structure
+    matches but whose neighborhoods differ; a neighbor is listed once per
+    Edge entry, a self-loop once at its own vertex. The n1 x n2 block is the
+    L1 distance between rows plus 0.25 where refinements differ. Deleting or
+    inserting a vertex costs 1 + degree, the other dummy entries 1e9. Every
+    entry is an integer or an integer plus 0.25, so the matrix is exact.
+    """
+    sigs = _node_signatures(g1), _node_signatures(g2)
+    width = max((len(prof) for sig in sigs for _, _, prof in sig), default=0)
+    ids: dict[tuple, int] = {}  # shared, so equal refinements get equal ids
+    rows, refs = [], []
+    for g, sig in zip((g1, g2), sigs):
+        nbrs: list[list[tuple]] = [[] for _ in sig]
+        for e in g.edges:
+            nbrs[e.u].append(sig[e.v])
+            if e.u != e.v:
+                nbrs[e.v].append(sig[e.u])
+        refs.append(np.array([ids.setdefault((s, tuple(sorted(nb))), len(ids)) for s, nb in zip(sig, nbrs)]))
+        padded = [(deg, loops, *prof) + (0,) * (width - len(prof)) for deg, loops, prof in sig]
+        rows.append(np.array(padded, dtype=int).reshape(len(sig), 2 + width))
+    (r1, r2), (ref1, ref2) = rows, refs
+    n1, n2 = len(r1), len(r2)
+    cost = np.full((n1 + n2, n1 + n2), 1e9)
+    # Column by column, so no n1 x n2 x width temporary is built.
+    cost[:n1, :n2] = sum(np.abs(a[:, None] - b) for a, b in zip(r1.T, r2.T))
+    cost[:n1, :n2] += 0.25 * (ref1[:, None] != ref2)
+    cost[:n1, n2:][np.arange(n1), np.arange(n1)] = 1.0 + r1[:, 0]
+    cost[n1:, :n2][np.arange(n2), np.arange(n2)] = 1.0 + r2[:, 0]
+    cost[n1:, n2:] = 0.0
+    return cost
+
+
 def _assignment_mapping(g1: Multigraph, g2: Multigraph) -> dict[int, int]:
     n1, n2 = g1.n_vertices, g2.n_vertices
-    sig1 = _node_signatures(g1)
-    sig2 = _node_signatures(g2)
-    # Refine signatures with one round of neighbor aggregation so the
-    # assignment distinguishes nodes whose local structure matches but whose
-    # neighborhoods differ.
-    adj1 = g1.adjacency_lists()
-    adj2 = g2.adjacency_lists()
-    ref1 = [
-        (sig1[v], tuple(sorted(sig1[w] for w, _ in adj1[v])))
-        for v in range(n1)
-    ]
-    ref2 = [
-        (sig2[v], tuple(sorted(sig2[w] for w, _ in adj2[v])))
-        for v in range(n2)
-    ]
-    size = n1 + n2
-    cost = np.zeros((size, size))
-    big = 1e9
-    for i in range(n1):
-        for j in range(n2):
-            c = _signature_cost(sig1[i], sig2[j])
-            if ref1[i] != ref2[j]:
-                c += 0.25
-            cost[i, j] = c
-    del_cost = [1.0 + sig1[i][0] for i in range(n1)]
-    ins_cost = [1.0 + sig2[j][0] for j in range(n2)]
-    cost[:n1, n2:] = big
-    for i in range(n1):
-        cost[i, n2 + i] = del_cost[i]
-    cost[n1:, :n2] = big
-    for j in range(n2):
-        cost[n1 + j, j] = ins_cost[j]
-    rows, cols = linear_sum_assignment(cost)
-    mapping = {int(i): int(j) for i, j in zip(rows, cols) if i < n1 and j < n2}
-    return mapping
+    rows, cols = linear_sum_assignment(_assignment_cost(g1, g2))
+    return {int(i): int(j) for i, j in zip(rows, cols) if i < n1 and j < n2}
 
 
 def _combinatorially_identical(g1: Multigraph, g2: Multigraph) -> bool:

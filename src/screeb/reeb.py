@@ -191,8 +191,11 @@ def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:
     affinity = adaptive_affinity(cloud, nbrs, min(params.k, cloud.n - 1))
     pieces = []
     for comp in affinity_components(affinity):
-        f = fiedler_filter(affinity, comp)
-        raw = reeb_graph(induced_neighbor_subgraph(nbrs, comp), f, PointCloud(cloud.points[comp]))
+        points = cloud.points[comp]
+        # Equal points take their first copy's filter value, not the solver's rounding of it.
+        _, first, copy = np.unique(points, axis=0, return_index=True, return_inverse=True)
+        f = fiedler_filter(affinity, comp)[first[copy.ravel()]]
+        raw = reeb_graph(induced_neighbor_subgraph(nbrs, comp), f, PointCloud(points))
         pieces.append(graphmod.reduce(raw))
     return graphmod.disjoint_union(pieces)
 

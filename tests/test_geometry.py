@@ -217,19 +217,32 @@ def test_neighbor_graph_csr_views(rng):
 
 def test_induced_subgraph_unsorted_and_empty_selections(rng):
     # Loop reference: row r lists the kept neighbors of vertices[r], relabeled,
-    # in the parent's list order.
+    # in the parent's list order, for the own lists and the adjacency lists.
     nbrs = knn_graph(PointCloud(rng.normal(size=(40, 2))), 4)
-    selections = (rng.permutation(40)[:15], np.arange(40)[::-1], [7, 3], [11], [], np.zeros(0, dtype=int))
+    selections = (
+        rng.permutation(40)[:15],
+        np.arange(40)[::-1],
+        [39, 0, 20, 5],  # unsorted, with the smallest and largest ids
+        np.sort(np.append(nbrs.own_indices[:3], 0))[::-1],  # vertex 0 and its neighbors, descending
+        [7, 3],
+        [11],
+        [],
+        np.zeros(0, dtype=int),
+    )
+
+    def rows(indptr, indices, distances, r):
+        at = slice(indptr[r], indptr[r + 1])
+        return list(zip(indices[at].tolist(), distances[at].tolist()))
+
     for sub in selections:
         sub = list(map(int, sub))
         relabel = {old: new for new, old in enumerate(sub)}
         part = induced_neighbor_subgraph(nbrs, sub)
         assert part.n == len(sub) and part.symmetrized and len(part.indptr) == len(sub) + 1
         for new, old in enumerate(sub):
-            row = zip(nbrs.neighbor_ids[old].tolist(), nbrs.neighbor_dists[old].tolist())
-            expect = [(relabel[j], d) for j, d in row if j in relabel]
-            row = slice(part.indptr[new], part.indptr[new + 1])
-            assert list(zip(part.indices[row].tolist(), part.distances[row].tolist())) == expect
+            for lists in ("own_indptr", "own_indices", "own_distances"), ("indptr", "indices", "distances"):
+                expect = [(relabel[j], d) for j, d in rows(*(getattr(nbrs, a) for a in lists), old) if j in relabel]
+                assert rows(*(getattr(part, a) for a in lists), new) == expect
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 200])

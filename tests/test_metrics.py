@@ -22,7 +22,7 @@ from screeb import (
 )
 from screeb import graph as graphmod
 from screeb.errors import UnitMismatchError
-from screeb.metrics import edit_cost
+from screeb.metrics import _assignment_cost, _node_signatures, edit_cost
 
 from conftest import random_multigraph
 
@@ -94,6 +94,46 @@ def exact_ged(g1, g2):
             for image in itertools.permutations(range(n2), k):
                 best = min(best, edit_cost(g1, g2, dict(zip(keep, image))))
     return best
+
+
+def signature_cost_oracle(sa, sb):
+    """Per-pair signature distance: |degree| + |self-loops| + L1 of the
+    multiplicity profiles, the shorter zero-padded."""
+    deg_a, loop_a, prof_a = sa
+    deg_b, loop_b, prof_b = sb
+    width = max(len(prof_a), len(prof_b))
+    pa = list(prof_a) + [0] * (width - len(prof_a))
+    pb = list(prof_b) + [0] * (width - len(prof_b))
+    prof = sum(abs(x - y) for x, y in zip(pa, pb))
+    return abs(deg_a - deg_b) + abs(loop_a - loop_b) + prof
+
+
+def assignment_cost_oracle(g1, g2):
+    """The assignment cost matrix filled one vertex pair at a time from
+    per-vertex adjacency lists (one entry per Edge, a self-loop once)."""
+    n1, n2 = g1.n_vertices, g2.n_vertices
+    sig1, sig2 = _node_signatures(g1), _node_signatures(g2)
+
+    def refinements(g, sig):
+        adj = [[] for _ in range(g.n_vertices)]
+        for e in g.edges:
+            adj[e.u].append(e.v)
+            if e.u != e.v:
+                adj[e.v].append(e.u)
+        return [(sig[v], tuple(sorted(sig[w] for w in adj[v]))) for v in range(g.n_vertices)]
+
+    ref1, ref2 = refinements(g1, sig1), refinements(g2, sig2)
+    cost = np.zeros((n1 + n2, n1 + n2))
+    for i in range(n1):
+        for j in range(n2):
+            cost[i, j] = signature_cost_oracle(sig1[i], sig2[j]) + (0.25 if ref1[i] != ref2[j] else 0)
+    cost[:n1, n2:] = 1e9
+    for i in range(n1):
+        cost[i, n2 + i] = 1.0 + sig1[i][0]
+    cost[n1:, :n2] = 1e9
+    for j in range(n2):
+        cost[n1 + j, j] = 1.0 + sig2[j][0]
+    return cost
 
 
 def random_diagram(rng, max_bars=6):
@@ -285,6 +325,33 @@ def test_ged_upper_bounds_exact(rng):
     for g1 in graphs:
         for g2 in graphs:
             assert approx_ged(g1, g2) >= exact_ged(g1, g2) - 1e-12
+
+
+def test_assignment_cost_matches_per_pair_oracle(rng):
+    special = [
+        Multigraph(0, ()),
+        Multigraph(1, ()),
+        Multigraph(4, ()),  # isolated vertices only
+        Multigraph(3, (Edge(1, 1, 1.0, 2), Edge(1, 1, 2.0), Edge(2, 2, 0.5))),  # no non-loop edge
+        Multigraph(3, (Edge(0, 1, 1.0), Edge(0, 1, 2.0, 3), Edge(1, 1, 1.0), Edge(1, 2, 0.5))),
+        Multigraph(5, (Edge(0, 1, 1.0, 2), Edge(0, 1, 1.5), Edge(0, 1, 3.0), Edge(2, 3, 1.0), Edge(3, 3, 1.0))),
+    ]
+    graphs = special + [random_multigraph(rng, max_vertices=12, max_edges=20) for _ in range(30)]
+    assert any(len({(e.u, e.v) for e in g.edges}) < len(g.edges) for g in graphs[len(special):])
+    # A relabeled copy lists each vertex's neighbors in another order but
+    # must match the original's refinements.
+    relabeled = []
+    for g in graphs:
+        perm = rng.permutation(g.n_vertices)
+        edges = tuple(Edge(perm[e.u], perm[e.v], e.length, e.multiplicity) for e in g.edges)
+        relabeled.append(Multigraph(g.n_vertices, edges))
+    pairs = itertools.chain(
+        itertools.product(special, repeat=2), zip(graphs, graphs[::-1]), zip(graphs, graphs[1:]), zip(graphs, relabeled)
+    )
+    for g1, g2 in pairs:
+        got, want = _assignment_cost(g1, g2), assignment_cost_oracle(g1, g2)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 # -- persistence images --------------------------------------------------------

@@ -251,6 +251,25 @@ def test_screeb_requires_two_points():
         screeb(PointCloud(np.zeros((1, 3))))
 
 
+def test_screeb_ties_duplicate_points_filter_values(rng):
+    # Exact copies of a point share their first copy's filter value, so a
+    # one-ulp difference the solver leaves between them cannot move the graph.
+    base = add_noise(circle_cloud(rng, n=200), rng, 0.05).points
+    cloud = PointCloud(np.tile(base, (3, 1))[rng.permutation(600)])
+    fiedler = reeb_module.fiedler_filter
+
+    def nudged(affinity, comp):
+        f = fiedler(affinity, comp).copy()
+        later = np.ones(len(comp), dtype=bool)
+        later[np.unique(cloud.points[comp], axis=0, return_index=True)[1]] = False
+        f[later] = np.nextafter(f[later], np.inf)
+        return f
+
+    want = graphmod.graph_to_json(screeb(cloud))
+    with mock.patch.object(reeb_module, "fiedler_filter", nudged):
+        assert graphmod.graph_to_json(screeb(cloud)) == want
+
+
 def test_screeb_segment(rng):
     g = screeb(segment_cloud(rng), ReebParams(levels=0))
     assert betti(g) == (1, 0)
