@@ -18,8 +18,8 @@ eigenvalue below ``-c``. Otherwise a dense ``eigh`` decides. Iterating
 ``X <- P^t X`` with a fresh matrix each round is diffusion condensation.
 
 A neighbor graph stores the own lists of its ``(n, k + 1)`` cKDTree query
-(see ``NeighborGraph``); its undirected edges, the bandwidths and the
-adjacency lists are derived from them with array operations.
+(see ``NeighborGraph``); its undirected edges and the bandwidths are derived
+from them with array operations.
 """
 
 from __future__ import annotations
@@ -93,8 +93,6 @@ def _sorted_unique(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
 
     - ``NeighborGraph.undirected_edges``: (lo, hi) with positions over the m
       own entries, below n^2 m; m = nk in a kNN graph (n about 4.8e5 at k = 80).
-    - its symmetrized lists: (u, v) with positions over 2m entries, below
-      2m n^2 (n about 3.9e5), then (u, rank of d, v) below n^2 R, R <= m.
     - ``reeb_graph``, per block of m = 2 x crossings entries: (slice, vertex)
       with positions below n^2 m, and (node, first position) below
       keys x m <= n^2 m, both covered by this check; join codes (down, up)
@@ -122,53 +120,25 @@ def _sorted_unique(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
 class NeighborGraph:
     """Own neighbor lists as a kNN query returns them, in CSR form: vertex
     ``i``'s are ``own_indices[own_indptr[i]:own_indptr[i + 1]]`` by distance,
-    at the same slice of ``own_distances``. ``indptr``, ``indices`` and
-    ``distances`` are the adjacency lists in that form, built on first
-    access: the own lists, their union with the reversed entries by
-    (distance, id) when ``symmetrized``, or the lists of ``parent`` (graph,
-    vertices) restricted in order. ``neighbor_ids`` and ``neighbor_dists``
-    are their per-vertex views."""
+    at the same slice of ``own_distances``. The graph's edges are the
+    undirected pairs these lists name (see ``undirected_edges``)."""
 
     n: int
     own_indptr: np.ndarray
     own_indices: np.ndarray
     own_distances: np.ndarray
-    symmetrized: bool
-    parent: Optional[tuple[NeighborGraph, np.ndarray]] = None
 
-    @cached_property
-    def _lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.parent is not None:
-            graph, vertices = self.parent
-            return _restrict(graph.indptr, graph.indices, graph.distances, vertices, graph.n)
-        if not self.symmetrized:
-            return self.own_indptr, self.own_indices, self.own_distances
-        # Union with the reversed edges: entry p is own entry p mod m, reversed
-        # from m on. The own rows come first, so a pair in both directions keeps
-        # the distance from its own row even if the other row's differs. Each
-        # list is ordered by (distance, id) through one sort of (u, distance
-        # rank, v) packed below n^2 R (see _sorted_unique).
-        n, v = self.n, self.own_indices
-        u = np.repeat(np.arange(n), np.diff(self.own_indptr))
-        distinct, rank = np.unique(self.own_distances, return_inverse=True)
-        keys, first, _ = _sorted_unique(np.concatenate([u * n + v, v * n + u]), n)
-        packed = (keys // n * distinct.size + rank[first % rank.size]) * n + keys % n
-        packed.sort()
-        (u, rank), v = np.divmod(packed // n, distinct.size), packed % n
-        return _csr(n, u, v, distinct[rank])
-
-    indptr = property(lambda self: self._lists[0])
-    indices = property(lambda self: self._lists[1])
-    distances = property(lambda self: self._lists[2])
+    # perfbench/tracer.py reads it to count each edge of neighbor_ids once.
+    symmetrized = True
 
     @cached_property
     def neighbor_ids(self) -> tuple[np.ndarray, ...]:
-        # The last cut is len(indices); [:n] drops the empty piece np.split leaves after it.
-        return tuple(np.split(self.indices, self.indptr[1:])[: self.n])
-
-    @cached_property
-    def neighbor_dists(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.split(self.distances, self.indptr[1:])[: self.n])
+        """Each vertex's neighbors, both ends of every undirected edge, in
+        ascending order. Only perfbench/tracer.py reads it."""
+        n, (u, v) = self.n, self.undirected_edges()[0].T
+        rows, ids = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
+        # n cuts leave an empty last piece, which [:n] drops.
+        return tuple(np.split(ids, np.cumsum(np.bincount(rows, minlength=n)))[:n])
 
     def undirected_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique undirected edges as ((E, 2) index array, (E,) distances),
@@ -186,19 +156,6 @@ def _csr(n: int, u, v, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a in (indptr, v, d):
         a.setflags(write=False)
     return indptr, v, d
-
-
-def _restrict(indptr, indices, distances, vertices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR lists of the rows ``vertices`` of an n-vertex CSR graph, reindexed
-    0..len-1, each keeping its entries inside ``vertices`` in order."""
-    relabel = np.full(n, -1)
-    relabel[vertices] = np.arange(len(vertices))
-    # Gather the rows of ``vertices`` in order: row r's entries start at indptr[vertices[r]].
-    counts = np.diff(indptr)[vertices]
-    at = np.repeat(indptr[vertices] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    u, v = np.repeat(np.arange(len(vertices)), counts), relabel[indices[at]]
-    keep = v >= 0
-    return _csr(len(vertices), u[keep], v[keep], distances[at][keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,12 +195,11 @@ def _symmetric_spectrum(m: sp.csr_matrix, rank: int) -> tuple[np.ndarray, np.nda
     return vals[order], vecs[:, order]
 
 
-def knn_graph(cloud: PointCloud, k: int, symmetrize: bool = True) -> NeighborGraph:
+def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
     """Exact k-nearest-neighbor graph under Euclidean distance.
 
-    ``k`` is clamped to ``n - 1``. With ``symmetrize`` the union of directed
-    edges is returned, so every vertex list contains both its own neighbors
-    and the vertices that selected it.
+    ``k`` is clamped to ``n - 1``. Each vertex's own list holds its k nearest
+    other points; the graph's edges are the union of these directed choices.
     """
     n = cloud.n
     if n < 2:
@@ -257,7 +213,7 @@ def knn_graph(cloud: PointCloud, k: int, symmetrize: bool = True) -> NeighborGra
     is_self = ids == np.arange(n)[:, None]
     drop = np.where(is_self.any(axis=1), is_self.argmax(axis=1), k)
     keep = np.arange(k + 1) != drop[:, None]
-    return NeighborGraph(n, *_csr(n, np.repeat(np.arange(n), k), ids[keep], dists[keep]), bool(symmetrize))
+    return NeighborGraph(n, *_csr(n, np.repeat(np.arange(n), k), ids[keep], dists[keep]))
 
 
 def _smallest_positive_distance(points: np.ndarray) -> float:
@@ -375,7 +331,7 @@ def condense(cloud: PointCloud, k_smooth: int, t: int, k_bw: Optional[int] = Non
         return cloud
     k_smooth = min(k_smooth, cloud.n - 1)
     k_bw = k_smooth if k_bw is None else min(k_bw, cloud.n - 1)
-    nbrs = knn_graph(cloud, k_smooth, symmetrize=True)
+    nbrs = knn_graph(cloud, k_smooth)
     affinity = adaptive_affinity(cloud, nbrs, k_bw)
     p = transition_matrix(affinity)
     x = cloud.points
@@ -422,7 +378,14 @@ def load_points_csv(path) -> PointCloud:
 
 
 def induced_neighbor_subgraph(nbrs: NeighborGraph, vertices: np.ndarray) -> NeighborGraph:
-    """Restrict a neighbor graph to ``vertices`` (reindexed 0..len-1)."""
-    vertices = np.array(vertices, dtype=int)  # a private copy: the lists are restricted on first access
-    own = _restrict(nbrs.own_indptr, nbrs.own_indices, nbrs.own_distances, vertices, nbrs.n)
-    return NeighborGraph(len(vertices), *own, nbrs.symmetrized, (nbrs, vertices))
+    """Restrict a neighbor graph to ``vertices``, reindexed 0..len-1: row r
+    keeps the entries of ``vertices[r]``'s own list inside ``vertices``, in order."""
+    vertices = np.asarray(vertices, dtype=int)
+    ptr, relabel = nbrs.own_indptr, np.full(nbrs.n, -1)
+    relabel[vertices] = np.arange(len(vertices))
+    # Gather the rows of ``vertices`` in order: row r's entries start at ptr[vertices[r]].
+    counts = np.diff(ptr)[vertices]
+    at = np.repeat(ptr[vertices] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    u, v = np.repeat(np.arange(len(vertices)), counts), relabel[nbrs.own_indices[at]]
+    keep = v >= 0
+    return NeighborGraph(len(vertices), *_csr(len(vertices), u[keep], v[keep], nbrs.own_distances[at][keep]))

@@ -297,19 +297,41 @@ def graph_to_json(g: Multigraph) -> str:
     )
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _edge_from_json(i: int, entry, n: int) -> Edge:
+    """Edge ``i`` of a graph.json document. Ids and multiplicity must be
+    integers up to 2**53, where a float64 holds each one exactly; an integral
+    float passes, a bool does not."""
+    if isinstance(entry, list) and len(entry) == 4 and all(map(_is_number, entry)):
+        u, v, length, mult = entry
+        if all(abs(x) <= 1 << 53 and float(x).is_integer() for x in (u, v, mult)):
+            if 0 <= min(u, v) and max(u, v) < n and math.isfinite(length) and length >= 0 and mult >= 1:
+                return Edge(int(u), int(v), float(length), int(mult))
+    raise ValueError(
+        f"edge {i}: {entry!r} is not [u, v, length, multiplicity] with integer ids in 0..{n - 1}, "
+        "a finite length >= 0 and an integer multiplicity >= 1"
+    )
+
+
 def graph_from_json(text: str) -> Multigraph:
+    """Parse a graph.json document; a malformed one raises ``ValueError``,
+    naming the index of its first malformed edge."""
     doc = json.loads(text)
-    if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
-        raise ValueError("graph.json must contain 'vertices' and 'edges'")
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(key), list) for key in ("vertices", "edges")):
+        raise ValueError("graph.json must contain 'vertices' and 'edges' lists")
     verts = doc["vertices"]
+    if not all(v is None or isinstance(v, list) and all(map(_is_number, v)) for v in verts):
+        raise ValueError("each graph.json vertex must be a list of coordinates or null")
     n = len(verts)
     positions = None
     if n and all(v is not None for v in verts):
         positions = np.array(verts, dtype=float)
     elif any(v is not None for v in verts):
         raise ValueError("either all vertices carry positions or none do")
-    edges = tuple(Edge(int(u), int(v), float(ln), int(m)) for u, v, ln, m in doc["edges"])
-    return Multigraph(n, edges, positions)
+    return Multigraph(n, tuple(_edge_from_json(i, e, n) for i, e in enumerate(doc["edges"])), positions)
 
 
 def save_graph(g: Multigraph, path) -> None:

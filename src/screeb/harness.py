@@ -57,6 +57,14 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
 
 
+def _map(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, computed in a pool of ``workers`` processes when above 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def default_workers() -> int:
     env = os.environ.get("BENCH_WORKERS")
     if env:
@@ -143,13 +151,7 @@ def cmd_generate(
             raise ConfigError(f"--force could not clear output directory {out}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     workers = workers or default_workers()
-    tasks = [(cfg.to_dict(), seed, i, str(out)) for i in range(n)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            ids = list(pool.map(_generate_one, tasks))
-    else:
-        ids = [_generate_one(t) for t in tasks]
-    ids.sort()
+    ids = sorted(_map(_generate_one, [(cfg.to_dict(), seed, i, str(out)) for i in range(n)], workers))
     manifest = {
         "format_version": FORMAT_VERSION,
         "seed": int(seed),
@@ -259,12 +261,7 @@ def cmd_run(cfg: RunConfig) -> int:
             (method, str(Path(cfg.bench_dir) / sid), str(mdir / sid), cfg.overrides, cfg.level)
             for sid in ids
         ]
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(_run_one, tasks))
-        else:
-            results = [_run_one(t) for t in tasks]
-        statuses = {sid: st for sid, st in sorted(results)}
+        statuses = {sid: st for sid, st in sorted(_map(_run_one, tasks, cfg.workers))}
         any_failure = any_failure or any(st["status"] != "ok" for st in statuses.values())
         mdir.mkdir(parents=True, exist_ok=True)
         with open(mdir / "run_manifest.json", "w") as fh:

@@ -187,7 +187,7 @@ def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:
     """
     if cloud.n < 2:
         raise DegenerateInputError("screeb requires at least two points")
-    nbrs = knn_graph(cloud, params.k, symmetrize=True)
+    nbrs = knn_graph(cloud, params.k)
     affinity = adaptive_affinity(cloud, nbrs, min(params.k, cloud.n - 1))
     pieces = []
     for comp in affinity_components(affinity):

@@ -29,6 +29,15 @@ from screeb.geometry import _symmetric_spectrum, affinity_components, induced_ne
 from conftest import disk_points
 
 
+def own_rows(nbrs):
+    """Per-vertex (id, distance) pairs of a neighbor graph's own lists."""
+    ptr = nbrs.own_indptr
+    return [
+        list(zip(nbrs.own_indices[a:b].tolist(), nbrs.own_distances[a:b].tolist()))
+        for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())
+    ]
+
+
 def uniform_affinity(adjacency):
     """Affinity matrix with unit weights on the given 0/1 adjacency."""
     w = np.asarray(adjacency, dtype=float)
@@ -55,7 +64,7 @@ def test_cloud_immutable():
 
 def test_knn_line_three_points():
     cloud = PointCloud(np.array([[0.0], [1.0], [3.0]]))
-    nbrs = knn_graph(cloud, 1, symmetrize=True)
+    nbrs = knn_graph(cloud, 1)
     edges, dists = nbrs.undirected_edges()
     assert edges.tolist() == [[0, 1], [1, 2]]
     assert dists.tolist() == [1.0, 2.0]
@@ -75,7 +84,7 @@ def test_knn_requires_two_points():
 def test_knn_clamps_k():
     cloud = PointCloud(np.arange(3, dtype=float).reshape(-1, 1))
     nbrs = knn_graph(cloud, 10)
-    assert all(len(ids) == 2 for ids in nbrs.neighbor_ids)
+    assert np.diff(nbrs.own_indptr).tolist() == [2, 2, 2]
 
 
 def test_knn_matches_brute_force_oracle(rng):
@@ -84,12 +93,12 @@ def test_knn_matches_brute_force_oracle(rng):
     cases.append((200, 6, "cube"))
     for n, k, kind in cases:
         pts = rng.uniform(size=(n, 3)) if kind == "cube" else rng.normal(size=(n, 3))
-        nbrs = knn_graph(PointCloud(pts), k, symmetrize=False)
+        nbrs = knn_graph(PointCloud(pts), k)
         dmat = squareform(pdist(pts))
         np.fill_diagonal(dmat, np.inf)
-        for i in range(n):
+        for i, row in enumerate(own_rows(nbrs)):
             expect = set(np.argsort(dmat[i], kind="stable")[:k].tolist())
-            assert set(nbrs.neighbor_ids[i].tolist()) == expect
+            assert set(dict(row)) == expect
 
 
 def test_knn_symmetrized_distances_exact(rng):
@@ -98,17 +107,16 @@ def test_knn_symmetrized_distances_exact(rng):
     normal = rng.normal(size=(50, 3))
     duplicated = np.repeat(rng.normal(size=(10, 3)), 8, axis=0)[rng.permutation(80)]
     for pts in (normal, duplicated):
-        n = len(pts)
         nbrs = knn_graph(PointCloud(pts), 5)
-        for u in range(n):
-            assert u not in nbrs.neighbor_ids[u]
-            for v, d in zip(nbrs.neighbor_ids[u], nbrs.neighbor_dists[u]):
-                true = np.linalg.norm(pts[u] - pts[v])
-                assert d == pytest.approx(true, rel=1e-12)
-        # symmetric relation
-        for u in range(n):
-            for v in nbrs.neighbor_ids[u]:
-                assert u in nbrs.neighbor_ids[v]
+        for u, row in enumerate(own_rows(nbrs)):
+            assert u not in dict(row)
+            for v, d in row:
+                assert d == pytest.approx(np.linalg.norm(pts[u] - pts[v]), rel=1e-12)
+        # Every edge joins two distinct points at their exact distance.
+        edges, edge_d = nbrs.undirected_edges()
+        assert np.all(edges[:, 0] < edges[:, 1])
+        for (u, v), d in zip(edges.tolist(), edge_d.tolist()):
+            assert d == pytest.approx(np.linalg.norm(pts[u] - pts[v]), rel=1e-12)
 
 
 class _SkewedTree:
@@ -126,11 +134,10 @@ class _SkewedTree:
 
 def test_neighbor_graph_matches_loop_reference(rng, monkeypatch):
     # Per-vertex loop reference for the array-built lists: the kNN row minus
-    # its first self hit (else its last hit), united with the vertices that
-    # selected the point, ordered by (distance, id); a pair listed twice keeps
-    # the first-listed distance; an induced subgraph keeps list order. The
-    # grid and the evenly spaced line tie many distances exactly, so their
-    # order rests on the ids; k >= n/2 is condense's regime on small clouds.
+    # its first self hit (else its last hit); an undirected edge listed twice
+    # keeps the first-listed distance; an induced subgraph keeps list order.
+    # The grid and the evenly spaced line tie many distances exactly; k >= n/2
+    # is condense's regime on small clouds.
     def pairs(ids, dists):
         return list(zip(ids.tolist(), dists.tolist()))
 
@@ -155,33 +162,24 @@ def test_neighbor_graph_matches_loop_reference(rng, monkeypatch):
             if i in ids[i]:
                 row.pop(ids[i].tolist().index(i))
             own.append(row[:k])
-        lists = [dict(row) for row in own]
+        nbrs = knn_graph(PointCloud(pts), k)
+        assert own_rows(nbrs) == own
+
+        first = {}
         for i in range(n):
             for j, d in own[i]:
-                lists[j].setdefault(i, d)
-        for symmetrize in (True, False):
-            nbrs = knn_graph(PointCloud(pts), k, symmetrize=symmetrize)
-            for i in range(n):
-                expect = sorted(lists[i].items(), key=lambda jd: (jd[1], jd[0])) if symmetrize else own[i]
-                assert pairs(nbrs.neighbor_ids[i], nbrs.neighbor_dists[i]) == expect
+                first.setdefault((min(i, j), max(i, j)), d)
+        edges, edge_d = nbrs.undirected_edges()
+        assert edges.tolist() == [list(e) for e in sorted(first)]
+        assert edge_d.tolist() == [first[e] for e in sorted(first)]
 
-            first = {}
-            for i in range(n):
-                for j, d in pairs(nbrs.neighbor_ids[i], nbrs.neighbor_dists[i]):
-                    first.setdefault((min(i, j), max(i, j)), d)
-            edges, edge_d = nbrs.undirected_edges()
-            assert edges.tolist() == [list(e) for e in sorted(first)]
-            assert edge_d.tolist() == [first[e] for e in sorted(first)]
-
-            sub = rng.permutation(n)[: n // 2]
-            relabel = {old: new for new, old in enumerate(sub.tolist())}
-            part = induced_neighbor_subgraph(nbrs, sub)
-            for new, old in enumerate(sub.tolist()):
-                row = pairs(nbrs.neighbor_ids[old], nbrs.neighbor_dists[old])
-                expect = [(relabel[j], d) for j, d in row if j in relabel]
-                assert pairs(part.neighbor_ids[new], part.neighbor_dists[new]) == expect
+        sub = rng.permutation(n)[: n // 2]
+        relabel = {old: new for new, old in enumerate(sub.tolist())}
+        part_rows = own_rows(induced_neighbor_subgraph(nbrs, sub))
+        for new, old in enumerate(sub.tolist()):
+            assert part_rows[new] == [(relabel[j], d) for j, d in own[old] if j in relabel]
     empty = induced_neighbor_subgraph(nbrs, [])
-    assert empty.n == 0 and empty.neighbor_ids == () and empty.undirected_edges()[0].shape == (0, 2)
+    assert empty.n == 0 and empty.own_indptr.tolist() == [0] and empty.undirected_edges()[0].shape == (0, 2)
 
 
 def test_sorted_unique_matches_np_unique_up_to_int64_bound(rng):
@@ -198,26 +196,22 @@ def test_sorted_unique_matches_np_unique_up_to_int64_bound(rng):
 
 
 def test_neighbor_graph_csr_views(rng):
-    # The per-vertex views are the indptr slices of the flat CSR arrays.
+    # The own lists are read-only CSR arrays, here and on an induced piece.
     normal = rng.normal(size=(50, 3))
     duplicated = np.repeat(rng.normal(size=(10, 3)), 8, axis=0)[rng.permutation(80)]
     for pts in (normal, duplicated):
-        for symmetrize in (True, False):
-            nbrs = knn_graph(PointCloud(pts), 5, symmetrize=symmetrize)
-            ptr = nbrs.indptr
-            assert len(ptr) == nbrs.n + 1 and ptr[0] == 0 and np.all(np.diff(ptr) >= 0)
-            assert ptr[-1] == len(nbrs.indices) == len(nbrs.distances)
-            assert len(nbrs.neighbor_ids) == len(nbrs.neighbor_dists) == nbrs.n
-            for i in range(nbrs.n):
-                assert nbrs.neighbor_ids[i].tolist() == nbrs.indices[ptr[i] : ptr[i + 1]].tolist()
-                assert nbrs.neighbor_dists[i].tolist() == nbrs.distances[ptr[i] : ptr[i + 1]].tolist()
-            for a in (ptr, nbrs.indices, nbrs.distances, nbrs.neighbor_ids[0], nbrs.neighbor_dists[0]):
+        nbrs = knn_graph(PointCloud(pts), 5)
+        for g in (nbrs, induced_neighbor_subgraph(nbrs, rng.permutation(nbrs.n)[:30])):
+            ptr = g.own_indptr
+            assert len(ptr) == g.n + 1 and ptr[0] == 0 and np.all(np.diff(ptr) >= 0)
+            assert ptr[-1] == len(g.own_indices) == len(g.own_distances)
+            for a in (ptr, g.own_indices, g.own_distances):
                 assert not a.flags.writeable
 
 
 def test_induced_subgraph_unsorted_and_empty_selections(rng):
-    # Loop reference: row r lists the kept neighbors of vertices[r], relabeled,
-    # in the parent's list order, for the own lists and the adjacency lists.
+    # Loop reference: row r lists the kept neighbors of vertices[r]'s own
+    # list, relabeled, in the parent's list order.
     nbrs = knn_graph(PointCloud(rng.normal(size=(40, 2))), 4)
     selections = (
         rng.permutation(40)[:15],
@@ -230,19 +224,15 @@ def test_induced_subgraph_unsorted_and_empty_selections(rng):
         np.zeros(0, dtype=int),
     )
 
-    def rows(indptr, indices, distances, r):
-        at = slice(indptr[r], indptr[r + 1])
-        return list(zip(indices[at].tolist(), distances[at].tolist()))
-
+    rows = own_rows(nbrs)
     for sub in selections:
         sub = list(map(int, sub))
         relabel = {old: new for new, old in enumerate(sub)}
         part = induced_neighbor_subgraph(nbrs, sub)
-        assert part.n == len(sub) and part.symmetrized and len(part.indptr) == len(sub) + 1
+        assert part.n == len(sub) and len(part.own_indptr) == len(sub) + 1
+        part_rows = own_rows(part)
         for new, old in enumerate(sub):
-            for lists in ("own_indptr", "own_indices", "own_distances"), ("indptr", "indices", "distances"):
-                expect = [(relabel[j], d) for j, d in rows(*(getattr(nbrs, a) for a in lists), old) if j in relabel]
-                assert rows(*(getattr(part, a) for a in lists), new) == expect
+            assert part_rows[new] == [(relabel[j], d) for j, d in rows[old] if j in relabel]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 200])

@@ -196,6 +196,50 @@ def test_json_17_digit_lengths():
     assert graph_from_json(doc).edges[0].length == length
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [
+        "[0.9, 1, 1.0, 1.7]",  # fractional ids and multiplicity
+        "[true, 1, 1.0, 1]",  # a boolean id
+        "[0, 1, 1.0, 1e30]",  # integral, but past what a float64 holds exactly
+        "[0, 1, null, 1]",
+        '[0, 1, "1.0", 1]',
+        "[5]",
+        "5",
+        "[0, 2, 1.0, 1]",  # endpoint out of range
+        "[0, 1, NaN, 1]",
+        "[0, 1, 1.0, 0]",
+    ],
+)
+def test_json_rejects_malformed_edges(edge):
+    doc = '{"vertices": [null, null], "edges": [[0, 1, 1.0, 1], ' + edge + "]}"
+    with pytest.raises(ValueError, match="^edge 1: "):
+        graph_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"vertices": {"0": null}, "edges": []}',
+        '{"vertices": [null], "edges": {}}',
+        '{"vertices": [[0.0], ["x"]], "edges": []}',
+        '{"vertices": [[0.0], [{}]], "edges": []}',
+        '{"vertices": [null]}',
+        "[]",
+        "{not json",
+    ],
+)
+def test_json_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        graph_from_json(doc)
+
+
+def test_json_accepts_integral_floats():
+    g = graph_from_json('{"vertices": [null, null], "edges": [[1.0, 0, 2, 3.0]]}')
+    assert g.edges == (Edge(0, 1, 2.0, 3),)
+    assert [type(x) for x in g.edges[0]] == [int, int, float, int]
+
+
 def test_disjoint_union():
     a = path_graph(3)
     b = cycle_graph(3)

@@ -189,20 +189,23 @@ def test_run_unknown_method_rejected(small_bench, tmp_path):
 
 
 def test_run_external_method(small_bench, tmp_path):
-    # External graphs: copy the latent graphs for two samples, omit the rest.
+    # External graphs: copy the latent graphs for two samples, give the third
+    # fractional ids, omit the last.
     ext = tmp_path / "ext"
     ids = read_manifest(str(small_bench))["sample_ids"]
-    for sid in ids[:2]:
+    for sid in ids[:3]:
         (ext / sid).mkdir(parents=True)
         shutil.copy(small_bench / sid / "graph.json", ext / sid / "graph.json")
+    (ext / ids[2] / "graph.json").write_text('{"vertices": [null, null], "edges": [[0.9, 1, 1.0, 1.7]]}')
     out = tmp_path / "run_ext"
     cfg = RunConfig(bench_dir=str(small_bench), methods=(f"external:{ext}",), out_dir=str(out))
     code = cmd_run(cfg)
-    assert code == 2  # missing samples recorded as partial failure
+    assert code == 2  # malformed and missing samples recorded as partial failure
     mdir = out / f"external_{ext.name}"
     manifest = json.loads((mdir / "run_manifest.json").read_text())
     statuses = [manifest["samples"][sid]["status"] for sid in ids]
-    assert statuses == ["ok", "ok", "missing", "missing"]
+    assert statuses == ["ok", "ok", "error", "missing"]
+    assert "edge 0: " in manifest["samples"][ids[2]]["error"]
 
 
 # -- evaluate -------------------------------------------------------------------
@@ -270,17 +273,20 @@ def test_evaluate_deterministic_csv(small_bench, small_run, tmp_path):
 
 
 def test_evaluate_malformed_graph_excluded(small_bench, small_run, tmp_path):
-    broken_run = tmp_path / "broken"
-    shutil.copytree(small_run, broken_run)
-    bad = broken_run / "mapper" / "00000" / "graph.json"
-    bad.write_text("{not json")
-    out = tmp_path / "results"
-    cmd_evaluate(str(small_bench), str(broken_run), str(out))
-    csv = (out / "aggregate.csv").read_text().strip().splitlines()
-    methods = csv[0].split(",")[1:]
-    excl = dict(zip(methods, csv[3].split(",")[1:]))
-    assert excl["mapper"] == "1"
-    assert excl["screeb"] == "0"
+    for i, text in enumerate(["{not json", '{"vertices": [null, null], "edges": [[0, 1, null, 1]]}']):
+        broken_run = tmp_path / f"broken{i}"
+        shutil.copytree(small_run, broken_run)
+        bad = broken_run / "mapper" / "00000" / "graph.json"
+        bad.write_text(text)
+        out = tmp_path / f"results{i}"
+        assert cmd_evaluate(str(small_bench), str(broken_run), str(out)) == 0
+        csv = (out / "aggregate.csv").read_text().strip().splitlines()
+        methods = csv[0].split(",")[1:]
+        excl = dict(zip(methods, csv[3].split(",")[1:]))
+        assert excl["mapper"] == "1"
+        assert excl["screeb"] == "0"
+        doc = json.loads((out / "mapper" / "00000" / "results.json").read_text())
+        assert doc["status"] == "error" and doc["error"].startswith("malformed graph.json: ")
 
 
 # -- report ----------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_reeb_three_node_path_by_hand():
     # f = (0, 1, 2) on a path: thresholds 0.5 and 1.5, one component each,
     # linked by the shared middle vertex; reduces to a single edge.
     pts = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-    nbrs = knn_graph(pts, 1, symmetrize=True)
+    nbrs = knn_graph(pts, 1)
     g = reeb_graph(nbrs, np.array([0.0, 1.0, 2.0]), pts)
     assert g.n_vertices == 2
     assert len(g.edges) == 1
@@ -58,7 +58,7 @@ def test_reeb_three_node_path_by_hand():
 
 def test_reeb_constant_filter_single_vertex():
     pts = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-    nbrs = knn_graph(pts, 1, symmetrize=True)
+    nbrs = knn_graph(pts, 1)
     g = reeb_graph(nbrs, np.zeros(3), pts)
     assert g.n_vertices == 1
     assert g.edges == ()
@@ -106,7 +106,7 @@ def test_reeb_monotone_hamiltonian_filter_single_edge(rng):
 
 def test_reeb_rejects_disconnected_neighbor_graph():
     pts = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [50.0, 0.0], [51.0, 0.0]]))
-    nbrs = knn_graph(pts, 1, symmetrize=True)
+    nbrs = knn_graph(pts, 1)
     from screeb.errors import InvalidDataError
 
     with pytest.raises(InvalidDataError):
@@ -160,7 +160,7 @@ def brute_force_reeb(nbrs, f, pts):
 
 
 def assert_matches_oracle(cloud, f, k):
-    nbrs = knn_graph(cloud, k, symmetrize=True)
+    nbrs = knn_graph(cloud, k)
     want = brute_force_reeb(nbrs, f, cloud.points)
     if want is None:
         with pytest.raises(InvalidDataError):
@@ -218,7 +218,7 @@ def test_reeb_matches_brute_force_oracle_on_fiedler_filter(rng, block):
     from screeb import adaptive_affinity, fiedler_filter
 
     cloud = add_noise(circle_cloud(rng, n=300), rng, 0.05)
-    nbrs = knn_graph(cloud, 15, symmetrize=True)
+    nbrs = knn_graph(cloud, 15)
     f = fiedler_filter(adaptive_affinity(cloud, nbrs, 15), np.arange(cloud.n))
     with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block or reeb_module._BLOCK_CROSSINGS):
         assert_matches_oracle(cloud, f, 15)
