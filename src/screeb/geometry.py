@@ -134,9 +134,10 @@ class NeighborGraph:
     @cached_property
     def neighbor_ids(self) -> tuple[np.ndarray, ...]:
         """Each vertex's neighbors, both ends of every undirected edge, in
-        ascending order. Only perfbench/tracer.py reads it."""
+        ascending order, as read-only views. Only perfbench/tracer.py reads it."""
         n, (u, v) = self.n, self.undirected_edges()[0].T
         rows, ids = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
+        ids.setflags(write=False)
         # n cuts leave an empty last piece, which [:n] drops.
         return tuple(np.split(ids, np.cumsum(np.bincount(rows, minlength=n)))[:n])
 

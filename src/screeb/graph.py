@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -298,7 +299,9 @@ def graph_to_json(g: Multigraph) -> str:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number a float64 can hold: JSON integers are unbounded, and
+    one past ``sys.float_info.max`` overflows on conversion."""
+    return isinstance(x, float) or isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _edge_from_json(i: int, entry, n: int) -> Edge:

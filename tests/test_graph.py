@@ -209,6 +209,7 @@ def test_json_17_digit_lengths():
         "[0, 2, 1.0, 1]",  # endpoint out of range
         "[0, 1, NaN, 1]",
         "[0, 1, 1.0, 0]",
+        pytest.param("[0, 1, 1" + "0" * 400 + ", 1]", id="integer-length-past-float64"),
     ],
 )
 def test_json_rejects_malformed_edges(edge):
@@ -224,6 +225,7 @@ def test_json_rejects_malformed_edges(edge):
         '{"vertices": [null], "edges": {}}',
         '{"vertices": [[0.0], ["x"]], "edges": []}',
         '{"vertices": [[0.0], [{}]], "edges": []}',
+        pytest.param('{"vertices": [[0.0], [1' + "0" * 400 + ']], "edges": []}', id="integer-coordinate-past-float64"),
         '{"vertices": [null]}',
         "[]",
         "{not json",

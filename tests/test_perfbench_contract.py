@@ -34,7 +34,7 @@ def test_tracer_neighbor_views_are_the_undirected_edges(monkeypatch, rng):
         assert g.symmetrized is True
         assert len(g.neighbor_ids) == g.n
         assert sum(map(len, g.neighbor_ids)) == 2 * len(edges)
-        assert all(np.all(np.diff(ids) > 0) for ids in g.neighbor_ids)
+        assert all(np.all(np.diff(ids) > 0) and not ids.flags.writeable for ids in g.neighbor_ids)
         listed = sorted((min(u, v), max(u, v)) for u, ids in enumerate(g.neighbor_ids) for v in ids.tolist())
         assert listed == sorted(2 * list(map(tuple, edges.tolist())))
         # Rounding ties some filter values, as equal points do in screeb.
