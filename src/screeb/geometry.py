@@ -14,8 +14,10 @@ the symmetric conjugate ``M = D^-1/2 W D^-1/2`` by one shift-invert
 ``eigsh`` near 1. Its pairs, the largest by value, are the largest by
 magnitude once the smallest exceeds ``c = 1 - 2/d_max``: ``W + cD`` is
 diagonally dominant (``W`` is non-negative with unit diagonal), so M has no
-eigenvalue below ``-c``. Otherwise a dense ``eigh`` decides. Iterating
-``X <- P^t X`` with a fresh matrix each round is diffusion condensation.
+eigenvalue below ``-c``. Otherwise a dense ``eigh`` decides, at once if the
+bound ``sqrt(||M||_F^2 - 1)`` on the other eigenvalues is below ``c``. M is
+normalised once per matrix; a component given as a range of rows slices it.
+Iterating ``X <- P^t X`` with a fresh matrix each round is diffusion condensation.
 
 A neighbor graph stores the own lists of its ``(n, k + 1)`` cKDTree query
 (see ``NeighborGraph``); its undirected edges and the bandwidths are derived
@@ -38,6 +40,7 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateInputError, InvalidDataError, IsolatedPointError, SolverError
 
 _DENSE_FALLBACK_LIMIT = 4096  # rows; above it a failed or uncertified Fiedler solve raises SolverError
+_ROUNDING_MARGIN = 1e-6  # between the Frobenius bound and c before a certificate is known to fail
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,21 +174,34 @@ class AffinityMatrix:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def operator(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """``(M = D^-1/2 W D^-1/2, degrees)``. On a component's rows, M is its own normalised block."""
+        degrees = np.asarray(self.matrix.sum(axis=1)).ravel()
+        inv_sqrt = sp.diags(1.0 / np.sqrt(degrees))
+        return (inv_sqrt @ self.matrix @ inv_sqrt).tocsr(), degrees
+
 
 def _symmetric_spectrum(m: sp.csr_matrix, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Top ``rank + 1`` eigenpairs by magnitude of ``M = D^-1/2 W D^-1/2``
     (``W`` symmetric, non-negative, unit diagonal): one shift-invert ``eigsh``
     at sigma = 1 + 1e-6, accepted if its smallest eigenvalue exceeds
     ``c = 1 - 2 min diag(M) = 1 - 2/d_max`` (``W + cD`` is diagonally dominant,
-    so ``M >= -c``), else a dense ``eigh`` up to ``_DENSE_FALLBACK_LIMIT`` rows."""
+    so ``M >= -c``), else a dense ``eigh`` up to ``_DENSE_FALLBACK_LIMIT`` rows.
+
+    The squared eigenvalues sum to ``||M||_F^2`` and the top one is 1, so no
+    other exceeds ``sqrt(||M||_F^2 - 1)``. When that is below ``c`` by more than
+    rounding, the certificate must fail: the dense ``eigh`` runs without ``eigsh``."""
     n, k = m.shape[0], rank + 1
-    if k < n - 1:
+    c = 1.0 - 2.0 * m.diagonal().min()
+    uncertifiable = n <= _DENSE_FALLBACK_LIMIT and np.sqrt(max(m.data @ m.data - 1.0, 0.0)) < c - _ROUNDING_MARGIN
+    if k < n - 1 and not uncertifiable:
         try:
             vals, vecs = eigsh(m, k=k, sigma=1.0 + 1e-6, which="LM", v0=np.full(n, 1.0 / np.sqrt(n)))
         except RuntimeError as exc:  # ArpackNoConvergence, or SuperLU's "exactly singular"
             failure = str(exc)
         else:
-            if vals.min() > 1.0 - 2.0 * m.diagonal().min():
+            if vals.min() > c:
                 order = np.argsort(-np.abs(vals), kind="stable")
                 return vals[order], vecs[:, order]
             failure = f"eigenvalue {vals.min():.6g} is under the magnitude bound"
@@ -293,25 +309,27 @@ def affinity_components(affinity: AffinityMatrix) -> list[np.ndarray]:
 def fiedler_filter(affinity: AffinityMatrix, component: np.ndarray) -> np.ndarray:
     """Fiedler filter values on a connected component.
 
-    Returns the right eigenvector of the component's transition matrix with
+    Returns the right eigenvector of the transition matrix restricted to the
+    component (a component of ``affinity_components`` has no other entries) with
     second-largest eigenvalue magnitude, sign-fixed so the entry of largest
     absolute value is positive. A single-vertex component gets the constant
-    filter 0.
+    filter 0. A range of ids is sliced from ``affinity.operator``.
     """
     component = np.asarray(component, dtype=int)
     if component.size == 1:
         return np.zeros(1)
-    sub_w = affinity.matrix[component][:, component].tocsr()
+    m, degrees = affinity.operator
+    a = component[0] if component.size else 0
+    rows = slice(a, a + component.size) if np.array_equal(component, np.arange(a, a + component.size)) else component
+    sub_w, sub_m = affinity.matrix[rows][:, rows], m[rows][:, rows]
     n_comp, _ = _cs_components(sub_w, directed=False)
     if n_comp != 1:
         raise InvalidDataError(
             "fiedler_filter requires a connected component "
             f"(got {n_comp} pieces); split components upstream"
         )
-    degrees = np.asarray(sub_w.sum(axis=1)).ravel()
-    inv_sqrt = sp.diags(1.0 / np.sqrt(degrees))
-    _, vecs = _symmetric_spectrum((inv_sqrt @ sub_w @ inv_sqrt).tocsr(), 1)
-    phi = vecs[:, 1] / np.sqrt(degrees)
+    _, vecs = _symmetric_spectrum(sub_m, 1)
+    phi = vecs[:, 1] / np.sqrt(degrees[rows])
     return -phi if phi[np.argmax(np.abs(phi))] < 0 else phi
 
 

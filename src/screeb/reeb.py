@@ -1,8 +1,8 @@
 """Diffusion Reeb graphs and the condensation tower.
 
-``screeb`` builds a symmetrized kNN graph, computes the Fiedler filter per
-connected component, tracks connected components of the filter's level sets
-across midpoint thresholds, and reduces the resulting multigraph.
+``screeb`` builds a kNN graph, computes the Fiedler filter per connected
+component (a row range of the cloud permuted into component order), tracks
+level-set components across midpoint thresholds, and reduces the multigraph.
 ``screeb_tower`` repeats the construction on successively condensed copies
 of the cloud, yielding one reduced graph per granularity.
 """
@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from . import graph as graphmod
 from .errors import DegenerateInputError, InvalidDataError
 from .geometry import (
+    AffinityMatrix,
     NeighborGraph,
     PointCloud,
     _run_starts,
@@ -180,23 +181,33 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
 def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:
     """Reduced Reeb graph of a point cloud under the Fiedler filter.
 
-    Builds a symmetrized kNN graph, splits it into connected components,
-    computes the Fiedler filter of each component's transition matrix,
-    runs the Reeb construction per component, and returns the disjoint union
+    Builds the kNN graph and its affinities, permutes points, affinities and
+    own lists once so that each connected component is a range of rows, runs
+    the Reeb construction on each range's Fiedler filter and neighbor graph
+    (slices of one operator and of the lists), and returns the disjoint union
     of the reduced pieces (the reduction of the union, built piece by piece).
     """
     if cloud.n < 2:
         raise DegenerateInputError("screeb requires at least two points")
     nbrs = knn_graph(cloud, params.k)
     affinity = adaptive_affinity(cloud, nbrs, min(params.k, cloud.n - 1))
+    comps = affinity_components(affinity)
+    # Within a component the permutation is a monotone relabel, so every row
+    # keeps its entries in order. No own list leaves its component: each listed
+    # pair has a stored affinity, an explicit zero if it underflowed.
+    order, sizes = np.concatenate(comps), np.array([len(c) for c in comps])
+    affinity = AffinityMatrix(affinity.matrix[order][:, order], affinity.bandwidths[order])
+    nbrs, points = induced_neighbor_subgraph(nbrs, order), cloud.points[order]
+    # Equal points take their first copy's filter value in their component, not the solver's rounding of it.
+    keyed = np.column_stack([np.repeat(np.arange(len(comps)), sizes), points])
+    first, copy = np.unique(keyed, axis=0, return_index=True, return_inverse=True)[1:]
+    tie, ptr, ends = first[copy.ravel()], nbrs.own_indptr, np.cumsum(sizes)
     pieces = []
-    for comp in affinity_components(affinity):
-        points = cloud.points[comp]
-        # Equal points take their first copy's filter value, not the solver's rounding of it.
-        _, first, copy = np.unique(points, axis=0, return_index=True, return_inverse=True)
-        f = fiedler_filter(affinity, comp)[first[copy.ravel()]]
-        raw = reeb_graph(induced_neighbor_subgraph(nbrs, comp), f, PointCloud(points))
-        pieces.append(graphmod.reduce(raw))
+    for a, b in zip((ends - sizes).tolist(), ends.tolist()):
+        f = fiedler_filter(affinity, np.arange(a, b))[tie[a:b] - a]
+        own = slice(ptr[a], ptr[b])
+        piece = NeighborGraph(b - a, ptr[a : b + 1] - ptr[a], nbrs.own_indices[own] - a, nbrs.own_distances[own])
+        pieces.append(graphmod.reduce(reeb_graph(piece, f, PointCloud(points[a:b]))))
     return graphmod.disjoint_union(pieces)
 
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from screeb import Edge, Multigraph, PointCloud
+from screeb.geometry import _symmetric_spectrum
 
 
 def random_multigraph(rng, max_vertices=40, max_edges=60, positions=False):
@@ -53,6 +55,24 @@ def two_blob_cloud(rng, per_blob=30, gap=12.0):
 
 def add_noise(cloud, rng, scale):
     return PointCloud(cloud.points + rng.normal(scale=scale, size=cloud.points.shape))
+
+
+def own_block_filter(affinity, comp):
+    """Fiedler filter of a component normalised on its own block, as one
+    restriction and one ``D^-1/2 W D^-1/2`` per component."""
+    if len(comp) == 1:
+        return np.zeros(1)
+    w = affinity.matrix[comp][:, comp].tocsr()
+    degrees = np.asarray(w.sum(axis=1)).ravel()
+    inv_sqrt = sp.diags(1.0 / np.sqrt(degrees))
+    _, vecs = _symmetric_spectrum((inv_sqrt @ w @ inv_sqrt).tocsr(), 1)
+    phi = vecs[:, 1] / np.sqrt(degrees)
+    return -phi if phi[np.argmax(np.abs(phi))] < 0 else phi
+
+
+def separated_clusters(rng, sizes, dim=3, gap=100.0):
+    """Gaussian clusters of the given sizes, ``gap`` apart along axis 0."""
+    return np.vstack([rng.normal(size=(size, dim)) + np.eye(dim)[0] * i * gap for i, size in enumerate(sizes)])
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from screeb import geometry
 from screeb.errors import DegenerateInputError, InvalidDataError, IsolatedPointError, SolverError
 from screeb.geometry import _symmetric_spectrum, affinity_components, induced_neighbor_subgraph
 
-from conftest import disk_points
+from conftest import disk_points, own_block_filter, separated_clusters
 
 
 def own_rows(nbrs):
@@ -502,6 +502,68 @@ def test_fiedler_filter_order_matches_dense_on_large_circle(rng, monkeypatch):
     assert np.array_equal(np.argsort(f, kind="stable"), np.argsort(dense, kind="stable"))
     assert np.array_equal(np.unique(f, return_counts=True)[1], np.unique(dense, return_counts=True)[1])
     assert abs(np.dot(f, dense)) / (np.linalg.norm(f) * np.linalg.norm(dense)) > 1 - 1e-9
+
+
+def _shuffled_pieces(rng):
+    """A shuffled affinity whose components are kNN clusters of several sizes,
+    some holding exact copies of points, and a hand-built 2-point and 1-point piece."""
+    pts = separated_clusters(rng, (40, 9, 4, 4, 25))
+    cloud = PointCloud(np.vstack([pts, pts[:6], pts[45:47]]))
+    aff = adaptive_affinity(cloud, knn_graph(cloud, 3), 3)
+    w = sp.block_diag([aff.matrix, [[1.0, 0.25], [0.25, 1.0]], [[1.0]]], format="csr")
+    p = rng.permutation(w.shape[0])
+    return AffinityMatrix(w[p][:, p].tocsr(), np.ones(w.shape[0]))
+
+
+def test_range_sliced_filters_match_own_block_filters(rng):
+    # Permuted into component order, each component is a range of rows. Its
+    # filter, sliced from the one operator, has the bytes of the filter
+    # normalised on the component's own block and of fiedler_filter on the
+    # unpermuted components.
+    aff = _shuffled_pieces(rng)
+    comps = affinity_components(aff)
+    assert sorted(map(len, comps))[:2] == [1, 2]
+    order = np.concatenate(comps)
+    ranged = AffinityMatrix(aff.matrix[order][:, order], aff.bandwidths[order])
+    start = 0
+    for comp in comps:
+        f = fiedler_filter(ranged, np.arange(start, start + len(comp)))
+        start += len(comp)
+        assert f.tobytes() == own_block_filter(aff, comp).tobytes() == fiedler_filter(aff, comp).tobytes()
+
+
+def _certificate_fails(m):
+    """The oracle: whether an always-run shift-invert solve fails the certificate."""
+    n = m.shape[0]
+    vals, _ = eigsh(m, k=2, sigma=1.0 + 1e-6, which="LM", v0=np.full(n, 1.0 / np.sqrt(n)))
+    return vals.min() <= 1.0 - 2.0 * m.diagonal().min()
+
+
+def test_frobenius_pretest_skips_only_failing_certificates(rng, monkeypatch):
+    # On random pieces, a solve the pre-test skips is one whose certificate
+    # fails, and the filter's bytes are those computed with the pre-test off.
+    solves = []
+    monkeypatch.setattr(geometry, "eigsh", lambda *a, **kw: solves.append(1) or eigsh(*a, **kw))
+    skipped = kept = 0
+    for trial in range(30):
+        # Clusters of k + 1 to 3k points: the near-complete pieces often fail.
+        k = int(rng.integers(2, 9))
+        cloud = PointCloud(separated_clusters(rng, rng.integers(k + 1, 3 * k, size=3), dim=int(rng.integers(1, 4))))
+        aff = adaptive_affinity(cloud, knn_graph(cloud, k), k)
+        for comp in affinity_components(aff):
+            if len(comp) < 4:  # dense eigh either way
+                continue
+            before = len(solves)
+            f = fiedler_filter(aff, comp)
+            if len(solves) == before:
+                skipped += 1
+                assert _certificate_fails(aff.operator[0][comp][:, comp])
+            else:
+                kept += 1
+            with monkeypatch.context() as off:
+                off.setattr(geometry, "_ROUNDING_MARGIN", np.inf)
+                assert np.array_equal(fiedler_filter(aff, comp), f)
+    assert skipped > 0 and kept > 0
 
 
 # -- condense -----------------------------------------------------------------------

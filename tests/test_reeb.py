@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screeb import (
+    NeighborGraph,
     PointCloud,
     ReebParams,
     betti,
@@ -21,8 +22,17 @@ from screeb import (
 from screeb import graph as graphmod
 from screeb import reeb as reeb_module
 from screeb.errors import DegenerateInputError, InvalidDataError
+from screeb.geometry import adaptive_affinity, affinity_components, induced_neighbor_subgraph
 
-from conftest import add_noise, circle_cloud, segment_cloud, two_blob_cloud, ytree_cloud
+from conftest import (
+    add_noise,
+    circle_cloud,
+    own_block_filter,
+    segment_cloud,
+    separated_clusters,
+    two_blob_cloud,
+    ytree_cloud,
+)
 
 
 def test_params_validation():
@@ -300,6 +310,76 @@ def test_screeb_deterministic_bytes(rng):
     a = graph_to_json(screeb(cloud, ReebParams(levels=0)))
     b = graph_to_json(screeb(cloud, ReebParams(levels=0)))
     assert a == b
+
+
+def per_piece_screeb(cloud, params=ReebParams(), nbrs=None):
+    """screeb with one restriction, normalisation and duplicate search per component."""
+    nbrs = knn_graph(cloud, params.k) if nbrs is None else nbrs
+    affinity = adaptive_affinity(cloud, nbrs, min(params.k, cloud.n - 1))
+    pieces = []
+    for comp in affinity_components(affinity):
+        points = cloud.points[comp]
+        _, first, copy = np.unique(points, axis=0, return_index=True, return_inverse=True)
+        f = own_block_filter(affinity, comp)[first[copy.ravel()]]
+        raw = reeb_graph(induced_neighbor_subgraph(nbrs, comp), f, PointCloud(points))
+        pieces.append(graphmod.reduce(raw))
+    return graphmod.disjoint_union(pieces)
+
+
+def test_screeb_matches_per_piece_reference(rng):
+    # Shuffled clusters of several sizes, with exact copies within a cluster
+    # and copies that outnumber k: permuting once and slicing ranges gives the
+    # bytes of one restriction per component.
+    pts = separated_clusters(rng, (60, 9, 5, 5, 30, 12))
+    pts = np.vstack([pts, pts[:10], pts[60:63], np.repeat(pts[-1:], 6, axis=0)])
+    cloud = PointCloud(pts[rng.permutation(len(pts))])
+    for k in (3, 4, 8):
+        params = ReebParams(k=k)
+        assert graph_to_json(screeb(cloud, params)) == graph_to_json(per_piece_screeb(cloud, params))
+
+
+def test_knn_pairs_stay_inside_affinity_components(rng):
+    # A component's neighbor graph is a range of the permuted own lists only if
+    # no listed pair joins two components. An affinity that underflows to 0 is
+    # still stored, so two clusters 1e3 apart (k = 6 > 4 mates, k_bw = 2) stay
+    # one component.
+    far = np.vstack([rng.normal(size=(5, 2)), rng.normal(size=(5, 2)) + [1e3, 0.0]])
+    shuffled = separated_clusters(rng, (30, 9, 5, 12))[rng.permutation(56)]
+    for pts, k, k_bw, pieces, underflows in ((far, 6, 2, 1, True), (shuffled, 4, 4, 4, False)):
+        cloud = PointCloud(pts)
+        nbrs = knn_graph(cloud, k)
+        aff = adaptive_affinity(cloud, nbrs, k_bw)
+        comps = affinity_components(aff)
+        labels = np.repeat(np.arange(len(comps)), list(map(len, comps)))[np.argsort(np.concatenate(comps))]
+        owner = np.repeat(np.arange(cloud.n), np.diff(nbrs.own_indptr))
+        assert len(comps) == pieces and np.any(aff.matrix.data == 0) == underflows
+        assert np.array_equal(labels[owner], labels[nbrs.own_indices])
+
+
+def test_screeb_ties_copies_within_their_own_component(monkeypatch):
+    # Copies of one point in two components take the first copy's value in
+    # their own component. The own lists are built by hand: no kNN query here
+    # splits copies. The first copy overall (id 0) sits 4 rows before the
+    # second component, whose copies (ids 7, 8) would wrap to id 5's value.
+    pts = np.array([[0, 0], [0, 0], [1, 0], [2, 0], [-1, 0], [-2, 0], [-3, 0], [0, 0], [0, 0]], dtype=float)
+    lists = [[1, 2], [0, 2], [3, 0], [2, 0], [7, 5], [4, 6], [5, 4], [8, 4], [7, 4]]
+    ids = np.array(lists).ravel()
+    dists = np.linalg.norm(pts[ids] - np.repeat(pts, 2, axis=0), axis=1)
+    nbrs = NeighborGraph(9, np.arange(0, 19, 2), ids, dists)
+    monkeypatch.setattr(reeb_module, "knn_graph", lambda cloud, k: nbrs)
+    cloud, params = PointCloud(pts), ReebParams(k=2)
+    assert list(map(len, affinity_components(adaptive_affinity(cloud, nbrs, 2)))) == [4, 5]
+    assert graph_to_json(screeb(cloud, params)) == graph_to_json(per_piece_screeb(cloud, params, nbrs))
+
+
+def test_screeb_many_tiny_pieces_match_per_piece_reference():
+    # 400 separated 4-point clusters, k = 3: one piece per cluster.
+    local = np.random.default_rng(11)
+    cloud = PointCloud(separated_clusters(local, (4,) * 400)[local.permutation(1600)])
+    params = ReebParams(k=3)
+    got = screeb(cloud, params)
+    assert betti(got).b0 == 400
+    assert graph_to_json(got) == graph_to_json(per_piece_screeb(cloud, params))
 
 
 # -- screeb_tower ----------------------------------------------------------------
