@@ -45,7 +45,9 @@ _ROUNDING_MARGIN = 1e-6  # between the Frobenius bound and c before a certificat
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Immutable n x m sample matrix (rows are points)."""
+    """Immutable n x m sample matrix (rows are points). Coordinates are finite,
+    and so is the squared diagonal of their bounding box, which bounds every
+    squared distance."""
 
     points: np.ndarray
 
@@ -57,6 +59,10 @@ class PointCloud:
             raise InvalidDataError("point cloud must have n >= 1 and m >= 1")
         if not np.all(np.isfinite(pts)):
             raise InvalidDataError("point cloud contains non-finite coordinates")
+        with np.errstate(over="ignore"):  # column order: the per-axis reductions then read contiguous memory
+            spread = np.sum(np.square(np.ptp(np.asfortranarray(pts), axis=0)))
+        if not np.isfinite(spread):
+            raise InvalidDataError("point cloud spreads too far: its squared distances overflow float64")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -160,80 +161,57 @@ def reduce(g: Multigraph) -> Multigraph:  # noqa: A001 - module-level name is th
     """Contract maximal chains of degree-2 internal vertices.
 
     Branch points (degree >= 3), endpoints (degree 1), isolated vertices and
-    vertices carrying self-loops are preserved; each contracted chain becomes
-    a single edge whose length is the chain's length sum. A connected
+    vertices carrying self-loops are kept; each contracted chain becomes a
+    single edge whose length is the chain's length sum. A connected
     component that is a pure cycle (every vertex degree 2, no self-loop)
-    contracts to one vertex carrying one self-loop of the cycle's total
-    length. Betti numbers are preserved exactly.
+    contracts to its smallest vertex carrying one self-loop of the cycle's
+    total length. Betti numbers are preserved exactly. The output bytes
+    rest on two summation orders: a chain is summed in walk order from its
+    smaller kept endpoint, leaving each degree-2 vertex by its first edge
+    entry with a copy left, and a pure cycle in canonical edge order.
     """
-    n = g.n_vertices
-    deg = g.degrees()
-    loops = g.self_loop_counts()
-    keep = (deg != 2) | (loops > 0)
+    edges = g.edges
+    keep = ((g.degrees() != 2) | (g.self_loop_counts() > 0)).tolist()
+    left = [e.multiplicity for e in edges]  # copies of each entry not yet walked
+    incident: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for i, e in enumerate(edges):
+        incident[e.u].append(i)
+        if e.u != e.v:
+            incident[e.v].append(i)
 
-    # Expand multiplicities into edge instances for the chain walk.
-    inst_u: list[int] = []
-    inst_v: list[int] = []
-    inst_len: list[float] = []
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:
-        for _ in range(e.multiplicity):
-            i = len(inst_u)
-            inst_u.append(e.u)
-            inst_v.append(e.v)
-            inst_len.append(e.length)
-            incident[e.u].append(i)
-            if e.u != e.v:
-                incident[e.v].append(i)
+    def walk(v: int, i: int) -> tuple[list[int], int]:
+        # One copy of entry i out of v, then on through degree-2 vertices to a
+        # kept one: the entries taken, in walk order, and the vertex reached.
+        taken = []
+        while True:
+            left[i] -= 1
+            taken.append(i)
+            v = edges[i].u + edges[i].v - v
+            if keep[v]:
+                return taken, v
+            i = next(j for j in incident[v] if left[j])
 
-    comps = connected_components(g)
-    kept_vertices: list[int] = []
+    # Sums are running totals: float sum() is compensated from Python 3.12.
     new_edges: list[Edge] = []
-    used = [False] * len(inst_u)
+    for v in [v for v, k in enumerate(keep) if k]:
+        for i in incident[v]:
+            if left[i] and keep[edges[i].u + edges[i].v - v]:  # to a kept vertex, or a loop
+                new_edges.append(edges[i]._replace(multiplicity=left[i]))
+                left[i] = 0
+            while left[i]:
+                taken, end = walk(v, i)
+                *_, length = accumulate(edges[j].length for j in taken)
+                new_edges.append(Edge(v, end, length))
+    for i, e in enumerate(edges):
+        if left[i]:  # a pure cycle, first met at its smallest vertex
+            keep[e.u] = True
+            *_, length = accumulate((edges[j].length for j in sorted(walk(e.u, i)[0])), initial=0.0)
+            new_edges.append(Edge(e.u, e.u, length))
 
-    for comp in comps:
-        comp_keep = [v for v in comp if keep[v]]
-        if not comp_keep:
-            # Pure cycle: contract to the smallest vertex with one self-loop.
-            rep = comp[0]
-            total = 0.0
-            for v in comp:
-                for i in incident[v]:
-                    if not used[i]:
-                        used[i] = True
-                        total += inst_len[i]
-            kept_vertices.append(rep)
-            new_edges.append(Edge(rep, rep, total, 1))
-            continue
-        kept_vertices.extend(comp_keep)
-        for v in comp_keep:
-            for i in incident[v]:
-                if used[i]:
-                    continue
-                if inst_u[i] == inst_v[i]:
-                    used[i] = True
-                    new_edges.append(Edge(v, v, inst_len[i], 1))
-                    continue
-                # Walk the chain starting with instance i out of v.
-                used[i] = True
-                acc = inst_len[i]
-                prev = i
-                cur = inst_v[i] if inst_u[i] == v else inst_u[i]
-                while not keep[cur]:
-                    nxt = next(j for j in incident[cur] if j != prev and not used[j])
-                    used[nxt] = True
-                    acc += inst_len[nxt]
-                    prev = nxt
-                    cur = inst_v[nxt] if inst_u[nxt] == cur else inst_u[nxt]
-                new_edges.append(Edge(v, cur, acc, 1))
-
-    kept_vertices.sort()
-    relabel = {old: new for new, old in enumerate(kept_vertices)}
+    kept = [v for v, k in enumerate(keep) if k]
+    relabel = {old: new for new, old in enumerate(kept)}
     edges = tuple(Edge(relabel[e.u], relabel[e.v], e.length, e.multiplicity) for e in new_edges)
-    positions = None
-    if g.positions is not None:
-        positions = g.positions[kept_vertices]
-    return Multigraph(len(kept_vertices), edges, positions)
+    return Multigraph(len(kept), edges, None if g.positions is None else g.positions[kept])
 
 
 def disjoint_union(graphs: Sequence[Multigraph]) -> Multigraph:

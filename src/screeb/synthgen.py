@@ -74,7 +74,6 @@ class GeneratorConfig:
     gap_ratio_range: tuple[float, float] = (4.0, 8.0)
     min_points_per_component: int = 20
     dim_probs: dict = field(default_factory=lambda: {2: 0.50, 3: 0.35, 4: 0.10, 5: 0.05})
-    separation_to_feature_ratio: float = 6.0
     edge_jitter_range: tuple[float, float] = (0.0, 0.12)
     branch_angle_spread_range: tuple[float, float] = (0.5, 1.2)
     min_tube_radius_ratio: float = 0.02

@@ -1,10 +1,11 @@
-"""Shared test helpers: canonical clouds and random multigraphs."""
+"""Shared test helpers: canonical clouds, random multigraphs and the
+per-copy reduction oracle."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from screeb import Edge, Multigraph, PointCloud
+from screeb import Edge, Multigraph, PointCloud, connected_components
 from screeb.geometry import _symmetric_spectrum
 
 
@@ -21,6 +22,80 @@ def random_multigraph(rng, max_vertices=40, max_edges=60, positions=False):
         edges.append(Edge(u, v, length, mult))
     pos = rng.normal(size=(n, 2)) if positions else None
     return Multigraph(n, tuple(edges), pos)
+
+
+def per_copy_reduce(g: Multigraph) -> Multigraph:
+    """Reference for ``graph.reduce``: the same contraction with one walk
+    item per copy of each edge and one pass per connected component. Its
+    ``graph_to_json`` bytes are the ones ``graph.reduce`` must reproduce."""
+    n = g.n_vertices
+    deg = g.degrees()
+    loops = g.self_loop_counts()
+    keep = (deg != 2) | (loops > 0)
+
+    # Expand multiplicities into edge instances for the chain walk.
+    inst_u: list[int] = []
+    inst_v: list[int] = []
+    inst_len: list[float] = []
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for e in g.edges:
+        for _ in range(e.multiplicity):
+            i = len(inst_u)
+            inst_u.append(e.u)
+            inst_v.append(e.v)
+            inst_len.append(e.length)
+            incident[e.u].append(i)
+            if e.u != e.v:
+                incident[e.v].append(i)
+
+    comps = connected_components(g)
+    kept_vertices: list[int] = []
+    new_edges: list[Edge] = []
+    used = [False] * len(inst_u)
+
+    for comp in comps:
+        comp_keep = [v for v in comp if keep[v]]
+        if not comp_keep:
+            # Pure cycle: contract to the smallest vertex with one self-loop.
+            rep = comp[0]
+            total = 0.0
+            for v in comp:
+                for i in incident[v]:
+                    if not used[i]:
+                        used[i] = True
+                        total += inst_len[i]
+            kept_vertices.append(rep)
+            new_edges.append(Edge(rep, rep, total, 1))
+            continue
+        kept_vertices.extend(comp_keep)
+        for v in comp_keep:
+            for i in incident[v]:
+                if used[i]:
+                    continue
+                if inst_u[i] == inst_v[i]:
+                    used[i] = True
+                    new_edges.append(Edge(v, v, inst_len[i], 1))
+                    continue
+                # Walk the chain starting with instance i out of v.
+                used[i] = True
+                acc = inst_len[i]
+                prev = i
+                cur = inst_v[i] if inst_u[i] == v else inst_u[i]
+                while not keep[cur]:
+                    nxt = next(j for j in incident[cur] if j != prev and not used[j])
+                    used[nxt] = True
+                    acc += inst_len[nxt]
+                    prev = nxt
+                    cur = inst_v[nxt] if inst_u[nxt] == cur else inst_u[nxt]
+                new_edges.append(Edge(v, cur, acc, 1))
+
+    kept_vertices.sort()
+    relabel = {old: new for new, old in enumerate(kept_vertices)}
+    edges = tuple(Edge(relabel[e.u], relabel[e.v], e.length, e.multiplicity) for e in new_edges)
+    positions = None
+    if g.positions is not None:
+        positions = g.positions[kept_vertices]
+    return Multigraph(len(kept_vertices), edges, positions)
 
 
 def segment_cloud(rng, n=300):

@@ -6,7 +6,7 @@ import pytest
 from screeb import Edge, Multigraph, betti, connected_components, graph_from_json, graph_to_json
 from screeb import graph as graphmod
 
-from conftest import random_multigraph
+from conftest import per_copy_reduce, random_multigraph
 
 
 def path_graph(n, length=1.0):
@@ -160,6 +160,51 @@ def test_reduce_properties_random(rng):
         assert r.total_length() == pytest.approx(g.total_length(), abs=1e-9)
         rr = graphmod.reduce(r)
         assert graph_to_json(rr) == graph_to_json(r)
+        assert graph_to_json(r) == graph_to_json(per_copy_reduce(g))
+
+
+def _path(ids, lengths):
+    # Edges along the vertex sequence ids, one length per step.
+    return [Edge(int(a), int(b), float(ln)) for a, b, ln in zip(ids[:-1], ids[1:], lengths)]
+
+
+def test_reduce_float_summation_order(rng):
+    # Random lengths make every other summation order change some bytes.
+    for _ in range(100):
+        k = int(rng.integers(3, 10))
+        ids = rng.permutation(k)
+        cycle = Multigraph(k, tuple(_path([*ids, ids[0]], rng.uniform(0, 10, k))))
+        total = 0.0
+        for e in cycle.edges:  # canonical edge order
+            total += e.length
+        assert graphmod.reduce(cycle).edges == (Edge(0, 0, total, 1),)
+
+        # Vertex 0 is kept by its self-loop; each loop chain leaves and
+        # re-enters it through shuffled degree-2 vertices.
+        loops = [Edge(0, 0, float(rng.uniform(0, 10)))]
+        for a in range(1, 13, 4):
+            loops += _path([0, *(a + rng.permutation(4)), 0], rng.uniform(0, 10, 5))
+        # Hubs 0 and 1 (each degree >= 3): parallel classes of equal and of
+        # different lengths, and subdivided paths between them.
+        hubs = [Edge(0, 1, 2.5, 3), Edge(0, 1, float(rng.uniform(0, 10)), 2)]
+        for a in (2, 5):
+            hubs += _path([0, *(a + rng.permutation(3)), 1], rng.uniform(0, 10, 4))
+        length = float(rng.uniform(0, 10))
+        double = [Edge(0, 1, length, 2), Edge(0, 2, 1.0)]  # a loop of 2 * length at 0
+        for g in (cycle, Multigraph(13, tuple(loops)), Multigraph(8, tuple(hubs)), Multigraph(3, tuple(double))):
+            assert graph_to_json(graphmod.reduce(g)) == graph_to_json(per_copy_reduce(g))
+        assert Edge(0, 0, 2 * length, 1) in graphmod.reduce(Multigraph(3, tuple(double))).edges
+
+
+def test_reduce_keeps_multiplicity_whole():
+    # One entry stands for all its copies: 2**53 parallel edges reduce at once.
+    big = Multigraph(2, (Edge(0, 1, 0.7, 2**53),))
+    r = graphmod.reduce(big)
+    assert r.n_vertices == 2 and r.edges == big.edges
+    # Both copies of a multiplicity-2 entry into a degree-2 vertex form one loop.
+    r = graphmod.reduce(Multigraph(3, (Edge(0, 1, 0.7, 2), Edge(0, 2, 1.5))))
+    assert r.n_vertices == 2
+    assert r.edges == (Edge(0, 0, 1.4, 1), Edge(0, 1, 1.5, 1))
 
 
 # -- serialization ------------------------------------------------------------

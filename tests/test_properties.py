@@ -16,6 +16,8 @@ from screeb import (
 )
 from screeb import graph as graphmod
 
+from conftest import per_copy_reduce
+
 
 @st.composite
 def multigraphs(draw, max_vertices=12, max_edges=18):
@@ -72,6 +74,7 @@ def test_reduce_invariants(g):
     assert r.edge_count() <= g.edge_count()
     assert abs(r.total_length() - g.total_length()) <= 1e-9 * max(1.0, g.total_length())
     assert graph_to_json(graphmod.reduce(r)) == graph_to_json(r)
+    assert graph_to_json(r) == graph_to_json(per_copy_reduce(g))
 
 
 @given(reeb_pieces())

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screeb import Multigraph, PointCloud, ReebParams, errors, mapper_graph, screeb, screeb_tower
+from screeb.geometry import condense
 
 ERRORS = tuple(
     obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, Exception)
@@ -107,3 +108,23 @@ def test_screeb_points_closer_than_distances_resolve():
         screeb(PointCloud(points))
     with pytest.raises(errors.InvalidDataError, match="all points are identical"):
         screeb(PointCloud(np.ones((6, 2))))
+
+
+ENTRY_POINTS = (screeb, screeb_tower, mapper_graph, lambda cloud: condense(cloud, 80, 1))
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e300])
+def test_coordinates_whose_squared_spread_overflows_are_refused(scale):
+    # The kNN query overflows here and names the missing neighbour n.
+    points = np.random.default_rng(0).normal(size=(100, 2)) * scale
+    for call in ENTRY_POINTS:
+        with pytest.raises(errors.InvalidDataError, match="squared distances overflow"):
+            call(PointCloud(points))
+
+
+def test_coordinates_just_below_squared_spread_overflow_resolve():
+    points = np.random.default_rng(0).normal(size=(100, 2)) * 1e153
+    assert np.isfinite(np.sum(np.ptp(points, axis=0) ** 2))
+    for call in ENTRY_POINTS:
+        out = call(PointCloud(points))
+        assert isinstance(out.graph(0) if hasattr(out, "entries") else out, (Multigraph, PointCloud))
