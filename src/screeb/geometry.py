@@ -326,8 +326,12 @@ def fiedler_filter(affinity: AffinityMatrix, component: np.ndarray) -> np.ndarra
         return np.zeros(1)
     m, degrees = affinity.operator
     a = component[0] if component.size else 0
-    rows = slice(a, a + component.size) if np.array_equal(component, np.arange(a, a + component.size)) else component
-    sub_w, sub_m = affinity.matrix[rows][:, rows], m[rows][:, rows]
+    if np.array_equal(component, np.arange(a, a + component.size)):
+        rows = slice(a, a + component.size)
+        sub_w, sub_m = affinity.matrix[rows, rows], m[rows, rows]
+    else:
+        rows = component
+        sub_w, sub_m = affinity.matrix[rows][:, rows], m[rows][:, rows]
     n_comp, _ = _cs_components(sub_w, directed=False)
     if n_comp != 1:
         raise InvalidDataError(

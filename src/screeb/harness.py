@@ -10,6 +10,14 @@ results:    <results>/<method>/<id>/results.json, <results>/aggregate.csv
 The manifest is written last and acts as the completion marker. Method
 outputs are deterministic; timings live only in manifests and results, so
 graph artifacts are byte-stable across reruns and worker counts.
+
+``bench run`` goes sample by sample: each task loads one sample's cloud
+once and runs every method on it. When ``screeb`` and ``screebtower``
+have equal ``ReebParams`` apart from ``levels``, ``screeb`` is served from
+the tower's base level, computed once. Each status's ``timing_ms`` is the
+method's standalone cost: shared work (the cloud load, the base graph) is
+charged to every method that uses it, so per-method timings sum to more
+than the run took.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import os
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -184,18 +192,51 @@ def method_dirname(method: str) -> str:
     return method
 
 
+class _SharedWork:
+    """Work that several methods of one sample need, each piece done once.
+
+    ``get(key, fn)`` returns ``fn()``, or raises its error, computed on the
+    first request for ``key``. Each later request adds the first one's
+    elapsed time to ``charged_ms``, so a method that reuses the work is
+    still timed at its standalone cost.
+    """
+
+    def __init__(self):
+        self._done: dict = {}
+        self.charged_ms = 0.0
+
+    def get(self, key, fn):
+        if key in self._done:
+            value, error, ms = self._done[key]
+            self.charged_ms += ms
+        else:
+            start = time.perf_counter()
+            try:
+                value, error = fn(), None
+            except Exception as exc:  # every method that needs the work records it
+                value, error = None, exc
+            ms = (time.perf_counter() - start) * 1000.0
+            self._done[key] = (value, error, ms)
+        if error is not None:
+            raise error
+        return value
+
+
 def _run_method_on_cloud(
-    method: str, cloud: PointCloud, overrides: dict, level: Optional[int]
+    method: str, cloud: PointCloud, overrides: dict, level: Optional[int], shared: _SharedWork
 ) -> tuple[Multigraph, dict, list[tuple[str, Multigraph]]]:
     """Returns (scored graph, status fields, extra per-level outputs)."""
     params_doc = dict(overrides.get(method, {}))
-    if method == "screeb":
-        params_doc["levels"] = 0
+    if method in ("screeb", "screebtower"):
+        if method == "screeb":
+            params_doc["levels"] = 0
         params = ReebParams(**params_doc)
-        return screeb(cloud, params), {"tower_level": 0}, []
-    if method == "screebtower":
-        params = ReebParams(**params_doc)
-        tower = screeb_tower(cloud, params)
+        # The tower's level 0 is screeb's graph, so parameters that differ
+        # only in levels share it.
+        base = shared.get(replace(params, levels=0), lambda: screeb(cloud, params))
+        if method == "screeb":
+            return base, {"tower_level": 0}, []
+        tower = screeb_tower(cloud, params, base=base)
         scored = params.levels if level is None else level
         if not (0 <= scored < len(tower)):
             raise ConfigError(f"tower level {scored} outside 0..{len(tower) - 1}")
@@ -207,40 +248,51 @@ def _run_method_on_cloud(
     raise ConfigError(f"method {method!r} does not run locally")
 
 
-def _run_one(args) -> tuple[str, dict]:
-    method, sample_dir, out_dir, overrides, level = args
-    sid = Path(sample_dir).name
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    try:
-        if method.startswith("external:"):
-            src = Path(method.split(":", 1)[1]) / sid / "graph.json"
-            if not src.exists():
-                return sid, {"status": "missing", "error": f"no graph.json at {src}"}
-            g = load_graph(src)  # validate before copying
-            save_graph(g, out / "graph.json")
-            status: dict = {"status": "ok"}
-        else:
-            cloud = load_points_csv(Path(sample_dir) / "points.csv")
-            g, fields_, extras = _run_method_on_cloud(method, cloud, overrides, level)
-            for fname, extra_graph in extras:
-                save_graph(extra_graph, out / fname)
-            if extras:
-                tower_doc = {
-                    "levels": len(extras),
-                    "files": [fname for fname, _ in extras],
-                    "scored_level": fields_.get("tower_level"),
-                }
-                with open(out / "tower.json", "w") as fh:
-                    fh.write(_json_dumps(tower_doc))
-                    fh.write("\n")
-            save_graph(g, out / "graph.json")
-            status = {"status": "ok", **fields_}
-    except Exception as exc:  # failures recorded, batch continues
-        status = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-    status["timing_ms"] = (time.perf_counter() - start) * 1000.0
-    return sid, status
+def _run_method(
+    method: str, sample_dir: Path, out: Path, overrides: dict, level: Optional[int], shared: _SharedWork
+) -> dict:
+    """Writes one method's outputs for one sample into ``out``; returns its status."""
+    if method.startswith("external:"):
+        src = Path(method.split(":", 1)[1]) / sample_dir.name / "graph.json"
+        if not src.exists():
+            return {"status": "missing", "error": f"no graph.json at {src}"}
+        g = load_graph(src)  # validate before copying
+        save_graph(g, out / "graph.json")
+        return {"status": "ok"}
+    cloud = shared.get("points.csv", lambda: load_points_csv(sample_dir / "points.csv"))
+    g, fields_, extras = _run_method_on_cloud(method, cloud, overrides, level, shared)
+    for fname, extra_graph in extras:
+        save_graph(extra_graph, out / fname)
+    if extras:
+        tower_doc = {
+            "levels": len(extras),
+            "files": [fname for fname, _ in extras],
+            "scored_level": fields_.get("tower_level"),
+        }
+        with open(out / "tower.json", "w") as fh:
+            fh.write(_json_dumps(tower_doc))
+            fh.write("\n")
+    save_graph(g, out / "graph.json")
+    return {"status": "ok", **fields_}
+
+
+def _run_sample(args) -> tuple[str, dict[str, dict]]:
+    """Runs every method on one sample; returns the sample id and each method's status."""
+    sample_dir, outs, overrides, level = args
+    shared = _SharedWork()
+    statuses: dict[str, dict] = {}
+    for method, out_dir in outs:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        shared.charged_ms = 0.0
+        start = time.perf_counter()
+        try:
+            status = _run_method(method, Path(sample_dir), out, overrides, level, shared)
+        except Exception as exc:  # failures recorded, batch continues
+            status = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+        status["timing_ms"] = (time.perf_counter() - start) * 1000.0 + shared.charged_ms
+        statuses[method] = status
+    return Path(sample_dir).name, statuses
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -254,14 +306,15 @@ def cmd_run(cfg: RunConfig) -> int:
         "methods": {m: method_dirname(m) for m in cfg.methods},
         "level": cfg.level,
     }
+    mdirs = {m: run_root / method_dirname(m) for m in cfg.methods}
+    tasks = [
+        (str(Path(cfg.bench_dir) / sid), [(m, str(mdirs[m] / sid)) for m in cfg.methods], cfg.overrides, cfg.level)
+        for sid in ids
+    ]
+    by_sample = dict(_map(_run_sample, tasks, cfg.workers))
     any_failure = False
-    for method in cfg.methods:
-        mdir = run_root / method_dirname(method)
-        tasks = [
-            (method, str(Path(cfg.bench_dir) / sid), str(mdir / sid), cfg.overrides, cfg.level)
-            for sid in ids
-        ]
-        statuses = {sid: st for sid, st in sorted(_map(_run_one, tasks, cfg.workers))}
+    for method, mdir in mdirs.items():
+        statuses = {sid: by_sample[sid][method] for sid in sorted(by_sample)}
         any_failure = any_failure or any(st["status"] != "ok" for st in statuses.values())
         mdir.mkdir(parents=True, exist_ok=True)
         with open(mdir / "run_manifest.json", "w") as fh:
@@ -291,16 +344,17 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     methods = run_doc["methods"]
-    table: dict[str, dict[str, float]] = {}
+    run_statuses = {}
     for method, mdirname in methods.items():
-        mdir = Path(run_dir) / mdirname
-        with open(mdir / "run_manifest.json") as fh:
-            run_manifest = json.load(fh)
-        sims: list[float] = []
-        geds: list[float] = []
-        excluded = 0
-        for sid in manifest["sample_ids"]:
-            status = run_manifest["samples"].get(sid, {"status": "missing"})
+        with open(Path(run_dir) / mdirname / "run_manifest.json") as fh:
+            run_statuses[method] = json.load(fh)["samples"]
+    sims: dict[str, list[float]] = {m: [] for m in methods}
+    geds: dict[str, list[float]] = {m: [] for m in methods}
+    excluded = dict.fromkeys(methods, 0)
+    for sid in manifest["sample_ids"]:
+        latent, requested = None, None  # read once per sample, by its first scored method
+        for method, mdirname in methods.items():
+            status = run_statuses[method].get(sid, {"status": "missing"})
             sample_out = out / mdirname / sid
             result_doc: dict = {
                 "sample_id": sid,
@@ -308,17 +362,18 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
                 "tower_level": status.get("tower_level"),
                 "timing_ms": status.get("timing_ms"),
             }
-            graph_path = mdir / sid / "graph.json"
+            graph_path = Path(run_dir) / mdirname / sid / "graph.json"
             if status.get("status") != "ok" or not graph_path.exists():
-                excluded += 1
+                excluded[method] += 1
                 result_doc["status"] = status.get("status", "missing")
                 result_doc["error"] = status.get("error")
             else:
                 try:
                     recovered = load_graph(graph_path)
-                    latent = load_graph(Path(bench_dir) / sid / "graph.json")
+                    if latent is None:
+                        latent = load_graph(Path(bench_dir) / sid / "graph.json")
                 except (ValueError, OSError, KeyError) as exc:
-                    excluded += 1
+                    excluded[method] += 1
                     result_doc["status"] = "error"
                     result_doc["error"] = f"malformed graph.json: {exc}"
                 else:
@@ -326,20 +381,24 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
                     result_doc.update(comparison.to_dict())
                     result_doc["status"] = "ok"
                     result_doc["diagram"] = comparison.diagram_s.to_dict()
-                    with open(Path(bench_dir) / sid / "meta.json") as fh:
-                        meta = json.load(fh)
-                    result_doc["requested"] = meta.get("requested", {})
-                    sims.append(comparison.wasserstein_similarity)
-                    geds.append(comparison.ged)
+                    if requested is None:
+                        with open(Path(bench_dir) / sid / "meta.json") as fh:
+                            requested = json.load(fh).get("requested", {})
+                    result_doc["requested"] = requested
+                    sims[method].append(comparison.wasserstein_similarity)
+                    geds[method].append(comparison.ged)
             sample_out.mkdir(parents=True, exist_ok=True)
             with open(sample_out / "results.json", "w") as fh:
                 fh.write(_json_dumps(result_doc))
                 fh.write("\n")
-        table[method] = {
-            "wasserstein_similarity": float(np.mean(sims)) if sims else float("nan"),
-            "ged": float(np.mean(geds)) if geds else float("nan"),
-            "excluded": float(excluded),
+    table: dict[str, dict[str, float]] = {
+        m: {
+            "wasserstein_similarity": float(np.mean(sims[m])) if sims[m] else float("nan"),
+            "ged": float(np.mean(geds[m])) if geds[m] else float("nan"),
+            "excluded": float(excluded[m]),
         }
+        for m in methods
+    }
     method_names = list(methods)
     lines = ["metric," + ",".join(method_names)]
     for metric in ("wasserstein_similarity", "ged", "excluded"):

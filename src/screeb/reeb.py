@@ -211,14 +211,19 @@ def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:
     return graphmod.disjoint_union(pieces)
 
 
-def screeb_tower(cloud: PointCloud, params: ReebParams = ReebParams()) -> ReebTower:
+def screeb_tower(
+    cloud: PointCloud, params: ReebParams = ReebParams(), base: Optional[Multigraph] = None
+) -> ReebTower:
     """Condensation tower of reduced Reeb graphs.
 
     Entry 0 is ``screeb`` on the raw cloud; each further entry condenses the
     previous cloud with a fresh operator (a non-homogeneous diffusion
-    process) and re-runs the construction.
+    process) and re-runs the construction. ``base``, when given, must be
+    the caller's ``screeb(cloud, params)`` result: it is taken as entry 0
+    unchecked, so a caller that already holds the base graph does not
+    compute it twice.
     """
-    entries = [(0, cloud, screeb(cloud, params))]
+    entries = [(0, cloud, screeb(cloud, params) if base is None else base)]
     current = cloud
     k_smooth = params.resolve_k_smooth(cloud.n)
     k_bw = params.resolve_k_bw(cloud.n)

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -208,7 +209,126 @@ def test_run_external_method(small_bench, tmp_path):
     assert "edge 0: " in manifest["samples"][ids[2]]["error"]
 
 
+def graph_files(root):
+    """The graph artifacts of a run: every graph.json, level_*.json and tower.json."""
+    return {k: v for k, v in tree_bytes(root).items() if Path(k).name != "run_manifest.json" and k != "run.json"}
+
+
+def test_run_statuses_all_carry_timing(small_bench, tmp_path):
+    ext = tmp_path / "ext"  # no sample has a graph: every status is "missing"
+    ext.mkdir()
+    out = tmp_path / "run"
+    cmd_run(RunConfig(bench_dir=str(small_bench), methods=(f"external:{ext}", "mapper"), out_dir=str(out)))
+    for mdir, status in ((out / f"external_{ext.name}", "missing"), (out / "mapper", "ok")):
+        samples = json.loads((mdir / "run_manifest.json").read_text())["samples"]
+        assert {st["status"] for st in samples.values()} == {status}
+        assert all(isinstance(st["timing_ms"], float) for st in samples.values())
+
+
+def counting_screeb(monkeypatch, delay=0.0):
+    """Count screeb calls from the harness and from inside the tower; each sleeps ``delay`` s."""
+    from screeb import harness, reeb
+
+    calls = []
+    real = reeb.screeb
+
+    def counted(cloud, params=screeb.ReebParams()):
+        calls.append(cloud.n)
+        time.sleep(delay)
+        return real(cloud, params)
+
+    monkeypatch.setattr(harness, "screeb", counted)
+    monkeypatch.setattr(reeb, "screeb", counted)
+    return calls
+
+
+def test_run_screeb_is_the_tower_base(small_bench, small_run, tmp_path, monkeypatch):
+    # With equal parameters screeb's graph is the tower's level 0: three screeb
+    # calls per sample at levels=2, not four. The base graph's time is charged
+    # to both methods, so each reads at least the delay of every screeb call
+    # it stands on: one for screeb, three for the tower.
+    calls = counting_screeb(monkeypatch, delay=0.05)
+    out = tmp_path / "run"
+    assert cmd_run(RunConfig(bench_dir=str(small_bench), methods=("screeb", "screebtower"), out_dir=str(out))) == 0
+    ids = read_manifest(str(small_bench))["sample_ids"]
+    assert screeb.ReebParams().levels == 2 and len(calls) == 3 * len(ids)
+    shared = {k: v for k, v in graph_files(small_run).items() if not k.startswith("mapper")}
+    assert graph_files(out) == shared
+    for method, floor_ms in (("screeb", 50.0), ("screebtower", 150.0)):
+        samples = json.loads((out / method / "run_manifest.json").read_text())["samples"]
+        assert all(samples[sid]["timing_ms"] >= floor_ms for sid in ids)
+
+
+def test_run_overrides_that_differ_are_not_shared(small_bench, tmp_path, monkeypatch):
+    calls = counting_screeb(monkeypatch)
+    overrides = {"screeb": {"k": 10}}
+    both = tmp_path / "both"
+    cmd_run(RunConfig(str(small_bench), ("screeb", "screebtower"), str(both), overrides=overrides))
+    ids = read_manifest(str(small_bench))["sample_ids"]
+    assert len(calls) == 4 * len(ids)
+    for method in ("screeb", "screebtower"):
+        alone = tmp_path / method
+        cmd_run(RunConfig(str(small_bench), (method,), str(alone), overrides=overrides))
+        assert graph_files(alone) == {k: v for k, v in graph_files(both).items() if k.startswith(method + "/")}
+
+
+def test_run_base_failures_stay_per_method(small_bench, small_run, tmp_path, monkeypatch):
+    from screeb import harness, reeb
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    # A condensation level that raises fails the tower alone.
+    monkeypatch.setattr(reeb, "condense", boom)
+    out = tmp_path / "condense"
+    assert cmd_run(RunConfig(str(small_bench), ("screeb", "screebtower"), str(out))) == 2
+    tower = json.loads((out / "screebtower" / "run_manifest.json").read_text())["samples"]
+    assert {st["status"] for st in tower.values()} == {"error"}
+    assert {st["error"] for st in tower.values()} == {"RuntimeError: boom"}
+    base = json.loads((out / "screeb" / "run_manifest.json").read_text())["samples"]
+    assert {st["status"] for st in base.values()} == {"ok"}
+    assert {k: v for k, v in graph_files(out).items() if k.startswith("screeb/")} == {
+        k: v for k, v in graph_files(small_run).items() if k.startswith("screeb/")
+    }
+    # A base graph that raises fails both methods with its error.
+    monkeypatch.setattr(harness, "screeb", boom)
+    out = tmp_path / "base"
+    assert cmd_run(RunConfig(str(small_bench), ("screeb", "screebtower", "mapper"), str(out))) == 2
+    for method, want in (("screeb", {"RuntimeError: boom"}), ("screebtower", {"RuntimeError: boom"})):
+        samples = json.loads((out / method / "run_manifest.json").read_text())["samples"]
+        assert {st.get("error") for st in samples.values()} == want
+    mapper = json.loads((out / "mapper" / "run_manifest.json").read_text())["samples"]
+    assert {st["status"] for st in mapper.values()} == {"ok"}
+
+
+def test_run_worker_count_invariant(small_bench, small_run, tmp_path):
+    out = tmp_path / "run_w2"
+    cfg = RunConfig(str(small_bench), ("screeb", "screebtower", "mapper"), str(out), workers=2)
+    assert cmd_run(cfg) == 0
+    files = graph_files(out)
+    assert any(Path(k).name == "tower.json" for k in files) and any("level_2" in k for k in files)
+    assert files == graph_files(small_run)
+
+
 # -- evaluate -------------------------------------------------------------------
+
+
+def test_evaluate_reads_each_latent_sample_once(small_bench, small_run, tmp_path, monkeypatch):
+    from screeb import harness
+
+    loaded = []
+    real = harness.load_graph
+
+    def counted(path):
+        loaded.append(Path(path))
+        return real(path)
+
+    monkeypatch.setattr(harness, "load_graph", counted)
+    cmd_evaluate(str(small_bench), str(small_run), str(tmp_path / "results"))
+    ids = read_manifest(str(small_bench))["sample_ids"]
+    latent = [p for p in loaded if p.is_relative_to(small_bench)]
+    assert sorted(latent) == [small_bench / sid / "graph.json" for sid in ids]
+    assert len(loaded) == 4 * len(ids)
 
 
 def test_evaluate_oracle_method(small_bench, tmp_path):

@@ -412,6 +412,21 @@ def test_tower_zero_levels_matches_screeb(rng):
     tower = screeb_tower(cloud, ReebParams(levels=0))
     assert len(tower) == 1
     assert graph_to_json(tower.graph(0)) == graph_to_json(screeb(cloud, ReebParams(levels=0)))
+    # At the default depth on a multi-component cloud, level 0 is still
+    # screeb's graph, and a tower handed that graph as its base is the same
+    # tower at every level.
+    cloud = PointCloud(separated_clusters(rng, [70, 50, 40], dim=2))
+    params = ReebParams()
+    base = screeb(cloud, params)
+    assert params.levels == 2 and betti(base).b0 == 3
+    tower = screeb_tower(cloud, params)
+    given = screeb_tower(cloud, params, base=base)
+    assert graph_to_json(tower.graph(0)) == graph_to_json(base)
+    assert given.graph(0) is base
+    assert len(given) == len(tower) == 3
+    for (level, sub, g), (given_level, given_sub, given_g) in zip(tower.entries, given.entries):
+        assert level == given_level and np.array_equal(sub.points, given_sub.points)
+        assert graph_to_json(g) == graph_to_json(given_g)
 
 
 def test_tower_levels_count(rng):
