@@ -377,8 +377,8 @@ def condense(cloud: PointCloud, k_smooth: int, t: int, k_bw: Optional[int] = Non
 
 def save_points_csv(cloud: PointCloud, path) -> None:
     with open(path, "w") as fh:
-        for row in cloud.points:
-            fh.write(",".join(repr(float(x)) for x in row))
+        for row in cloud.points.tolist():
+            fh.write(",".join(map(repr, row)))
             fh.write("\n")
 
 

@@ -650,27 +650,44 @@ def _segment_distances(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.nd
     return np.sqrt(row_dots(gap, gap))
 
 
-def _min_clearance(positions: np.ndarray, g: Multigraph) -> float:
-    """Minimum distance between non-adjacent features (edge segments and
-    isolated vertices)."""
+def _clearance_pairs(g: Multigraph) -> tuple[np.ndarray, ...]:
+    """Every pair of non-adjacent features of ``g`` (edge segments, and
+    isolated vertices as point segments), as four vertex-id arrays: the
+    first feature's two ends, then the second's."""
     isolated = np.flatnonzero(g.degrees() == 0)
     feats = np.array([(e.u, e.v) for e in g.edges] + [(v, v) for v in isolated], dtype=int).reshape(-1, 2)
     i, j = np.triu_indices(len(feats), k=1)
     a, b = feats[i], feats[j]
     keep = ~(a[:, :, None] == b[:, None, :]).any(axis=(1, 2))
     a, b = a[keep], b[keep]
-    if not len(a):
+    return a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+
+
+def _pair_clearance(positions: np.ndarray, pairs: tuple[np.ndarray, ...]) -> float:
+    """Minimum distance between the feature pairs of ``_clearance_pairs`` at
+    ``positions``; infinite when there are none."""
+    if not len(pairs[0]):
         return math.inf
-    return float(np.min(_segment_distances(positions[a[:, 0]], positions[a[:, 1]], positions[b[:, 0]], positions[b[:, 1]])))
+    return float(np.min(_segment_distances(*(positions[ends] for ends in pairs))))
+
+
+def _min_clearance(positions: np.ndarray, g: Multigraph) -> float:
+    """Minimum distance between non-adjacent features (edge segments and
+    isolated vertices)."""
+    return _pair_clearance(positions, _clearance_pairs(g))
 
 
 def _hole_scales(positions: np.ndarray, loops: list[list[int]]) -> list[float]:
-    out = []
-    for loop in loops:
-        pts = positions[loop]
-        centroid = np.broadcast_to(pts.mean(axis=0), pts.shape)
-        out.append(float(np.min(_segment_distances(centroid, centroid, pts, np.roll(pts, -1, axis=0)))))
-    return out
+    """Per loop, the distance from its vertex centroid to its nearest side,
+    all loops in one segment-distance call."""
+    if not loops:
+        return []
+    sizes = [len(loop) for loop in loops]
+    centroids = np.repeat([positions[loop].mean(axis=0) for loop in loops], sizes, axis=0)
+    starts = [v for loop in loops for v in loop]
+    ends = [v for loop in loops for v in loop[1:] + loop[:1]]
+    dists = _segment_distances(centroids, centroids, positions[starts], positions[ends])
+    return np.minimum.reduceat(dists, np.cumsum([0] + sizes[:-1])).tolist()
 
 
 def _place_polygon(
@@ -701,13 +718,18 @@ def _place_arc(a: np.ndarray, z: np.ndarray, n_interior: int, side_dir: np.ndarr
     chord = z - a
     chord_len = float(np.linalg.norm(chord))
     normal = _unit(side_dir - (side_dir @ _unit(chord)) * _unit(chord), rng) if chord_len > 1e-12 else _unit(side_dir, rng)
+    # Interior vertex i sits at a + chord * (i / n_seg) + normal * h * sin(pi * i / n_seg),
+    # and only h changes between bisection steps. ``math.sin``, BLAS norms and a
+    # left-to-right ``sum`` keep the bits of the point-by-point form.
+    base = a + chord * np.array([i / n_seg for i in range(1, n_seg)])[:, None]
+    shape = [math.sin(math.pi * i / n_seg) for i in range(1, n_seg)]
+    column = np.array(shape)[:, None]
+    pts = np.vstack([a, base, z])
 
     def polyline_len(h: float) -> float:
-        pts = [a] + [
-            a + chord * (i / n_seg) + normal * h * math.sin(math.pi * i / n_seg)
-            for i in range(1, n_seg)
-        ] + [z]
-        return sum(float(np.linalg.norm(pts[i + 1] - pts[i])) for i in range(n_seg))
+        pts[1:-1] = base + (normal * h) * column
+        steps = pts[1:] - pts[:-1]
+        return sum(np.sqrt(row_dots(steps, steps)).tolist())
 
     target = float(n_seg)
     lo, hi = 0.0, float(n_seg)
@@ -719,11 +741,7 @@ def _place_arc(a: np.ndarray, z: np.ndarray, n_interior: int, side_dir: np.ndarr
             else:
                 hi = mid
     h = 0.5 * (lo + hi)
-    pts = []
-    for i in range(1, n_seg):
-        bulge = h * math.sin(math.pi * i / n_seg) * (1.0 + rng.uniform(-jitter, jitter))
-        pts.append(a + chord * (i / n_seg) + normal * bulge)
-    return pts
+    return [row + normal * (h * arch * (1.0 + rng.uniform(-jitter, jitter))) for row, arch in zip(base, shape)]
 
 
 def _layout_component_2d(
@@ -734,52 +752,57 @@ def _layout_component_2d(
     adj = _simple_adjacency(g, comp)
     twigs, core_vertices, core_edges = _strip_leaves(adj)
     pos: dict[int, np.ndarray] = {}
+    # Means are sums in placement order divided by the count: the bits of
+    # ``np.mean`` over the same rows, without building an array per call.
+    total = np.zeros(2)
+
+    def place(v: int, p: np.ndarray) -> None:
+        nonlocal total
+        total = total + p if pos else p
+        pos[v] = p
 
     def centroid() -> np.ndarray:
         if not pos:
             return np.zeros(2)
-        return np.mean(list(pos.values()), axis=0)
+        return total / len(pos)
 
     def outward(anchor: int) -> np.ndarray:
         placed_nbrs = [pos[w] for w, _ in adj[anchor] if w in pos]
         if placed_nbrs:
-            return _unit(pos[anchor] - np.mean(placed_nbrs, axis=0), rng)
+            return _unit(pos[anchor] - sum(placed_nbrs[1:], placed_nbrs[0]) / len(placed_nbrs), rng)
         return _unit(pos[anchor] - centroid(), rng)
 
     if not core_edges:
         root = next(v for v in sorted(comp) if v not in {leaf for _, leaf, _ in twigs})
-        pos[root] = np.zeros(2)
+        place(root, np.zeros(2))
     else:
         blocks = _biconnected_blocks(core_vertices, adj, core_edges)
         block_verts = [sorted({u for u, v, _ in b} | {v for u, v, _ in b}) for b in blocks]
         start = min(min(bv) for bv in block_verts)
-        pending = list(range(len(blocks)))
-        placed_any = False
+        # Blocks by vertex list; each step places the first one that holds
+        # ``start`` (first step) or an already placed vertex (later steps).
+        pending = sorted(range(len(blocks)), key=lambda i: block_verts[i])
         while pending:
-            chosen = None
-            anchor = None
-            for bi in sorted(pending, key=lambda i: block_verts[i]):
-                shared = [v for v in block_verts[bi] if v in pos]
-                if not placed_any and start in block_verts[bi]:
-                    chosen, anchor = bi, start
+            for chosen in pending:
+                if not pos and start in block_verts[chosen]:
+                    anchor = start
                     break
-                if shared:
-                    chosen, anchor = bi, shared[0]
+                anchor = next((v for v in block_verts[chosen] if v in pos), None)
+                if anchor is not None:
                     break
-            if chosen is None:
+            else:
                 raise GenerationReject("embedding-disconnected-core")
             pending.remove(chosen)
             block = blocks[chosen]
             if anchor not in pos:
-                pos[anchor] = np.zeros(2)
-            placed_any = True
+                place(anchor, np.zeros(2))
             if len(block) == 1:
                 u, v, _e = block[0]
                 leaf = v if u == anchor else u
                 if leaf not in pos:
                     angle = rng.uniform(-spread, spread)
                     step = 1.0 * (1.0 + rng.uniform(-jitter, jitter))
-                    pos[leaf] = pos[anchor] + step * _rotate2(outward(anchor), angle)
+                    place(leaf, pos[anchor] + step * _rotate2(outward(anchor), angle))
                 continue
             chains = _chain_decomposition(block, anchor)
             for ci, chain in enumerate(chains):
@@ -788,7 +811,7 @@ def _layout_component_2d(
                     out_dir = _rotate2(outward(anchor), rng.uniform(-spread, spread))
                     ring = _place_polygon(pos[anchor], n_sides, out_dir, jitter, rng)
                     for vert, p in zip(chain[1:-1], ring):
-                        pos[vert] = p
+                        place(vert, p)
                 else:
                     a, z = chain[0], chain[-1]
                     interior = chain[1:-1]
@@ -798,17 +821,17 @@ def _layout_component_2d(
                         out_dir = _rotate2(outward(a), rng.uniform(-spread, spread))
                         ring = _place_polygon(pos[a], len(interior) + 1, out_dir, jitter, rng)
                         for vert, p in zip(interior, ring):
-                            pos[vert] = p
+                            place(vert, p)
                     else:
                         mid = 0.5 * (pos[a] + pos[z])
                         side = _unit(mid - centroid(), rng)
                         arc = _place_arc(pos[a], pos[z], len(interior), side, jitter, rng)
                         for vert, p in zip(interior, arc):
-                            pos[vert] = p
+                            place(vert, p)
     for anchor, leaf, _e in reversed(twigs):
         angle = rng.uniform(-spread, spread)
         step = 1.0 * (1.0 + rng.uniform(-jitter, jitter))
-        pos[leaf] = pos[anchor] + step * _rotate2(outward(anchor), angle)
+        place(leaf, pos[anchor] + step * _rotate2(outward(anchor), angle))
     return pos
 
 
@@ -828,7 +851,9 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
     drawn gap ratio times the feature scale. Raises
     :class:`GenerationReject` when the segment-clearance constraint cannot
     be met within the iteration budget. Self-loops and parallel edges have
-    no straight-segment embedding and are rejected.
+    no straight-segment embedding and are rejected. Each component's
+    relabelled graph and its clearance pairs are built once, before its
+    layout attempts.
     """
     if dim not in (2, 3, 4, 5):
         raise ValueError("embedding dimension must be one of {2, 3, 4, 5}")
@@ -842,55 +867,49 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
     comps = graphmod.connected_components(g)
     min_clear = cfg.eps_sep * cfg.feature_scale
     comp_positions: list[np.ndarray] = []
+    # Each component relabelled to local vertex ids 0..len(comp) - 1.
+    comp_graphs: list[Multigraph] = []
     for comp in comps:
-        sub_edges = [(e.u, e.v) for e in g.edges if e.u in set(comp)]
+        idx = {v: i for i, v in enumerate(comp)}
+        local = Multigraph(len(comp), tuple(Edge(idx[e.u], idx[e.v], 1.0, 1) for e in g.edges if e.u in idx))
+        pairs = _clearance_pairs(local)
         placed = None
         for _attempt in range(cfg.max_search_iterations):
             pos2d = _layout_component_2d(g, comp, cfg, rng)
             arr = np.zeros((len(comp), dim))
-            for i, v in enumerate(comp):
-                arr[i, :2] = pos2d[v]
+            arr[:, :2] = [pos2d[v] for v in comp]
             if dim > 2:
                 arr[:, 2:] = rng.uniform(
                     -cfg.isotropy_eps, cfg.isotropy_eps, size=(len(comp), dim - 2)
                 ) * cfg.feature_scale
             arr = arr @ _random_rotation(dim, rng).T
-            local = Multigraph(
-                len(comp),
-                tuple(
-                    Edge(comp.index(u), comp.index(v), 1.0, 1) for u, v in sub_edges
-                ),
-            )
-            if len(sub_edges) < 2 or _min_clearance(arr, local) >= min_clear:
+            if _pair_clearance(arr, pairs) >= min_clear:
                 placed = arr
                 break
         if placed is None:
             raise GenerationReject("embedding-clearance")
         comp_positions.append(placed)
+        comp_graphs.append(local)
 
     # Assemble components with controlled gaps.
     positions = np.zeros((g.n_vertices, dim))
-    deg = g.degrees()
     # Features as (k, 2, dim) endpoint arrays: edges, then isolated vertices
     # as point segments.
     placed = np.zeros((0, 2, dim))
 
-    def comp_feats(comp: list[int]) -> np.ndarray:
+    def comp_feats(local: Multigraph) -> np.ndarray:
         """Local endpoint indices of the component's features, (k, 2)."""
-        idx = {v: i for i, v in enumerate(comp)}
-        ends = [(idx[e.u], idx[e.v]) for e in g.edges if e.u in idx]
-        return np.array(ends + [(idx[v], idx[v]) for v in comp if deg[v] == 0], dtype=int).reshape(-1, 2)
+        ends = [(e.u, e.v) for e in local.edges]
+        return np.array(ends + [(v, v) for v in np.flatnonzero(local.degrees() == 0)], dtype=int).reshape(-1, 2)
 
     max_edge_len = cfg.feature_scale
-    for comp, arr in zip(comps, comp_positions):
-        idx = {v: i for i, v in enumerate(comp)}
-        for e in g.edges:
-            if e.u in idx and e.v in idx:
-                max_edge_len = max(max_edge_len, float(np.linalg.norm(arr[idx[e.u]] - arr[idx[e.v]])))
+    for local, arr in zip(comp_graphs, comp_positions):
+        for e in local.edges:
+            max_edge_len = max(max_edge_len, float(np.linalg.norm(arr[e.u] - arr[e.v])))
 
-    for ci, (comp, arr) in enumerate(zip(comps, comp_positions)):
+    for ci, (comp, local, arr) in enumerate(zip(comps, comp_graphs, comp_positions)):
         arr = arr - arr.mean(axis=0, keepdims=True)
-        feats = comp_feats(comp)
+        feats = comp_feats(local)
         if ci == 0:
             for i, v in enumerate(comp):
                 positions[v] = arr[i]
@@ -949,16 +968,19 @@ def draw_dimension(cfg: GeneratorConfig, rng: np.random.Generator) -> int:
     return int(dims[int(rng.choice(len(dims), p=probs))])
 
 
-def _shrink_positions(positions: np.ndarray, factor: float) -> np.ndarray:
-    """Scale the embedding along its top principal axis by ``factor``."""
-    if factor >= 1.0 - 1e-12:
-        return positions
-    mean = positions.mean(axis=0, keepdims=True)
-    centered = positions - mean
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    axis = vt[0]
+def _shrinker(positions: np.ndarray):
+    """``shrink(factor)``: the embedding scaled along its top principal axis
+    by ``factor``, with the axis found once for every factor."""
+    centered = positions - positions.mean(axis=0, keepdims=True)
+    axis = np.linalg.svd(centered, full_matrices=False)[2][0]
     along = centered @ axis
-    return positions + np.outer(along * (factor - 1.0), axis)
+
+    def shrink(factor: float) -> np.ndarray:
+        if factor >= 1.0 - 1e-12:
+            return positions
+        return positions + np.outer(along * (factor - 1.0), axis)
+
+    return shrink
 
 
 def _ball_dirs(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -996,23 +1018,25 @@ def sample_point_cloud(
     samples ceil(density x length) points per edge (endpoints included)
     plus junction-node balls, tops components up to the minimum point
     count, and adds isotropic Gaussian noise capped by the post-crowding
-    clearance over the safety multiplier.
+    clearance over the safety multiplier. The clearance pairs of the graph
+    are built once and serve every step of the crowding search.
     """
     if coords is None:
         coords = draw_difficulty(cfg, rng)
     g = g_embedded
     if g.positions is None:
         raise InvalidDataError("sample_point_cloud requires an embedded graph")
+    if g.n_vertices == 0:
+        raise InvalidDataError("sample_point_cloud requires a graph with at least one vertex")
     positions = np.array(g.positions, dtype=float)
     dim = positions.shape[1]
-    edges = list(g.edges)
-    deg = g.degrees()
     loops = _cycle_loops(g)
 
-    edge_lengths = [float(np.linalg.norm(positions[e.u] - positions[e.v])) for e in edges]
+    edge_lengths = [float(np.linalg.norm(positions[e.u] - positions[e.v])) for e in g.edges]
     mean_edge_len = float(np.mean(edge_lengths)) if edge_lengths else cfg.feature_scale
 
-    clearance0 = _min_clearance(positions, g)
+    pairs = _clearance_pairs(g)
+    clearance0 = _pair_clearance(positions, pairs)
     holes0 = _hole_scales(positions, loops)
     r_max = 0.45 * clearance0 if math.isfinite(clearance0) else 0.45 * cfg.feature_scale
     if holes0:
@@ -1027,9 +1051,11 @@ def sample_point_cloud(
     # Thickness-aware crowding: shrink along the top principal axis by the
     # separation coordinate, never past the clearance that keeps distinct
     # tubes apart (and cycle holes open) at the chosen radius.
+    shrink = _shrinker(positions)
+
     def feasible(factor: float) -> bool:
-        pos_f = _shrink_positions(positions, factor)
-        if _min_clearance(pos_f, g) < 2.1 * radius:
+        pos_f = shrink(factor)
+        if _pair_clearance(pos_f, pairs) < 2.1 * radius:
             return False
         if loops:
             if min(_hole_scales(pos_f, loops)) * cfg.cycle_hole_cap_fraction < radius * (1.0 - 1e-9):
@@ -1050,7 +1076,7 @@ def sample_point_cloud(
             if hi - lo < cfg.search_tolerance:
                 break
         factor = hi
-    positions = _shrink_positions(positions, factor)
+    positions = shrink(factor)
 
     # Fix vertex labels and edge enumeration to the canonical (serialized)
     # order now, so per-point parent ids stay valid across a disk round-trip.
@@ -1077,7 +1103,7 @@ def sample_point_cloud(
     for ci, comp in enumerate(comps):
         comp_of_vertex[comp] = ci
 
-    pts: list[np.ndarray] = []
+    pts: list[np.ndarray] = []  # (k, dim) blocks of points, in sampling order
     parent_kinds: list[str] = []
     parent_ids: list[int] = []
     point_comps: list[int] = []
@@ -1091,29 +1117,26 @@ def sample_point_cloud(
         axis_unit = axis / seg_len if seg_len > 1e-12 else np.zeros(dim)
         comp_id = int(comp_of_vertex[e.u])
         if include_endpoints:
-            for endpoint in (a, bpos):
-                pts.append(endpoint.copy())
-                parent_kinds.append("e")
-                parent_ids.append(ei)
-                point_comps.append(comp_id)
+            pts.append(positions[[e.u, e.v]])
+            parent_kinds.extend(["e"] * 2)
+            parent_ids.extend([ei] * 2)
+            point_comps.extend([comp_id] * 2)
             count = max(count - 2, 0)
         if count <= 0:
             return
         ts = rng.uniform(size=count)
         offsets = _tube_offsets(rng, count, axis_unit, radius, dim)
-        for t, off in zip(ts, offsets):
-            pts.append(a + t * axis + off)
-            parent_kinds.append("e")
-            parent_ids.append(ei)
-            point_comps.append(comp_id)
+        pts.append(a + ts[:, None] * axis + offsets)
+        parent_kinds.extend(["e"] * count)
+        parent_ids.extend([ei] * count)
+        point_comps.extend([comp_id] * count)
 
     def add_vertex_ball(v: int, count: int) -> None:
         offs = _ball_dirs(rng, count, dim) * radius
-        for off in offs:
-            pts.append(positions[v] + off)
-            parent_kinds.append("v")
-            parent_ids.append(int(v))
-            point_comps.append(int(comp_of_vertex[v]))
+        pts.append(positions[v] + offs)
+        parent_kinds.extend(["v"] * count)
+        parent_ids.extend([int(v)] * count)
+        point_comps.extend([int(comp_of_vertex[v])] * count)
 
     for ei, e in enumerate(edges):
         dens = coords.density * (1.0 + rng.uniform(-density_jitter, density_jitter))
@@ -1126,9 +1149,7 @@ def sample_point_cloud(
             add_vertex_ball(int(v), max(cfg.min_points_per_component, math.ceil(coords.density * radius)))
 
     # Top components up to the minimum point count.
-    counts = np.zeros(len(comps), dtype=int)
-    for c in point_comps:
-        counts[c] += 1
+    counts = np.bincount(point_comps, minlength=len(comps))
     comp_edges: list[list[int]] = [[] for _ in comps]
     for ei, e in enumerate(edges):
         comp_edges[comp_of_vertex[e.u]].append(ei)
@@ -1141,7 +1162,7 @@ def sample_point_cloud(
                 add_vertex_ball(comps[ci][0], 1)
             counts[ci] += 1
 
-    x = np.array(pts)
+    x = np.concatenate(pts)
     noise_scale = min(coords.noise_ratio * cfg.feature_scale, clearance / cfg.safety_multiplier)
     if noise_scale < 1e-3 * cfg.feature_scale:
         raise GenerationReject("noise-floor")

@@ -10,8 +10,9 @@ sample reaches a second one). The portable tier
 (Betti numbers, vertex and edge counts, and sorted edge lengths to a
 relative and absolute 1e-9, of every graph) is compared everywhere, so a
 solver change that moves a graph under another LAPACK build still shows.
-The sha256 digests of each ``points.csv`` and ``graph.json`` are
-compared only under the numpy and scipy versions they were recorded with,
+The sha256 digests of each ``points.csv``, ``meta.json`` (whose
+``realized`` block holds the generator's clearance, tube radius and
+shrink) and ``graph.json`` are compared only under the numpy and scipy versions they were recorded with,
 because eigenvector bits can differ between LAPACK builds.
 
 Re-record (only for a change that is meant to move outputs, stating which
@@ -72,6 +73,8 @@ def ci_digests(root: Path) -> dict:
     for sid in sorted(p.name for p in bench.iterdir() if p.is_dir()):
         points = bench / sid / "points.csv"
         files[f"bench/{sid}/points.csv"] = {"sha256": hashlib.sha256(points.read_bytes()).hexdigest()}
+        meta = bench / sid / "meta.json"
+        files[f"bench/{sid}/meta.json"] = {"sha256": hashlib.sha256(meta.read_bytes()).hexdigest()}
         files[f"bench/{sid}/graph.json"] = _graph_entry(bench / sid / "graph.json")
         for method in METHODS:
             files[f"{method}/{sid}/graph.json"] = _graph_entry(run / method / sid / "graph.json")

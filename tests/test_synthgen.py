@@ -26,11 +26,15 @@ from screeb import graph as graphmod
 from screeb.errors import ConfigError, GenerationReject, InvalidDataError
 from screeb.synthgen import (
     DifficultyCoords,
+    _clearance_pairs,
     _cycle_loops,
     _hole_scales,
     _min_clearance,
+    _pair_clearance,
+    _place_arc,
     _point_segment_distances,
     _segment_distances,
+    _unit,
     draw_difficulty,
     sample_subseed,
     splitmix64,
@@ -227,6 +231,13 @@ def embedded(g, cfg, rng, dim=2):
         tuple(Edge(e.u, e.v, float(np.linalg.norm(pos[e.u] - pos[e.v])), e.multiplicity) for e in g.edges),
         pos,
     )
+
+
+def test_sample_point_cloud_rejects_empty_graph(rng):
+    g = Multigraph(0, (), np.zeros((0, 2)))
+    for separation in (0.0, 0.3):
+        with pytest.raises(InvalidDataError):
+            sample_point_cloud(g, GeneratorConfig(), rng, DifficultyCoords(0.05, separation, 10.0, 0.5))
 
 
 def test_tube_degenerate_segment(rng):
@@ -504,6 +515,102 @@ def test_clearance_and_hole_scales_match_loop_reference(ci_samples):
         loops_seen += len(loops)
         assert _hole_scales(positions, loops) == loop_hole_scales(positions, loops)
     assert loops_seen > 0
+
+
+@st.composite
+def small_embedded_graphs(draw):
+    """(positions, graph, loops): up to 9 vertices in d = 2..5 on a coarse
+    grid, so vertices coincide and segments touch, with random simple edges
+    plus forced triangles, isolated vertices left as they fall, and both
+    the graph's cycle loops and arbitrary vertex loops."""
+    dim = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 9))
+    coord = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5])
+    positions = np.array([[draw(coord) for _ in range(dim)] for _ in range(n)])
+    for v in range(n):
+        if v and draw(st.integers(0, 4)) == 0:
+            positions[v] = positions[draw(st.integers(0, v - 1))]  # coincident vertices
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    for _ in range(draw(st.integers(0, n // 3))):
+        a, b, c = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+        pairs += [(a, b), (b, c), (c, a)]
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    g = Multigraph(n, tuple(Edge(u, v, 1.0) for u, v in sorted(edges)), positions)
+    loops = _cycle_loops(g)
+    for _ in range(draw(st.integers(0, 3))):
+        loops.append(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
+    return positions, g, loops
+
+
+@given(small_embedded_graphs(), st.floats(0.1, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_clearance_and_hole_scales_match_loop_reference_on_drawn_graphs(drawn, factor):
+    # One set of clearance pairs serves every position of the same graph,
+    # as in the crowding search.
+    positions, g, loops = drawn
+    pairs = _clearance_pairs(g)
+    for pos in (positions, positions * factor):
+        assert _pair_clearance(pos, pairs) == loop_min_clearance(pos, g)
+        assert _min_clearance(pos, g) == loop_min_clearance(pos, g)
+        assert _hole_scales(pos, loops) == loop_hole_scales(pos, loops)
+
+
+def listwise_place_arc(a, z, n_interior, side_dir, jitter, rng):
+    """The arc placement as one list of points per bisection step: the oracle
+    ``_place_arc`` must match bit for bit, with the same draws."""
+    n_seg = n_interior + 1
+    chord = z - a
+    chord_len = float(np.linalg.norm(chord))
+    normal = _unit(side_dir - (side_dir @ _unit(chord)) * _unit(chord), rng) if chord_len > 1e-12 else _unit(side_dir, rng)
+
+    def polyline_len(h: float) -> float:
+        pts = [a] + [
+            a + chord * (i / n_seg) + normal * h * math.sin(math.pi * i / n_seg)
+            for i in range(1, n_seg)
+        ] + [z]
+        return sum(float(np.linalg.norm(pts[i + 1] - pts[i])) for i in range(n_seg))
+
+    target = float(n_seg)
+    lo, hi = 0.0, float(n_seg)
+    if polyline_len(0.0) < target:
+        for _ in range(24):
+            mid = 0.5 * (lo + hi)
+            if polyline_len(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+    h = 0.5 * (lo + hi)
+    pts = []
+    for i in range(1, n_seg):
+        bulge = h * math.sin(math.pi * i / n_seg) * (1.0 + rng.uniform(-jitter, jitter))
+        pts.append(a + chord * (i / n_seg) + normal * bulge)
+    return pts
+
+
+@st.composite
+def arc_inputs(draw):
+    coord = st.floats(-4.0, 4.0, allow_nan=False)
+    a = np.array([draw(coord), draw(coord)])
+    kind = draw(st.sampled_from(["general", "short", "zero"]))
+    if kind == "general":
+        z = np.array([draw(coord), draw(coord)])
+    else:  # a chord of length about 0, on either side of the 1e-12 guard
+        scale = 0.0 if kind == "zero" else draw(st.sampled_from([1e-14, 1e-12, 2e-12]))
+        z = a + scale * np.array([draw(coord), draw(coord)])
+    side = np.array([draw(coord), draw(coord)]) if draw(st.booleans()) else np.zeros(2)
+    return a, z, draw(st.integers(0, 7)), side, draw(st.sampled_from([0.0, 0.05, 0.12])), draw(st.integers(0, 2**32))
+
+
+@given(arc_inputs())
+@settings(max_examples=300, deadline=None)
+def test_place_arc_matches_listwise_oracle(args):
+    a, z, n_interior, side, jitter, seed = args
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _place_arc(a, z, n_interior, side, jitter, rng_got)
+    want = listwise_place_arc(a, z, n_interior, side, jitter, rng_want)
+    assert len(got) == len(want) == n_interior
+    assert all(p.tobytes() == q.tobytes() for p, q in zip(got, want))
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 def test_validate_noise_confusion_matches_loop_reference(ci_samples):
