@@ -91,21 +91,18 @@ def _run_starts(s: np.ndarray) -> np.ndarray:
     return new
 
 
-def _sorted_unique(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(key, return_index=True, return_inverse=True)`` for keys
-    below ``n * n`` (pairs of ids below ``n`` packed as ``a * n + b``), by one
-    ``np.sort`` of ``key * len(key) + position``: equal keys sort by position,
-    so each run of a key starts at its first position.
+def _sorted_unique(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(key, return_index=True)`` for keys below ``n * n`` (pairs
+    of ids below ``n`` packed as ``a * n + b``), by one ``np.sort`` of
+    ``key * len(key) + position``: equal keys sort by position, so each run
+    of a key starts at its first position.
 
     Every packed value is below ``n**2 * len(key)``, and an ``InvalidDataError``
-    naming n is raised when that exceeds 2**63. The packed keys built on it:
-
-    - ``NeighborGraph.undirected_edges``: (lo, hi) with positions over the m
-      own entries, below n^2 m; m = nk in a kNN graph (n about 4.8e5 at k = 80).
-    - ``reeb_graph``, per block of m = 2 x crossings entries: (slice, vertex)
-      with positions below n^2 m, and (node, first position) below
-      keys x m <= n^2 m, both covered by this check; join codes (down, up)
-      below (node count)^2.
+    naming n is raised when that exceeds 2**63. Its one caller,
+    ``NeighborGraph.undirected_edges``, packs (lo, hi) with positions over the
+    m own entries, below n^2 m; m = nk in a kNN graph (n about 4.8e5 at k = 80).
+    ``reeb_graph`` packs its own codes below the same n^2 m and relies on
+    this refusal for them.
     """
     m = len(key)
     if int(n) ** 2 * m > 1 << 63:
@@ -117,12 +114,7 @@ def _sorted_unique(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
     pos = packed % m
     packed //= m
     new = _run_starts(packed)
-    keys, first = packed[new], pos[new]
-    np.cumsum(new, out=packed)
-    packed -= 1
-    inverse = np.empty(m, dtype=np.intp)
-    inverse[pos] = packed
-    return keys, first, inverse
+    return packed[new], pos[new]
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +148,7 @@ class NeighborGraph:
         keeps the distance from the smaller endpoint's list, the first listed."""
         n, v = self.n, self.own_indices
         u = np.repeat(np.arange(n), np.diff(self.own_indptr))
-        keys, first, _ = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v), n)
+        keys, first = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v), n)
         return np.column_stack(np.divmod(keys, n)), self.own_distances[first]
 
 

@@ -5,6 +5,14 @@ component (a row range of the cloud permuted into component order), tracks
 level-set components across midpoint thresholds, and reduces the multigraph.
 ``screeb_tower`` repeats the construction on successively condensed copies
 of the cloud, yielding one reduced graph per granularity.
+
+``reeb_graph`` sweeps the slices between consecutive filter values in
+blocks. A vertex lies in the level sets of one run of consecutive slices,
+so a block numbers its (vertex, slice) keys vertex-major, one run per
+vertex, and finds the key of either end of every crossing edge by
+arithmetic instead of a sort. A node lists its data points in the order
+the slice's edges first touch them: by each key's smallest
+``2 * edge + side``.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import graph as graphmod
@@ -23,7 +31,6 @@ from .geometry import (
     NeighborGraph,
     PointCloud,
     _run_starts,
-    _sorted_unique,
     adaptive_affinity,
     affinity_components,
     condense,
@@ -92,7 +99,9 @@ class ReebTower:
 
 
 # Slices are swept in blocks of consecutive slices holding about this many
-# (slice, edge) crossings: the summed slice span grows faster than n.
+# (slice, edge) crossings: the summed slice span grows faster than n. A block
+# numbers its keys (key(v, s) = base[v] + s, vertex-major) and its nodes
+# afresh, and passes on only each vertex's node at its top slice.
 _BLOCK_CROSSINGS = 1 << 16
 
 
@@ -106,76 +115,156 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
     by (slice, smallest vertex). Nodes at adjacent slices that share a data
     point are joined, with the distance between centroids as length. A
     constant filter yields the single-vertex graph at the data centroid.
+
+    No crossing is sorted. Vertex v lies in the level sets of exactly the
+    slices [a_v, b_v), with a_v the smallest first slice and b_v the largest
+    end over v's edges: each edge at v starts or ends at v's own rank, so
+    their ranges leave no gap. A block of slices [s0, s1) numbers its keys
+    vertex-major from these ranges, key(v, s) = base[v] + s, so both ends of
+    a crossing get their key by arithmetic and (v, s - 1) is key - 1; a
+    vertex whose range starts below s0 is joined through the previous
+    block's node at slice s0 - 1. A component lies in one slice, so its
+    smallest key holds its smallest vertex, and only the component leads
+    are sorted. A slice's edges go by ascending id, so a key's first touch
+    is its smallest ``2 * edge + side``. The level-set adjacency is
+    filled as CSR directly: key (x, s)'s row holds the edges rising from x
+    across s, a prefix of x's edges ordered by hi descending.
+
+    Packed codes, with n vertices, E undirected edges, m own-list entries
+    and T keys over all blocks. T <= n (n - 1), and there are at most T / 2
+    nodes, since each holds both ends of an edge; a node's slice and the
+    one below hold at most n / 2 nodes each.
+
+    - rising order ``vertex * S - hi``, with S <= n distinct values: below n^2;
+    - lead ``slice * n + vertex``: below n^2;
+    - member ``node * 2E + first touch``: below T E <= n^2 m;
+    - join ``down * n + (up - down)``, with 0 < up - down < n: below T n / 2,
+      which is at most E (n - 1) n, as only the at most 2E vertices with
+      an edge have keys; so below n^2 m.
+
+    ``undirected_edges`` refuses n^2 m > 2^63 with ``InvalidDataError``, so
+    no accepted input overflows int64.
     """
     f = np.asarray(filter_values, dtype=float)
     pts = positions.points
-    n = nbrs.n
-    if f.shape != (n,):
+    if f.shape != (nbrs.n,):
         raise ValueError("filter must assign one value per vertex")
     distinct = np.unique(f)
     if distinct.size == 1:
         return Multigraph(1, (), pts.mean(axis=0, keepdims=True))
+    # The sweep's arrays are freed before the joins become Python edges,
+    # which set this function's peak memory.
+    centroids, down, up = _sweep(nbrs.undirected_edges()[0], np.searchsorted(distinct, f), distinct.size, pts)
+    gaps = centroids[down] - centroids[up]
+    out_edges = tuple(map(Edge, down.tolist(), up.tolist(), np.sqrt(row_dots(gaps, gaps)).tolist()))
+    return Multigraph(len(centroids), out_edges, centroids)
 
-    edges, _ = nbrs.undirected_edges()
+
+def _sweep(edges: np.ndarray, rank: np.ndarray, n_values: int, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Node centroids and (down, up) join pairs of ``reeb_graph`` over the
+    undirected ``edges``, for filter ranks ``rank`` among ``n_values``."""
+    n = rank.size
+    ends = edges.ravel()  # entry 2 * edge + side
     # Slice s sits between distinct values s and s+1; an edge crosses every
-    # slice in [rank(min f), rank(max f)).
-    lo, hi = np.searchsorted(distinct, np.sort(f[edges], axis=1)).T
-    opened = np.bincount(lo, minlength=distinct.size) - np.bincount(hi, minlength=distinct.size)
+    # slice in [lo, hi), the ranks of its lower entry ``low`` and of ``low ^ 1``.
+    low = np.arange(0, ends.size, 2) + (rank[edges[:, 0]] > rank[edges[:, 1]])
+    lower, upper = ends[low], ends[low ^ 1]
+    lo, hi = rank[lower], rank[upper]
+    opened = np.bincount(lo, minlength=n_values) - np.bincount(hi, minlength=n_values)
     per_slice = np.cumsum(opened)[:-1]
     if not per_slice.all():  # a connected graph has an edge across every value cut
         raise InvalidDataError("level set between consecutive filter values has no crossing "
                                "edges; the neighbor graph is disconnected")
     # A block starts where the running crossing count passes a multiple of the block size.
-    starts = np.flatnonzero(np.diff(np.cumsum(per_slice) // _BLOCK_CROSSINGS, prepend=-1))
+    starts = np.flatnonzero(_run_starts(np.cumsum(per_slice) // _BLOCK_CROSSINGS))
+    # Vertex v's slices [a_v, b_v) run from the lowest lo of the edges that
+    # fall to it to the highest hi of those that rise from it.
+    a, b = rank.copy(), rank.copy()
+    np.minimum.at(a, upper, lo)
+    np.maximum.at(b, lower, hi)
+    # Key (x, s)'s row in the level-set adjacency lists the upper ends of the
+    # edges rising from x across s: those of x's edges with lo = rank(x) and
+    # hi > s, a prefix once each vertex's edges go by hi descending. ``slot``
+    # is an edge's place in that order.
+    rising = np.argsort(lower * n_values - hi)
+    slot = np.empty(len(edges), dtype=int)
+    slot[rising] = np.arange(len(edges)) - np.searchsorted(lower[rising], lower[rising])
 
-    centroids, joins, n_nodes = [], [], 0
-    prev_keys, prev_nodes = np.zeros(0, dtype=int), np.zeros(0, dtype=int)  # the slice before the block
-    for s0, s1 in zip(starts, np.append(starts[1:], per_slice.size)):
-        first = np.maximum(lo, s0)
-        span = np.maximum(np.minimum(hi, s1) - first, 0)
-        eid = np.repeat(np.arange(len(edges)), span)
-        slices = np.repeat(first - np.cumsum(span) + span, span) + np.arange(eid.size)
-        # Crossing j of edge e lies at slice s = first[e] + j and puts keys s * n + u
-        # and s * n + v in its level set. Entries go by edge, so a key's first
-        # entry ranks it in its slice's touched order.
-        flat = np.repeat(slices, 2) * n + edges[eid].ravel()
-        keys, touched, inv = _sorted_unique(flat, n)
-        level_sets = coo_matrix((np.ones(eid.size), (inv[0::2], inv[1::2])), shape=(keys.size, keys.size))
+    # A block's edges are those carried over from the block before it and
+    # those whose first slice lies in it.
+    by_lo = np.argsort(lo)
+    opening = np.searchsorted(lo[by_lo], starts).tolist() + [len(edges)]
+    bounds = starts.tolist() + [per_slice.size]
+    active = np.zeros(0, dtype=int)
+    # Each block's members in node order. Vertex ids take the smallest type
+    # that holds them: with one entry per key, this is the largest array.
+    members, filled = np.empty(int(np.sum(b - a)), dtype=np.min_scalar_type(n - 1)), 0
+    sizes, joins, n_nodes = [], [], 0
+    top = np.zeros(n, dtype=int)  # each vertex's node at the slice before the block
+    for s0, s1, o0, o1 in zip(bounds, bounds[1:], opening, opening[1:]):
+        first = np.maximum(a, s0)
+        count = np.maximum(np.minimum(b, s1) - first, 0)
+        stop = np.cumsum(count)
+        base = stop - count - first  # key(v, s) = base[v] + s
+        n_keys = int(stop[-1])
+        active = np.append(active[hi[active] > s0], by_lo[o0:o1])
+        lo_e = np.maximum(lo[active], s0)
+        span = np.minimum(hi[active], s1) - lo_e
+        # Crossing j is the (j - skip)-th of its edge, at slice lo_e + j - skip,
+        # so its lower end has key base[lower] + lo_e - skip + j.
+        skip = np.cumsum(span) - span
+        shift = lo_e - skip
+        j = np.arange(skip[-1] + span[-1])
+        row = np.repeat(base[lower[active]] + shift, span) + j
+        col = np.repeat(base[upper[active]] + shift, span) + j
+        indptr = np.zeros(n_keys + 1, dtype=int)
+        np.cumsum(np.bincount(row, minlength=n_keys), out=indptr[1:])
+        indices = np.empty(j.size, dtype=int)
+        indices[indptr[row] + np.repeat(slot[active], span)] = col
+        level_sets = csr_matrix((np.ones(j.size), indices, indptr), shape=(n_keys, n_keys))
         n_comp, labels = connected_components(level_sets, directed=False)
-        # Keys ascend, so numbering components by first key orders them by (slice, smallest vertex).
-        lead = np.full(n_comp, keys.size)
-        np.minimum.at(lead, labels, np.arange(keys.size))
-        lead = lead[labels]  # the first key of each key's component
-        node = np.cumsum(lead == np.arange(keys.size))[lead] - 1
-        # One mean over all nodes of a size sums each node's rows in touched
-        # order, exactly as ``pts[members].mean(axis=0)`` does. Sorting
-        # node * len + touched lists each node's first positions in flat in order.
-        members = flat[np.sort(node * flat.size + touched) % flat.size] % n
-        sizes = np.bincount(node)
-        offsets = np.cumsum(sizes) - sizes
-        block = np.empty((sizes.size, pts.shape[1]))
-        for size in np.unique(sizes):
-            ids = np.flatnonzero(sizes == size)
-            block[ids] = pts[members[offsets[ids, None] + np.arange(size)]].mean(axis=1)
-        centroids.append(block)
-        node += n_nodes
-        n_nodes += sizes.size
-        # Join each node to the nodes one slice down holding its vertices: look up key - n
-        # in the sorted keys of the block and the slice before it (it sorts before key, so
-        # the index stays in range). Codes ascend by (down, up) node pair.
-        all_keys, all_nodes = np.append(prev_keys, keys), np.append(prev_nodes, node)
-        at = np.searchsorted(all_keys, keys - n)
-        up = np.flatnonzero(all_keys[at] == keys - n)
-        codes = np.sort(all_nodes[at[up]] * n_nodes + node[up])
-        joins.append(np.divmod(codes[_run_starts(codes)], n_nodes))
-        top = keys >= (s1 - 1) * n
-        prev_keys, prev_nodes = keys[top], node[top]
+        # A component lies in one slice, so its smallest key holds its smallest vertex.
+        lead = np.full(n_comp, n_keys)
+        np.minimum.at(lead, labels, np.arange(n_keys))
+        vertex = np.searchsorted(stop, lead, side="right")
+        node = np.empty(n_comp, dtype=int)
+        node[np.argsort((lead - base[vertex]) * n + vertex)] = np.arange(n_nodes, n_nodes + n_comp)
+        node = node[labels]
+        # The slice's edges, ascending, first touch a key at its smallest
+        # 2 * edge + side; sorting node * 2E + touched lists each node's
+        # members in that order.
+        touched = np.full(n_keys, ends.size)
+        entry = np.repeat(low[active], span)
+        np.minimum.at(touched, row, entry)
+        np.minimum.at(touched, col, entry ^ 1)
+        members[filled : filled + n_keys] = ends[np.sort(node * ends.size + touched) % ends.size]
+        filled += n_keys
+        sizes.append(np.bincount(node - n_nodes, minlength=n_comp))
+        n_nodes += n_comp
+        # Join each node to the nodes one slice down holding its vertices: key - 1
+        # inside the block, and the previous block's top node for a vertex
+        # whose range starts below s0.
+        inside = np.ones(n_keys, dtype=bool)
+        inside[(stop - count)[count > 0]] = False
+        inner = np.flatnonzero(inside)
+        carried = np.flatnonzero((count > 0) & (a < s0))
+        down = np.append(node[inner - 1], top[carried])
+        up = np.append(node[inner], node[base[carried] + s0])
+        codes = np.sort(down * n + (up - down))
+        joins.append(codes[_run_starts(codes)])
+        at_top = (count > 0) & (b >= s1)
+        top[at_top] = node[stop[at_top] - 1]
 
-    centroids = np.concatenate(centroids)
-    a, b = np.concatenate(joins, axis=1)
-    gaps = centroids[a] - centroids[b]
-    out_edges = tuple(map(Edge, a.tolist(), b.tolist(), np.sqrt(row_dots(gaps, gaps)).tolist()))
-    return Multigraph(n_nodes, out_edges, centroids)
+    # One mean over all nodes of a size sums each node's rows in touched
+    # order, exactly as ``pts[members].mean(axis=0)`` does.
+    sizes = np.concatenate(sizes)
+    offsets = np.cumsum(sizes) - sizes
+    centroids = np.empty((n_nodes, pts.shape[1]))
+    for size in np.unique(sizes):
+        ids = np.flatnonzero(sizes == size)
+        centroids[ids] = pts[members[offsets[ids, None] + np.arange(size)]].mean(axis=1)
+    down, gap = np.divmod(np.concatenate(joins), n)
+    return centroids, down, down + gap
 
 
 def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:

@@ -1,12 +1,14 @@
-"""Shared test helpers: canonical clouds, random multigraphs and the
-per-copy reduction oracle."""
+"""Shared test helpers: canonical clouds, random multigraphs, the per-copy
+reduction oracle and the sorted-key Reeb sweep oracle."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from screeb import Edge, Multigraph, PointCloud, connected_components
-from screeb.geometry import _symmetric_spectrum
+from screeb.errors import InvalidDataError
+from screeb.geometry import _symmetric_spectrum, row_dots
 
 
 def random_multigraph(rng, max_vertices=40, max_edges=60, positions=False):
@@ -96,6 +98,69 @@ def per_copy_reduce(g: Multigraph) -> Multigraph:
     if g.positions is not None:
         positions = g.positions[kept_vertices]
     return Multigraph(len(kept_vertices), edges, positions)
+
+
+def sorted_key_reeb(nbrs, filter_values, positions, block_crossings=1 << 16):
+    """Reference for ``reeb.reeb_graph``: the blockwise sweep that packs both
+    ends of every crossing as ``slice * n + vertex`` and sorts them to learn
+    which keys exist, their first positions and their order. Its
+    ``graph_to_json`` bytes are the ones ``reeb_graph`` must reproduce at
+    every block size."""
+    f = np.asarray(filter_values, dtype=float)
+    pts = positions.points
+    n = nbrs.n
+    if f.shape != (n,):
+        raise ValueError("filter must assign one value per vertex")
+    distinct = np.unique(f)
+    if distinct.size == 1:
+        return Multigraph(1, (), pts.mean(axis=0, keepdims=True))
+
+    edges, _ = nbrs.undirected_edges()
+    lo, hi = np.searchsorted(distinct, np.sort(f[edges], axis=1)).T
+    opened = np.bincount(lo, minlength=distinct.size) - np.bincount(hi, minlength=distinct.size)
+    per_slice = np.cumsum(opened)[:-1]
+    if not per_slice.all():
+        raise InvalidDataError("level set between consecutive filter values has no crossing edges")
+    starts = np.flatnonzero(np.diff(np.cumsum(per_slice) // block_crossings, prepend=-1))
+
+    centroids, joins, n_nodes = [], [], 0
+    prev_keys, prev_nodes = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    for s0, s1 in zip(starts, np.append(starts[1:], per_slice.size)):
+        first = np.maximum(lo, s0)
+        span = np.maximum(np.minimum(hi, s1) - first, 0)
+        eid = np.repeat(np.arange(len(edges)), span)
+        slices = np.repeat(first - np.cumsum(span) + span, span) + np.arange(eid.size)
+        flat = np.repeat(slices, 2) * n + edges[eid].ravel()
+        keys, touched, inv = np.unique(flat, return_index=True, return_inverse=True)
+        level_sets = sp.coo_matrix((np.ones(eid.size), (inv[0::2], inv[1::2])), shape=(keys.size, keys.size))
+        n_comp, labels = csgraph_components(level_sets, directed=False)
+        lead = np.full(n_comp, keys.size)
+        np.minimum.at(lead, labels, np.arange(keys.size))
+        lead = lead[labels]
+        node = np.cumsum(lead == np.arange(keys.size))[lead] - 1
+        members = flat[np.sort(node * flat.size + touched) % flat.size] % n
+        sizes = np.bincount(node)
+        offsets = np.cumsum(sizes) - sizes
+        block = np.empty((sizes.size, pts.shape[1]))
+        for size in np.unique(sizes):
+            ids = np.flatnonzero(sizes == size)
+            block[ids] = pts[members[offsets[ids, None] + np.arange(size)]].mean(axis=1)
+        centroids.append(block)
+        node += n_nodes
+        n_nodes += sizes.size
+        all_keys, all_nodes = np.append(prev_keys, keys), np.append(prev_nodes, node)
+        at = np.searchsorted(all_keys, keys - n)
+        up = np.flatnonzero(all_keys[at] == keys - n)
+        codes = np.unique(all_nodes[at[up]] * n_nodes + node[up])
+        joins.append(np.divmod(codes, n_nodes))
+        top = keys >= (s1 - 1) * n
+        prev_keys, prev_nodes = keys[top], node[top]
+
+    centroids = np.concatenate(centroids)
+    a, b = np.concatenate(joins, axis=1)
+    gaps = centroids[a] - centroids[b]
+    out_edges = tuple(map(Edge, a.tolist(), b.tolist(), np.sqrt(row_dots(gaps, gaps)).tolist()))
+    return Multigraph(n_nodes, out_edges, centroids)
 
 
 def segment_cloud(rng, n=300):

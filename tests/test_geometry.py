@@ -185,12 +185,12 @@ def test_neighbor_graph_matches_loop_reference(rng, monkeypatch):
 def test_sorted_unique_matches_np_unique_up_to_int64_bound(rng):
     for key in (rng.integers(0, 50, size=300), np.zeros(0, dtype=np.int64), np.array([7])):
         got = geometry._sorted_unique(key, 50)
-        want = np.unique(key, return_index=True, return_inverse=True)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        want = np.unique(key, return_index=True)
+        assert len(got) == 2 and all(np.array_equal(a, b) for a, b in zip(got, want))
     # key * len + position tops out at n^2 * len - 1: 2^63 - 1 here, still exact.
     n = 1 << 31
-    keys, first, inverse = geometry._sorted_unique(np.array([n * n - 1, 0]), n)
-    assert keys.tolist() == [0, n * n - 1] and first.tolist() == [1, 0] and inverse.tolist() == [1, 0]
+    keys, first = geometry._sorted_unique(np.array([n * n - 1, 0]), n)
+    assert keys.tolist() == [0, n * n - 1] and first.tolist() == [1, 0]
     with pytest.raises(InvalidDataError, match=f"n = {n} "):
         geometry._sorted_unique(np.array([0, 0, 1]), n)
 

@@ -30,6 +30,7 @@ from conftest import (
     own_block_filter,
     segment_cloud,
     separated_clusters,
+    sorted_key_reeb,
     two_blob_cloud,
     ytree_cloud,
 )
@@ -170,7 +171,10 @@ def brute_force_reeb(nbrs, f, pts):
 
 
 def assert_matches_oracle(cloud, f, k):
-    nbrs = knn_graph(cloud, k)
+    assert_matches_brute_force(knn_graph(cloud, k), f, cloud)
+
+
+def assert_matches_brute_force(nbrs, f, cloud):
     want = brute_force_reeb(nbrs, f, cloud.points)
     if want is None:
         with pytest.raises(InvalidDataError):
@@ -251,6 +255,78 @@ def test_reeb_numbering_ignores_component_label_order(rng):
         for block in (7, reeb_module._BLOCK_CROSSINGS):
             with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block):
                 assert_matches_oracle(cloud, f, 15)
+
+
+def assert_matches_sorted_key(nbrs, f, cloud, block=None):
+    """``reeb_graph`` writes the sorted-key sweep's ``graph_to_json`` bytes,
+    or refuses the input as it does, at the same block size."""
+    block = block or reeb_module._BLOCK_CROSSINGS
+    with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block):
+        try:
+            want = graph_to_json(sorted_key_reeb(nbrs, f, cloud, block))
+        except InvalidDataError:
+            with pytest.raises(InvalidDataError):
+                reeb_graph(nbrs, f, cloud)
+            return
+        assert graph_to_json(reeb_graph(nbrs, f, cloud)) == want
+
+
+def listed_neighbor_graph(n, pairs):
+    """Neighbor graph listing each pair once, under its first vertex."""
+    own = [[v for u, v in pairs if u == i] for i in range(n)]
+    indptr = np.cumsum([0] + [len(row) for row in own])
+    return NeighborGraph(n, indptr, np.array(sum(own, []), dtype=np.intp), np.ones(indptr[-1]))
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@given(reeb_inputs())
+@settings(max_examples=60, deadline=None)
+def test_reeb_matches_sorted_key_oracle(block, inputs):
+    cloud, f, k = inputs
+    assert_matches_sorted_key(knn_graph(cloud, k), f, cloud, block)
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+@pytest.mark.parametrize("block", [None, 7, 500])
+def test_reeb_matches_sorted_key_oracle_on_noisy_circles(n, block):
+    from screeb import adaptive_affinity, fiedler_filter
+
+    local = np.random.default_rng(n)
+    cloud = add_noise(circle_cloud(local, n=n), local, 0.05)
+    nbrs = knn_graph(cloud, 15)
+    f = fiedler_filter(adaptive_affinity(cloud, nbrs, 15), np.arange(n))
+    assert_matches_sorted_key(nbrs, f, cloud, block)
+
+
+@pytest.mark.parametrize("block", [None, 1, 2, 3])
+def test_reeb_vertex_range_from_an_earlier_block(block):
+    # A path 0..11 under f = index, plus the edge (0, 11): vertices 0 and 11
+    # lie in every slice, so at blocks of a few slices their ranges start in
+    # the first block and their nodes are carried through every boundary.
+    pairs = [(i, i + 1) for i in range(11)] + [(0, 11)]
+    nbrs = listed_neighbor_graph(12, pairs)
+    cloud = PointCloud(np.c_[np.cos(np.arange(12.0)), np.sin(np.arange(12.0))])
+    f = np.arange(12.0)
+    assert_matches_sorted_key(nbrs, f, cloud, block)
+    with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block or reeb_module._BLOCK_CROSSINGS):
+        assert_matches_brute_force(nbrs, f, cloud)
+        assert betti(reeb_graph(nbrs, f, cloud)).b1 == 1
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_reeb_vertex_whose_every_edge_ties(block):
+    # Vertices 3 and 5 share f = 1 with each other and with vertex 1, their
+    # only other neighbour, so neither lies in any level set.
+    nbrs = listed_neighbor_graph(6, [(0, 1), (1, 2), (2, 4), (1, 3), (1, 5), (3, 5)])
+    cloud = PointCloud(np.arange(12.0).reshape(6, 2) ** 2)
+    f = np.array([0.0, 1.0, 2.0, 1.0, 3.0, 1.0])
+    assert_matches_sorted_key(nbrs, f, cloud, block)
+    with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block or reeb_module._BLOCK_CROSSINGS):
+        assert_matches_brute_force(nbrs, f, cloud)
+        g = reeb_graph(nbrs, f, cloud)
+    # Slices 0, 1, 2 hold {0, 1}, {1, 2} and {2, 4}: neither 3 nor 5 is a member.
+    assert g.n_vertices == 3 and [(e.u, e.v) for e in g.edges] == [(0, 1), (1, 2)]
+    np.testing.assert_array_equal(g.positions, cloud.points[[0, 1, 1, 2, 2, 4]].reshape(3, 2, 2).mean(axis=1))
 
 
 # -- screeb ------------------------------------------------------------------------
