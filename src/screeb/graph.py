@@ -3,7 +3,8 @@
 Every method and metric in the package exchanges graphs through the
 :class:`Multigraph` type defined here. Vertices are dense integers
 ``0..V-1``, optionally carrying ambient positions; edges form a multiset of
-``(u, v, length, multiplicity)`` entries, self-loops permitted.
+``(u, v, length, multiplicity)`` entries, self-loops permitted, stored as
+four read-only arrays and viewed as ``Edge`` tuples on demand.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property, partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+
+MAX_MULTIPLICITY = 1 << 53  # graph.json ids and multiplicities: a float64 holds each exactly
 
 
 class Edge(NamedTuple):
@@ -30,74 +32,92 @@ class BettiPair(NamedTuple):
     b1: int
 
 
-@dataclass(frozen=True, eq=False)
+def _checked(n_vertices, u, v, length, mult, positions) -> tuple:
+    """Checked entry arrays, endpoints ordered ``lo <= hi``, and a copy of the positions."""
+    n = int(n_vertices)
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    try:
+        a, b, mult = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64), np.asarray(mult, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("edge ids and multiplicities must fit int64") from None
+    length = np.asarray(length, dtype=float)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if lo.size:
+        if lo.min() < 0 or hi.max() >= n:
+            i = np.argmax((lo < 0) | (hi >= n))
+            raise ValueError(f"edge ({a[i]},{b[i]}) has endpoint outside 0..{n - 1}")
+        if not 0 <= length.min() <= length.max() < math.inf:
+            raise ValueError("edge lengths must be finite and >= 0")
+        # Each m in 1..2**53 (m - 1 below 2**53 unsigned) and a total of at most 2**61 keep every sum in int64.
+        if (mult - 1).view(np.uint64).max() >= MAX_MULTIPLICITY or mult.sum(dtype=float) > 2.0**61:
+            raise ValueError("edge multiplicities must be integers in 1..2**53, totalling at most 2**61")
+    if positions is not None:
+        positions = np.array(positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[0] != n or not np.isfinite(positions).all():
+            raise ValueError("positions must be a finite (V, d) array")
+    return n, lo, hi, length, mult, positions
+
+
 class Multigraph:
     """Undirected multigraph with non-negative edge lengths.
 
     Edges are canonicalized on construction: endpoints ordered ``u <= v``,
-    entries sorted by ``(u, v, length)``, and entries identical in all three
-    keys merged by summing multiplicities. ``positions`` is an optional
-    ``(V, d)`` array of vertex coordinates.
+    entries sorted by ``(u, v, length)``, and entries equal in all three keys
+    merged by summing multiplicities, up to ``MAX_MULTIPLICITY`` (0.0 and -0.0
+    are one length; the first entry's is kept). The entries are the read-only
+    arrays ``u``, ``v``, ``length`` and ``multiplicity``; ``edges`` lists them
+    as ``Edge`` tuples. ``positions`` is an optional ``(V, d)`` array.
     """
 
-    n_vertices: int
-    edges: tuple[Edge, ...]
-    positions: Optional[np.ndarray] = None
+    def __init__(self, n_vertices: int, edges: Sequence[Edge] = (), positions: Optional[np.ndarray] = None):
+        self._store(*_checked(n_vertices, *(tuple(zip(*edges)) or ((),) * 4), positions))
 
-    def __post_init__(self):
-        if self.n_vertices < 0:
-            raise ValueError("vertex count must be non-negative")
-        canon: dict[tuple[int, int, float], int] = {}
-        for e in self.edges:
-            u, v = (int(e.u), int(e.v)) if e.u <= e.v else (int(e.v), int(e.u))
-            if not (0 <= u and v < self.n_vertices):
-                raise ValueError(f"edge ({e.u},{e.v}) has endpoint outside 0..{self.n_vertices - 1}")
-            length = float(e.length)
-            if not math.isfinite(length) or length < 0:
-                raise ValueError(f"edge ({u},{v}) has invalid length {length}")
-            mult = int(e.multiplicity)
-            if mult < 1:
-                raise ValueError("edge multiplicity must be >= 1")
-            key = (u, v, length)
-            canon[key] = canon.get(key, 0) + mult
-        edges = tuple(Edge(u, v, ln, m) for (u, v, ln), m in sorted(canon.items()))
-        object.__setattr__(self, "edges", edges)
-        if self.positions is not None:
-            pos = np.asarray(self.positions, dtype=float)
-            if pos.ndim != 2 or pos.shape[0] != self.n_vertices:
-                raise ValueError("positions must be a (V, d) array")
-            if not np.all(np.isfinite(pos)):
-                raise ValueError("positions must be finite")
-            pos = pos.copy()
-            pos.setflags(write=False)
-            object.__setattr__(self, "positions", pos)
+    @classmethod
+    def from_arrays(cls, n_vertices: int, u, v, length, multiplicity=None, positions=None) -> "Multigraph":
+        """The graph of entries ``(u[i], v[i], length[i])``, each ``multiplicity[i]`` times (default 1)."""
+        g = cls.__new__(cls)
+        g._store(*_checked(n_vertices, u, v, length, np.ones(len(u), int) if multiplicity is None else multiplicity, positions))
+        return g
+
+    def _store(self, n: int, lo, hi, length, mult, positions) -> None:
+        """Hold checked entries, ``lo <= hi``, sorted and merged, read-only."""
+        order = np.lexsort((length, hi, lo))  # stable: equal keys keep their first entry first
+        lo, hi, length, mult = lo[order], hi[order], length[order], mult[order]
+        same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]) & (length[1:] == length[:-1])
+        if same.any():
+            first = np.concatenate(([True], ~same)).nonzero()[0]
+            lo, hi, length, mult = lo[first], hi[first], length[first], np.add.reduceat(mult, first)
+            if mult.max() > MAX_MULTIPLICITY:
+                raise ValueError(f"merged edge multiplicity {mult.max()} is above 2**53")
+        for array in (lo, hi, length, mult) if positions is None else (lo, hi, length, mult, positions):
+            array.setflags(write=False)
+        self.n_vertices, self.u, self.v, self.length, self.multiplicity, self.positions = n, lo, hi, length, mult, positions
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        columns = zip(self.u.tolist(), self.v.tolist(), self.length.tolist(), self.multiplicity.tolist())
+        return tuple(map(partial(tuple.__new__, Edge), columns))  # Edge(*row) without a Python-level __new__
 
     # -- basic accessors ---------------------------------------------------
 
     def edge_count(self) -> int:
         """Number of edges counted with multiplicity (self-loops included)."""
-        return sum(e.multiplicity for e in self.edges)
+        return int(self.multiplicity.sum())
 
     def total_length(self) -> float:
-        return sum(e.length * e.multiplicity for e in self.edges)
+        return float(self.length @ self.multiplicity)
 
     def degrees(self) -> np.ndarray:
-        """Vertex degrees; each parallel edge counts once per copy, a
-        self-loop copy counts 2."""
-        deg = np.zeros(self.n_vertices, dtype=int)
-        for e in self.edges:
-            if e.u == e.v:
-                deg[e.u] += 2 * e.multiplicity
-            else:
-                deg[e.u] += e.multiplicity
-                deg[e.v] += e.multiplicity
+        """Vertex degrees; each parallel edge copy counts once, a self-loop copy 2."""
+        deg = np.zeros(self.n_vertices, dtype=np.int64)
+        np.add.at(deg, self.u, self.multiplicity)
+        np.add.at(deg, self.v, self.multiplicity)
         return deg
 
     def self_loop_counts(self) -> np.ndarray:
-        loops = np.zeros(self.n_vertices, dtype=int)
-        for e in self.edges:
-            if e.u == e.v:
-                loops[e.u] += e.multiplicity
+        loops = np.zeros(self.n_vertices, dtype=np.int64)
+        np.add.at(loops, self.u, self.multiplicity * (self.u == self.v))
         return loops
 
     def degree_sequence(self) -> tuple[int, ...]:
@@ -141,8 +161,8 @@ def connected_components(g: Multigraph) -> list[list[int]]:
     so the output is deterministic.
     """
     uf = UnionFind(g.n_vertices)
-    for e in g.edges:
-        uf.union(e.u, e.v)
+    for a, b in zip(g.u.tolist(), g.v.tolist()):
+        uf.union(a, b)
     return uf.groups()
 
 
@@ -157,6 +177,18 @@ def betti(g: Multigraph) -> BettiPair:
     return BettiPair(b0, b1)
 
 
+def _running_sums(values: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``values`` (``heads`` marks where runs start), added left to right as a
+    running total: by ``np.cumsum`` over the runs of each size, as ``np.sum`` and ``np.add.reduceat`` add pairwise."""
+    starts = heads.nonzero()[0]
+    sizes = np.concatenate((starts[1:], [values.size])) - starts
+    sums = np.empty(sizes.size)
+    for size in set(sizes.tolist()):
+        ids = (sizes == size).nonzero()[0]
+        sums[ids] = values[starts[ids, None] + np.arange(size)].cumsum(axis=1)[:, -1]
+    return sums
+
+
 def reduce(g: Multigraph) -> Multigraph:  # noqa: A001 - module-level name is the contract
     """Contract maximal chains of degree-2 internal vertices.
 
@@ -167,66 +199,80 @@ def reduce(g: Multigraph) -> Multigraph:  # noqa: A001 - module-level name is th
     contracts to its smallest vertex carrying one self-loop of the cycle's
     total length. Betti numbers are preserved exactly. The output bytes
     rest on two summation orders: a chain is summed in walk order from its
-    smaller kept endpoint, leaving each degree-2 vertex by its first edge
-    entry with a copy left, and a pure cycle in canonical edge order.
+    end with the smaller (kept vertex, entry index), and a pure cycle in
+    canonical entry order from 0.0.
+
+    Each degree-2 vertex pairs the two copy ends that meet there (an entry
+    into one stands for at most 2 copies), so copies form walks between
+    kept vertices, an entry between kept vertices being a walk of one step,
+    and pure cycles. Pointer doubling ranks the steps of every walk. A graph
+    keeps its reduction, which it is asked for again when ``bench evaluate``
+    compares each method's graph with the same latent graph.
     """
-    edges = g.edges
-    keep = ((g.degrees() != 2) | (g.self_loop_counts() > 0)).tolist()
-    left = [e.multiplicity for e in edges]  # copies of each entry not yet walked
-    incident: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for i, e in enumerate(edges):
-        incident[e.u].append(i)
-        if e.u != e.v:
-            incident[e.v].append(i)
+    if "_reduced" in g.__dict__:
+        return g._reduced
+    u, v, mult = g.u, g.v, g.multiplicity
+    keep = g.degrees() != 2
+    keep[u[u == v]] = True
+    if keep.all():
+        return g  # nothing to contract
+    both = keep[u] & keep[v]
+    # Copy c of entry[c] has end 2c at its u and 2c + 1 at its v. Step x leaves
+    # copy x // 2 by end x; at a kept vertex the walk ends (nxt[x] = x), and
+    # otherwise it goes on by the other copy end p there, leaving by p ^ 1.
+    entry = np.arange(u.size).repeat(np.where(both, 1, mult))
+    at = np.array([u[entry], v[entry]]).T.ravel()
+    left = ~keep[at]  # steps to the walk's end
+    pairs = left.nonzero()[0]
+    pairs = pairs[at[pairs].argsort()].reshape(-1, 2)
+    step = np.arange(at.size)
+    nxt = step.copy()
+    nxt[pairs] = pairs[:, ::-1] ^ 1
+    left = left.astype(np.int64)
+    low = entry.repeat(2)  # smallest entry on the next 2**round steps
+    # A walk or cycle passes at most once through each of the len(pairs) degree-2 vertices.
+    for _ in range(len(pairs).bit_length()):
+        left += left[nxt]
+        low = np.minimum(low, low[nxt])
+        nxt = nxt[nxt]
 
-    def walk(v: int, i: int) -> tuple[list[int], int]:
-        # One copy of entry i out of v, then on through degree-2 vertices to a
-        # kept one: the entries taken, in walk order, and the vertex reached.
-        taken = []
-        while True:
-            left[i] -= 1
-            taken.append(i)
-            v = edges[i].u + edges[i].v - v
-            if keep[v]:
-                return taken, v
-            i = next(j for j in incident[v] if left[j])
-
-    # Sums are running totals: float sum() is compensated from Python 3.12.
-    new_edges: list[Edge] = []
-    for v in [v for v, k in enumerate(keep) if k]:
-        for i in incident[v]:
-            if left[i] and keep[edges[i].u + edges[i].v - v]:  # to a kept vertex, or a loop
-                new_edges.append(edges[i]._replace(multiplicity=left[i]))
-                left[i] = 0
-            while left[i]:
-                taken, end = walk(v, i)
-                *_, length = accumulate(edges[j].length for j in taken)
-                new_edges.append(Edge(v, end, length))
-    for i, e in enumerate(edges):
-        if left[i]:  # a pure cycle, first met at its smallest vertex
-            keep[e.u] = True
-            *_, length = accumulate((edges[j].length for j in sorted(walk(e.u, i)[0])), initial=0.0)
-            new_edges.append(Edge(e.u, e.u, length))
-
-    kept = [v for v, k in enumerate(keep) if k]
-    relabel = {old: new for new, old in enumerate(kept)}
-    edges = tuple(Edge(relabel[e.u], relabel[e.v], e.length, e.multiplicity) for e in new_edges)
-    return Multigraph(len(kept), edges, None if g.positions is None else g.positions[kept])
+    # Steps still open go round pure cycles: the even ones list each cycle's
+    # copies once, by entry. Step x of a walk runs from the kept end nxt[x ^ 1]
+    # to the kept end nxt[x]; walks are taken from their end of smaller
+    # (vertex, end), first steps first, so they come out by their first entry.
+    first, last = nxt[step ^ 1], nxt
+    cycle = ~keep[at[last]]
+    ahead = np.where(cycle, step % 2 == 0, (at[last] > at[first]) | (at[last] == at[first]) & (last > first))
+    group = np.where(cycle, at.size + low, first)
+    steps = ahead.nonzero()[0]
+    steps = steps[np.lexsort((np.where(cycle, entry.repeat(2), -left)[steps], group[steps]))]
+    heads = np.concatenate(([True], group[steps[1:]] != group[steps[:-1]]))
+    sums = _running_sums(g.length[entry[steps >> 1]], heads)
+    head = steps[heads]
+    ring = cycle[head]
+    sums[ring] += 0.0  # a cycle's sum starts from 0.0
+    if not sums.max() < math.inf:
+        raise ValueError("a contracted chain is longer than float64 holds")
+    start, end = at[head ^ 1], at[nxt[head]]
+    start[ring] = end[ring] = at[head[ring]]  # the u of the cycle's smallest entry
+    keep[start] = True
+    relabel = keep.cumsum() - 1
+    e = entry[head >> 1]
+    g._reduced = out = Multigraph.__new__(Multigraph)
+    positions = None if g.positions is None else g.positions[keep]
+    out._store(int(relabel[-1]) + 1, relabel[start], relabel[end], sums, np.where(both[e], mult[e], 1), positions)
+    return out
 
 
 def disjoint_union(graphs: Sequence[Multigraph]) -> Multigraph:
     """Concatenate graphs into one, relabeling vertices by block offset."""
-    offset = 0
-    edges: list[Edge] = []
-    pos_blocks: list[np.ndarray] = []
-    have_pos = all(g.positions is not None for g in graphs) and len(graphs) > 0
-    for g in graphs:
-        edges.extend(Edge(e.u + offset, e.v + offset, e.length, e.multiplicity) for e in g.edges)
-        if have_pos:
-            pos_blocks.append(np.asarray(g.positions))
-        offset += g.n_vertices
-    positions = np.vstack(pos_blocks) if have_pos else None
-    return Multigraph(offset, tuple(edges), positions)
+    if not graphs:
+        return Multigraph(0)
+    offsets = np.cumsum([0] + [g.n_vertices for g in graphs])
+    shift = np.repeat(offsets[:-1], [g.u.size for g in graphs])
+    u, v, length, mult = (np.concatenate([getattr(g, name) for g in graphs]) for name in ("u", "v", "length", "multiplicity"))
+    positions = np.vstack([g.positions for g in graphs]) if all(g.positions is not None for g in graphs) else None
+    return Multigraph.from_arrays(int(offsets[-1]), u + shift, v + shift, length, mult, positions)
 
 
 # -- canonical serialization ----------------------------------------------
@@ -239,20 +285,16 @@ def disjoint_union(graphs: Sequence[Multigraph]) -> Multigraph:
 # file round-trips float64 exactly and serialization is byte-deterministic.
 
 
-def canonical_order(g: Multigraph) -> list[int]:
-    if g.positions is None:
-        return list(range(g.n_vertices))
-    keys = [(tuple(g.positions[v]), v) for v in range(g.n_vertices)]
-    return [v for _, v in sorted(keys)]
-
-
 def canonicalize(g: Multigraph) -> Multigraph:
-    """Relabel vertices into canonical order (see :func:`canonical_order`)."""
-    order = canonical_order(g)
-    relabel = {old: new for new, old in enumerate(order)}
-    edges = tuple(Edge(relabel[e.u], relabel[e.v], e.length, e.multiplicity) for e in g.edges)
+    """Relabel vertices into canonical order: by position, lexicographically
+    and then by id, when positions exist, else by id."""
+    order = np.arange(g.n_vertices)
+    if g.positions is not None:
+        order = np.lexsort((order, *g.positions.T[::-1]))
+    relabel = np.empty_like(order)
+    relabel[order] = np.arange(order.size)
     positions = g.positions[order] if g.positions is not None else None
-    return Multigraph(g.n_vertices, edges, positions)
+    return Multigraph.from_arrays(g.n_vertices, relabel[g.u], relabel[g.v], g.length, g.multiplicity, positions)
 
 
 def _fmt(x: float) -> str:
@@ -261,19 +303,11 @@ def _fmt(x: float) -> str:
 
 def graph_to_json(g: Multigraph) -> str:
     g = canonicalize(g)
-    vert_strs = []
-    for v in range(g.n_vertices):
-        if g.positions is None:
-            vert_strs.append("null")
-        else:
-            vert_strs.append("[" + ", ".join(_fmt(c) for c in g.positions[v]) + "]")
-    edge_strs = [
-        f"[{e.u}, {e.v}, {_fmt(e.length)}, {e.multiplicity}]" for e in g.edges
-    ]
-    return (
-        '{"vertices": [' + ", ".join(vert_strs) + '], '
-        '"edges": [' + ", ".join(edge_strs) + "]}"
-    )
+    pos = g.positions
+    vert_strs = ["null"] * g.n_vertices if pos is None else ["[" + ", ".join(map(_fmt, row)) + "]" for row in pos.tolist()]
+    columns = (g.u.tolist(), g.v.tolist(), map(_fmt, g.length.tolist()), g.multiplicity.tolist())
+    edge_strs = [f"[{u}, {v}, {ln}, {m}]" for u, v, ln, m in zip(*columns)]
+    return '{"vertices": [' + ", ".join(vert_strs) + '], "edges": [' + ", ".join(edge_strs) + "]}"
 
 
 def _is_number(x) -> bool:
@@ -288,7 +322,7 @@ def _edge_from_json(i: int, entry, n: int) -> Edge:
     float passes, a bool does not."""
     if isinstance(entry, list) and len(entry) == 4 and all(map(_is_number, entry)):
         u, v, length, mult = entry
-        if all(abs(x) <= 1 << 53 and float(x).is_integer() for x in (u, v, mult)):
+        if all(abs(x) <= MAX_MULTIPLICITY and float(x).is_integer() for x in (u, v, mult)):
             if 0 <= min(u, v) and max(u, v) < n and math.isfinite(length) and length >= 0 and mult >= 1:
                 return Edge(int(u), int(v), float(length), int(mult))
     raise ValueError(

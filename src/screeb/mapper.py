@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 from . import graph as graphmod
 from .errors import DegenerateInputError
 from .geometry import PointCloud, row_dots
-from .graph import Edge, Multigraph
+from .graph import Multigraph
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,4 @@ def mapper_graph(cloud: PointCloud, params: MapperParams = MapperParams()) -> Mu
             pairs.add((a, b) if a < b else (b, a))
     a, b = np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
     gaps = centroids[a] - centroids[b]
-    edges = tuple(map(Edge, a.tolist(), b.tolist(), np.sqrt(row_dots(gaps, gaps)).tolist()))
-    nerve = Multigraph(n_nodes, edges, centroids)
-    return graphmod.reduce(nerve)
+    return graphmod.reduce(Multigraph.from_arrays(n_nodes, a, b, np.sqrt(row_dots(gaps, gaps)), positions=centroids))

@@ -210,9 +210,8 @@ def _node_signatures(g: Multigraph) -> list[tuple]:
 
 def _adjacency_multiset(g: Multigraph) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        key = (e.u, e.v)
-        out[key] = out.get(key, 0) + e.multiplicity
+    for u, v, m in zip(g.u.tolist(), g.v.tolist(), g.multiplicity.tolist()):
+        out[u, v] = out.get((u, v), 0) + m
     return out
 
 

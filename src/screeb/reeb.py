@@ -39,7 +39,7 @@ from .geometry import (
     knn_graph,
     row_dots,
 )
-from .graph import Edge, Multigraph
+from .graph import Multigraph
 
 
 @dataclass(frozen=True)
@@ -116,34 +116,10 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
     point are joined, with the distance between centroids as length. A
     constant filter yields the single-vertex graph at the data centroid.
 
-    No crossing is sorted. Vertex v lies in the level sets of exactly the
-    slices [a_v, b_v), with a_v the smallest first slice and b_v the largest
-    end over v's edges: each edge at v starts or ends at v's own rank, so
-    their ranges leave no gap. A block of slices [s0, s1) numbers its keys
-    vertex-major from these ranges, key(v, s) = base[v] + s, so both ends of
-    a crossing get their key by arithmetic and (v, s - 1) is key - 1; a
-    vertex whose range starts below s0 is joined through the previous
-    block's node at slice s0 - 1. A component lies in one slice, so its
-    smallest key holds its smallest vertex, and only the component leads
-    are sorted. A slice's edges go by ascending id, so a key's first touch
-    is its smallest ``2 * edge + side``. The level-set adjacency is
-    filled as CSR directly: key (x, s)'s row holds the edges rising from x
-    across s, a prefix of x's edges ordered by hi descending.
-
-    Packed codes, with n vertices, E undirected edges, m own-list entries
-    and T keys over all blocks. T <= n (n - 1), and there are at most T / 2
-    nodes, since each holds both ends of an edge; a node's slice and the
-    one below hold at most n / 2 nodes each.
-
-    - rising order ``vertex * S - hi``, with S <= n distinct values: below n^2;
-    - lead ``slice * n + vertex``: below n^2;
-    - member ``node * 2E + first touch``: below T E <= n^2 m;
-    - join ``down * n + (up - down)``, with 0 < up - down < n: below T n / 2,
-      which is at most E (n - 1) n, as only the at most 2E vertices with
-      an edge have keys; so below n^2 m.
-
-    ``undirected_edges`` refuses n^2 m > 2^63 with ``InvalidDataError``, so
-    no accepted input overflows int64.
+    The graph is built as arrays straight from the sweep (see the module
+    docstring and ``_sweep``). Each int64 code the sweep packs stays below
+    n^2 m, for n vertices and m own-list entries, which ``undirected_edges``
+    refuses above 2^63; ``tests/test_reeb.py`` states and checks each bound.
     """
     f = np.asarray(filter_values, dtype=float)
     pts = positions.points
@@ -152,12 +128,9 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
     distinct = np.unique(f)
     if distinct.size == 1:
         return Multigraph(1, (), pts.mean(axis=0, keepdims=True))
-    # The sweep's arrays are freed before the joins become Python edges,
-    # which set this function's peak memory.
     centroids, down, up = _sweep(nbrs.undirected_edges()[0], np.searchsorted(distinct, f), distinct.size, pts)
     gaps = centroids[down] - centroids[up]
-    out_edges = tuple(map(Edge, down.tolist(), up.tolist(), np.sqrt(row_dots(gaps, gaps)).tolist()))
-    return Multigraph(len(centroids), out_edges, centroids)
+    return Multigraph.from_arrays(len(centroids), down, up, np.sqrt(row_dots(gaps, gaps)), positions=centroids)
 
 
 def _sweep(edges: np.ndarray, rank: np.ndarray, n_values: int, pts: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -650,12 +650,17 @@ def _segment_distances(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.nd
     return np.sqrt(row_dots(gap, gap))
 
 
-def _clearance_pairs(g: Multigraph) -> tuple[np.ndarray, ...]:
-    """Every pair of non-adjacent features of ``g`` (edge segments, and
-    isolated vertices as point segments), as four vertex-id arrays: the
-    first feature's two ends, then the second's."""
+def _features(g: Multigraph) -> np.ndarray:
+    """End vertex ids of the features of ``g``, (k, 2): its edge segments, then
+    its isolated vertices as point segments."""
     isolated = np.flatnonzero(g.degrees() == 0)
-    feats = np.array([(e.u, e.v) for e in g.edges] + [(v, v) for v in isolated], dtype=int).reshape(-1, 2)
+    return np.column_stack([np.append(g.u, isolated), np.append(g.v, isolated)])
+
+
+def _clearance_pairs(g: Multigraph) -> tuple[np.ndarray, ...]:
+    """Every pair of non-adjacent features of ``g``, as four vertex-id
+    arrays: the first feature's two ends, then the second's."""
+    feats = _features(g)
     i, j = np.triu_indices(len(feats), k=1)
     a, b = feats[i], feats[j]
     keep = ~(a[:, :, None] == b[:, None, :]).any(axis=(1, 2))
@@ -857,13 +862,9 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
     """
     if dim not in (2, 3, 4, 5):
         raise ValueError("embedding dimension must be one of {2, 3, 4, 5}")
-    if any(e.u == e.v or e.multiplicity > 1 for e in g.edges):
+    # Entries of one vertex pair are adjacent in canonical order.
+    if (g.u == g.v).any() or (g.multiplicity > 1).any() or ((g.u[1:] == g.u[:-1]) & (g.v[1:] == g.v[:-1])).any():
         raise InvalidDataError("embedding requires a simple graph (no self-loops or parallel edges)")
-    pair_seen = set()
-    for e in g.edges:
-        if (e.u, e.v) in pair_seen:
-            raise InvalidDataError("embedding requires a simple graph (no self-loops or parallel edges)")
-        pair_seen.add((e.u, e.v))
     comps = graphmod.connected_components(g)
     min_clear = cfg.eps_sep * cfg.feature_scale
     comp_positions: list[np.ndarray] = []
@@ -897,11 +898,6 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
     # as point segments.
     placed = np.zeros((0, 2, dim))
 
-    def comp_feats(local: Multigraph) -> np.ndarray:
-        """Local endpoint indices of the component's features, (k, 2)."""
-        ends = [(e.u, e.v) for e in local.edges]
-        return np.array(ends + [(v, v) for v in np.flatnonzero(local.degrees() == 0)], dtype=int).reshape(-1, 2)
-
     max_edge_len = cfg.feature_scale
     for local, arr in zip(comp_graphs, comp_positions):
         for e in local.edges:
@@ -909,7 +905,7 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
 
     for ci, (comp, local, arr) in enumerate(zip(comps, comp_graphs, comp_positions)):
         arr = arr - arr.mean(axis=0, keepdims=True)
-        feats = comp_feats(local)
+        feats = _features(local)
         if ci == 0:
             for i, v in enumerate(comp):
                 positions[v] = arr[i]

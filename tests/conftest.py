@@ -1,5 +1,8 @@
-"""Shared test helpers: canonical clouds, random multigraphs, the per-copy
-reduction oracle and the sorted-key Reeb sweep oracle."""
+"""Shared test helpers: canonical clouds, random multigraphs, the dict
+canonicalisation oracle, the per-copy reduction oracle and the sorted-key
+Reeb sweep oracle."""
+
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +27,25 @@ def random_multigraph(rng, max_vertices=40, max_edges=60, positions=False):
         edges.append(Edge(u, v, length, mult))
     pos = rng.normal(size=(n, 2)) if positions else None
     return Multigraph(n, tuple(edges), pos)
+
+
+def dict_canonical_edges(n_vertices, edges):
+    """Reference for ``Multigraph``'s canonical entries: endpoints ordered
+    ``u <= v``, equal (u, v, length) keys merged through a dict, which keeps
+    the first key seen (so the first of 0.0 and -0.0), then sorted."""
+    canon: dict[tuple[int, int, float], int] = {}
+    for e in edges:
+        u, v = (int(e.u), int(e.v)) if e.u <= e.v else (int(e.v), int(e.u))
+        if not (0 <= u and v < n_vertices):
+            raise ValueError(f"edge ({e.u},{e.v}) has endpoint outside 0..{n_vertices - 1}")
+        length = float(e.length)
+        if not math.isfinite(length) or length < 0:
+            raise ValueError(f"edge ({u},{v}) has invalid length {length}")
+        if int(e.multiplicity) < 1:
+            raise ValueError("edge multiplicity must be >= 1")
+        key = (u, v, length)
+        canon[key] = canon.get(key, 0) + int(e.multiplicity)
+    return tuple(Edge(u, v, ln, m) for (u, v, ln), m in sorted(canon.items()))
 
 
 def per_copy_reduce(g: Multigraph) -> Multigraph:

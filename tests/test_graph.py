@@ -1,12 +1,14 @@
 """Multigraph core: components, Betti numbers, reduction, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
 from screeb import Edge, Multigraph, betti, connected_components, graph_from_json, graph_to_json
 from screeb import graph as graphmod
 
-from conftest import per_copy_reduce, random_multigraph
+from conftest import dict_canonical_edges, per_copy_reduce, random_multigraph
 
 
 def path_graph(n, length=1.0):
@@ -49,6 +51,67 @@ def test_invalid_edges_rejected():
         Multigraph(2, (Edge(0, 1, np.nan),))
     with pytest.raises(ValueError):
         Multigraph(2, (Edge(0, 1, 1.0, 0),))
+
+
+def signed(edges):
+    # Entries with each length's sign spelled out, since 0.0 == -0.0.
+    return [(e.u, e.v, math.copysign(1.0, e.length), e.length, e.multiplicity) for e in edges]
+
+
+def assert_canonical_like_dict(n, edges, positions=None):
+    """Both constructors hold the dict oracle's entries, as Python scalars in
+    read-only arrays, and relabel by position as a sort of coordinate tuples does."""
+    want = dict_canonical_edges(n, edges)
+    columns = [[e[i] for e in edges] for i in range(4)]
+    for g in (Multigraph(n, tuple(edges), positions), Multigraph.from_arrays(n, *columns, positions=positions)):
+        assert signed(g.edges) == signed(want)
+        assert all(list(map(type, e)) == [int, int, float, int] for e in g.edges)
+        assert not any(a.flags.writeable for a in (g.u, g.v, g.length, g.multiplicity))
+        order = sorted(range(n), key=lambda x: (tuple(positions[x]), x)) if positions is not None else list(range(n))
+        rank = {old: new for new, old in enumerate(order)}
+        relabeled = [Edge(rank[e.u], rank[e.v], e.length, e.multiplicity) for e in want]
+        assert signed(graphmod.canonicalize(g).edges) == signed(dict_canonical_edges(n, relabeled))
+
+
+def test_canonical_entries_match_dict_oracle(rng):
+    assert_canonical_like_dict(0, [])
+    assert_canonical_like_dict(0, [], np.zeros((0, 2)))
+    assert_canonical_like_dict(3, [], rng.normal(size=(3, 2)))
+    # Reversed endpoints and duplicate triples merge.
+    assert_canonical_like_dict(4, [Edge(3, 1, 2.0), Edge(1, 3, 2.0), Edge(2, 0, 0.5, 3), Edge(0, 2, 0.5), Edge(1, 1, 1.0)])
+    # 0.0 and -0.0 are one length, whichever comes first is kept.
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        assert_canonical_like_dict(2, [Edge(1, 0, first), Edge(0, 1, second, 2), Edge(0, 0, second), Edge(0, 0, first)])
+    # Multiplicities up to 2**53, alone and merged.
+    assert_canonical_like_dict(3, [Edge(0, 1, 1.0, 2**53), Edge(2, 1, 0.0, 2**52), Edge(1, 2, -0.0, 2**52)])
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        draws = rng.integers(0, n, size=(int(rng.integers(0, 30)), 2)).tolist()
+        lengths = rng.choice([0.0, -0.0, 0.5, 1.0, 2.5], size=len(draws)).tolist()
+        edges = [Edge(a, b, ln, int(rng.integers(1, 4))) for (a, b), ln in zip(draws, lengths)]
+        # Coarse positions, so that coordinate ties fall back to vertex ids.
+        positions = rng.integers(-2, 3, size=(n, 2)).astype(float) if rng.random() < 0.5 else None
+        assert_canonical_like_dict(n, edges, positions)
+
+
+def test_multiplicity_cap_matches_graph_json(tmp_path):
+    # graph.json holds multiplicities up to 2**53; a merged entry may reach it.
+    top = Multigraph(2, (Edge(0, 1, 1.0, 2**52), Edge(1, 0, 1.0, 2**52)))
+    assert top.edges == (Edge(0, 1, 1.0, 2**53),)
+    graphmod.save_graph(top, tmp_path / "graph.json")
+    assert graphmod.load_graph(tmp_path / "graph.json").edges == top.edges
+    # Past it the graph is refused, not written for load_graph to refuse.
+    with pytest.raises(ValueError, match="above 2\\*\\*53"):
+        Multigraph(2, (Edge(0, 1, 1.0, 2**53), Edge(0, 1, 1.0, 2**53)))
+    # A total of 2**63 used to reach degrees() and raise a bare OverflowError there.
+    for edges in ((Edge(0, 1, 1.0, 2**62), Edge(1, 0, 1.0, 2**62)), (Edge(0, 0, 1.0, 2**63),)):
+        with pytest.raises(ValueError):
+            Multigraph(2, edges)
+    # Distinct entries within the cap may not total past 2**61, so no degree wraps int64.
+    many = tuple(Edge(0, 1, float(i), 2**53) for i in range(257))
+    with pytest.raises(ValueError):
+        Multigraph(2, many)
+    assert Multigraph(2, many[:256]).degrees().tolist() == [2**61, 2**61]
 
 
 def test_degrees_count_multiplicity_and_loops():
@@ -160,6 +223,7 @@ def test_reduce_properties_random(rng):
         assert r.total_length() == pytest.approx(g.total_length(), abs=1e-9)
         rr = graphmod.reduce(r)
         assert graph_to_json(rr) == graph_to_json(r)
+        assert graphmod.reduce(g) is r  # kept on g, not computed again
         assert graph_to_json(r) == graph_to_json(per_copy_reduce(g))
 
 
@@ -194,6 +258,49 @@ def test_reduce_float_summation_order(rng):
         for g in (cycle, Multigraph(13, tuple(loops)), Multigraph(8, tuple(hubs)), Multigraph(3, tuple(double))):
             assert graph_to_json(graphmod.reduce(g)) == graph_to_json(per_copy_reduce(g))
         assert Edge(0, 0, 2 * length, 1) in graphmod.reduce(Multigraph(3, tuple(double))).edges
+
+        # Long runs, 9 to 300 entries, where a pairwise sum (numpy's, from 8
+        # terms) changes bytes: a chain between two kept vertices, a pure
+        # cycle, and loop chains at a kept vertex, each walked from its end
+        # entry to the smaller vertex, once from either end of the path.
+        k = int(rng.integers(9, 301))
+        lengths = rng.uniform(0, 10, k).tolist()
+        inner = (1 + rng.permutation(k - 1)).tolist()
+        chain = Multigraph(k + 1, (Edge(0, 0, 1.0), Edge(k, k, 1.0), *_path([0, *inner, k], lengths)))
+        assert Edge(0, 1, running_total(lengths), 1) in graphmod.reduce(chain).edges
+        loops = []
+        for ids in (inner, inner[::-1]):
+            loops.append(Multigraph(k, (Edge(0, 0, 1.0), *_path([0, *ids, 0], lengths))))
+            walk = lengths if ids[0] < ids[-1] else lengths[::-1]
+            assert Edge(0, 0, running_total(walk), 1) in graphmod.reduce(loops[-1]).edges
+        ids = rng.permutation(k).tolist()
+        ring = Multigraph(k, tuple(_path([*ids, ids[0]], lengths)))
+        assert graphmod.reduce(ring).edges == (Edge(0, 0, running_total([0.0] + [e.length for e in ring.edges]), 1),)
+        for g in (chain, *loops, ring):
+            assert graph_to_json(graphmod.reduce(g)) == graph_to_json(per_copy_reduce(g))
+    # Signs of zero: a chain of -0.0 sums to -0.0, a pure cycle (from 0.0) to 0.0.
+    chain = Multigraph(4, (Edge(0, 0, 1.0), Edge(3, 3, 1.0), *_path([0, 1, 2, 3], [-0.0] * 3)))
+    ring = Multigraph(3, tuple(_path([0, 1, 2, 0], [-0.0] * 3)))
+    assert '[0, 1, -0, 1]' in graph_to_json(graphmod.reduce(chain))
+    assert graph_to_json(graphmod.reduce(ring)) == '{"vertices": [null], "edges": [[0, 0, 0, 1]]}'
+
+
+def running_total(values):
+    # Python's sum() of floats is compensated from 3.12; this adds in sequence.
+    total = values[0]
+    for x in values[1:]:
+        total += x
+    return total
+
+
+def test_reduce_long_subdivided_path_matches_per_copy_reduce(rng):
+    n = 10_001
+    ids = rng.permutation(n).tolist()
+    lengths = rng.uniform(0, 10, n - 1).tolist()
+    g = Multigraph(n, tuple(_path(ids, lengths)))
+    walk = lengths if ids[0] < ids[-1] else lengths[::-1]
+    assert graphmod.reduce(g).edges == (Edge(0, 1, running_total(walk), 1),)
+    assert graph_to_json(graphmod.reduce(g)) == graph_to_json(per_copy_reduce(g))
 
 
 def test_reduce_keeps_multiplicity_whole():

@@ -329,6 +329,56 @@ def test_reeb_vertex_whose_every_edge_ties(block):
     np.testing.assert_array_equal(g.positions, cloud.points[[0, 1, 1, 2, 2, 4]].reshape(3, 2, 2).mean(axis=1))
 
 
+def test_reeb_packed_codes_fit_int64(rng):
+    """``reeb_graph``'s sweep packs pairs into int64 codes. Take n vertices,
+    E undirected edges, m >= E own-list entries, S <= n distinct filter
+    values and T (vertex, slice) keys over all blocks. A vertex lies in at
+    most n - 1 slices, and only the at most 2E vertices with an edge lie in
+    any, so T <= n (n - 1) and T <= 2E (n - 1). A node holds both ends of
+    an edge, so there are at most T / 2 nodes. The codes and their bounds:
+
+    - rising order ``vertex * S - hi``: below n^2;
+    - lead ``slice * n + vertex``: below n^2;
+    - member ``node * 2E + first touch``: below T E <= n^2 m;
+    - join ``down * n + (up - down)``, with 0 < up - down < n: below
+      T n / 2 <= E (n - 1) n < n^2 m.
+
+    ``undirected_edges`` refuses n^2 m > 2^63 with ``InvalidDataError``, so
+    no accepted input overflows int64.
+    """
+    from screeb import adaptive_affinity, fiedler_filter
+    from screeb.geometry import _sorted_unique
+
+    def largest_codes(n, E, S, T):
+        # The largest rising, lead, member and join codes, with T / 2 nodes.
+        return (n - 1) * S, (S - 1) * n - 1, T // 2 * 2 * E - 1, T // 2 * n - 1
+
+    # The counts on real sweeps obey the bounds the codes rest on.
+    for n, k in ((40, 6), (300, 15), (2000, 15)):
+        cloud = add_noise(circle_cloud(rng, n=n), rng, 0.05)
+        nbrs = knn_graph(cloud, k)
+        f = fiedler_filter(adaptive_affinity(cloud, nbrs, k), np.arange(n))
+        edges = nbrs.undirected_edges()[0]
+        rank = np.searchsorted(np.unique(f), f)
+        lo, hi = np.sort(rank[edges], axis=1).T
+        first, end = rank.copy(), rank.copy()  # each vertex's slices [first, end)
+        np.minimum.at(first, edges.ravel(), np.repeat(lo, 2))
+        np.maximum.at(end, edges.ravel(), np.repeat(hi, 2))
+        T, E, m, S = int(np.sum(end - first)), len(edges), len(nbrs.own_indices), int(rank.max()) + 1
+        assert T <= min(n * (n - 1), 2 * E * (n - 1)) and E <= m and S <= n
+        assert 2 * reeb_graph(nbrs, f, cloud).n_vertices <= T
+        assert max(largest_codes(n, E, S, T)) < n * n * m
+
+    # At the largest inputs undirected_edges accepts every code fits int64,
+    # and one more own-list entry is refused.
+    for n in (10, 1000, 10**5, 2**30):
+        m = 2**63 // n**2
+        assert max(largest_codes(n, m, n, min(n * (n - 1), 2 * m * (n - 1)))) < 2**63
+        if m < 10**6:
+            with pytest.raises(InvalidDataError):
+                _sorted_unique(np.zeros(m + 1, dtype=np.int64), n)
+
+
 # -- screeb ------------------------------------------------------------------------
 
 
