@@ -59,7 +59,7 @@ def main(argv=None) -> int:
                 out_dir=args.out,
                 overrides=overrides,
                 level=args.level,
-                workers=args.workers or default_workers(),
+                workers=default_workers() if args.workers is None else args.workers,
             )
             return cmd_run(cfg)
         if args.command == "evaluate":

@@ -4,7 +4,8 @@ Every method and metric in the package exchanges graphs through the
 :class:`Multigraph` type defined here. Vertices are dense integers
 ``0..V-1``, optionally carrying ambient positions; edges form a multiset of
 ``(u, v, length, multiplicity)`` entries, self-loops permitted, stored as
-four read-only arrays and viewed as ``Edge`` tuples on demand.
+four read-only arrays. ``Edge`` tuples and the ``edges`` view of them are
+for callers outside the package; package code reads the arrays.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ class Multigraph:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
+        """The entries as ``Edge`` tuples, for callers outside the package; package code reads the arrays."""
         columns = zip(self.u.tolist(), self.v.tolist(), self.length.tolist(), self.multiplicity.tolist())
         return tuple(map(partial(tuple.__new__, Edge), columns))  # Edge(*row) without a Python-level __new__
 
@@ -316,15 +318,15 @@ def _is_number(x) -> bool:
     return isinstance(x, float) or isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def _edge_from_json(i: int, entry, n: int) -> Edge:
-    """Edge ``i`` of a graph.json document. Ids and multiplicity must be
-    integers up to 2**53, where a float64 holds each one exactly; an integral
-    float passes, a bool does not."""
+def _edge_from_json(i: int, entry, n: int) -> tuple[int, int, float, int]:
+    """Entry ``i`` of a graph.json document as ``(u, v, length, multiplicity)``.
+    Ids and multiplicity must be integers up to 2**53, where a float64 holds
+    each one exactly; an integral float passes, a bool does not."""
     if isinstance(entry, list) and len(entry) == 4 and all(map(_is_number, entry)):
         u, v, length, mult = entry
         if all(abs(x) <= MAX_MULTIPLICITY and float(x).is_integer() for x in (u, v, mult)):
             if 0 <= min(u, v) and max(u, v) < n and math.isfinite(length) and length >= 0 and mult >= 1:
-                return Edge(int(u), int(v), float(length), int(mult))
+                return int(u), int(v), float(length), int(mult)
     raise ValueError(
         f"edge {i}: {entry!r} is not [u, v, length, multiplicity] with integer ids in 0..{n - 1}, "
         "a finite length >= 0 and an integer multiplicity >= 1"

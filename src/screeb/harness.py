@@ -61,8 +61,7 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown method {m!r}; expected one of {KNOWN_METHODS} or 'external:<dir>'"
                 )
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        _worker_count(self.workers, "workers")
 
 
 def _map(fn, tasks: list, workers: int) -> list:
@@ -73,14 +72,23 @@ def _map(fn, tasks: list, workers: int) -> list:
     return [fn(t) for t in tasks]
 
 
+def _worker_count(workers: int, source: str) -> int:
+    """``workers``, the process count given by ``source``; below 1 it is a ``ConfigError``."""
+    if workers < 1:
+        raise ConfigError(f"{source} must be >= 1, got {workers}")
+    return workers
+
+
 def default_workers() -> int:
+    """The process count in ``BENCH_WORKERS``, or 1 when it is unset or empty."""
     env = os.environ.get("BENCH_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError("BENCH_WORKERS must be an integer") from exc
-    return 1
+    if not env:
+        return 1
+    try:
+        count = int(env)
+    except ValueError as exc:
+        raise ConfigError("BENCH_WORKERS must be an integer") from exc
+    return _worker_count(count, "BENCH_WORKERS")
 
 
 def _json_dumps(doc) -> str:
@@ -136,6 +144,7 @@ def cmd_generate(
     """Generate a benchmark directory; returns a process exit code."""
     if n < 1:
         raise ConfigError("sample count must be >= 1")
+    workers = _worker_count(default_workers() if workers is None else workers, "workers")
     cfg = GeneratorConfig()
     if config_path:
         with open(config_path) as fh:
@@ -158,7 +167,6 @@ def cmd_generate(
         except OSError as exc:
             raise ConfigError(f"--force could not clear output directory {out}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
-    workers = workers or default_workers()
     ids = sorted(_map(_generate_one, [(cfg.to_dict(), seed, i, str(out)) for i in range(n)], workers))
     manifest = {
         "format_version": FORMAT_VERSION,

@@ -100,24 +100,17 @@ def edge_length_diagram(g: Multigraph, normalize: bool = True) -> PersistenceDia
     lengths are divided by the maximum edge length; an edgeless graph skips
     the division and yields an empty diagram with ``h0_essential = |V|``.
     """
-    if not g.edges:
+    if not g.u.size:
         return PersistenceDiagram(np.zeros(0), g.n_vertices, np.zeros(0), normalize)
-    scale = max(e.length for e in g.edges) if normalize else 1.0
+    scale = float(g.length.max()) if normalize else 1.0
     if scale <= 0:
         scale = 1.0
-    order = sorted(g.edges, key=lambda e: (e.length, e.u, e.v))
+    order = np.lexsort((g.v, g.u, g.length))
     uf = graphmod.UnionFind(g.n_vertices)
-    deaths: list[float] = []
-    births: list[float] = []
-    for e in order:
-        value = e.length / scale
-        copies = e.multiplicity
-        if e.u != e.v and uf.union(e.u, e.v):
-            deaths.append(value)
-            copies -= 1
-        births.extend([value] * copies)
-    b0 = g.n_vertices - len(deaths)
-    return PersistenceDiagram(np.array(deaths), b0, np.array(births), normalize)
+    joined = np.array([a != b and uf.union(a, b) for a, b in zip(g.u[order].tolist(), g.v[order].tolist())], dtype=bool)
+    values = g.length[order] / scale
+    births = np.repeat(values, g.multiplicity[order] - joined)  # one per copy that closes a cycle
+    return PersistenceDiagram(values[joined], g.n_vertices - int(joined.sum()), births, normalize)
 
 
 def _matching_distance(points_a: np.ndarray, points_b: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray) -> float:
@@ -198,14 +191,11 @@ def _node_signatures(g: Multigraph) -> list[tuple]:
     deg = g.degrees()
     loops = g.self_loop_counts()
     profiles: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for e in g.edges:
-        if e.u != e.v:
-            profiles[e.u].append(e.multiplicity)
-            profiles[e.v].append(e.multiplicity)
-    return [
-        (int(deg[v]), int(loops[v]), tuple(sorted(profiles[v], reverse=True)))
-        for v in range(g.n_vertices)
-    ]
+    for a, b, m in zip(g.u.tolist(), g.v.tolist(), g.multiplicity.tolist()):
+        if a != b:
+            profiles[a].append(m)
+            profiles[b].append(m)
+    return [(d, k, tuple(sorted(prof, reverse=True))) for d, k, prof in zip(deg.tolist(), loops.tolist(), profiles)]
 
 
 def _adjacency_multiset(g: Multigraph) -> dict[tuple[int, int], int]:
@@ -222,9 +212,13 @@ def edit_cost(g1: Multigraph, g2: Multigraph, mapping: dict[int, int]) -> float:
     substitutions are free and edge lengths are ignored. Edge cost is the
     multiset difference of multiplicities under the mapping.
     """
-    node_cost = (g1.n_vertices - len(mapping)) + (g2.n_vertices - len(mapping))
-    adj1 = _adjacency_multiset(g1)
-    adj2 = dict(_adjacency_multiset(g2))
+    return _edit_cost(g1.n_vertices, g2.n_vertices, _adjacency_multiset(g1), _adjacency_multiset(g2), mapping)
+
+
+def _edit_cost(n1: int, n2: int, adj1: dict, adj2: dict, mapping: dict[int, int]) -> float:
+    """``edit_cost`` from the vertex counts and adjacency multisets of both graphs."""
+    node_cost = (n1 - len(mapping)) + (n2 - len(mapping))
+    adj2 = dict(adj2)
     edge_cost = 0
     for (u, v), m1 in adj1.items():
         if u in mapping and v in mapping:
@@ -246,10 +240,11 @@ def _assignment_cost(g1: Multigraph, g2: Multigraph) -> np.ndarray:
     one round of neighbor aggregation, (signature, sorted neighbor
     signatures), so the assignment distinguishes nodes whose local structure
     matches but whose neighborhoods differ; a neighbor is listed once per
-    Edge entry, a self-loop once at its own vertex. The n1 x n2 block is the
+    entry, a self-loop once at its own vertex. The n1 x n2 block is the
     L1 distance between rows plus 0.25 where refinements differ. Deleting or
     inserting a vertex costs 1 + degree, the other dummy entries 1e9. Every
-    entry is an integer or an integer plus 0.25, so the matrix is exact.
+    entry is an integer or an integer plus 0.25, so the matrix is exact, and
+    ``_assignment_cost(g2, g1)`` is ``_assignment_cost(g1, g2).T``.
     """
     sigs = _node_signatures(g1), _node_signatures(g2)
     width = max((len(prof) for sig in sigs for _, _, prof in sig), default=0)
@@ -257,10 +252,10 @@ def _assignment_cost(g1: Multigraph, g2: Multigraph) -> np.ndarray:
     rows, refs = [], []
     for g, sig in zip((g1, g2), sigs):
         nbrs: list[list[tuple]] = [[] for _ in sig]
-        for e in g.edges:
-            nbrs[e.u].append(sig[e.v])
-            if e.u != e.v:
-                nbrs[e.v].append(sig[e.u])
+        for a, b in zip(g.u.tolist(), g.v.tolist()):
+            nbrs[a].append(sig[b])
+            if a != b:
+                nbrs[b].append(sig[a])
         refs.append(np.array([ids.setdefault((s, tuple(sorted(nb))), len(ids)) for s, nb in zip(sig, nbrs)]))
         padded = [(deg, loops, *prof) + (0,) * (width - len(prof)) for deg, loops, prof in sig]
         rows.append(np.array(padded, dtype=int).reshape(len(sig), 2 + width))
@@ -276,18 +271,6 @@ def _assignment_cost(g1: Multigraph, g2: Multigraph) -> np.ndarray:
     return cost
 
 
-def _assignment_mapping(g1: Multigraph, g2: Multigraph) -> dict[int, int]:
-    n1, n2 = g1.n_vertices, g2.n_vertices
-    rows, cols = linear_sum_assignment(_assignment_cost(g1, g2))
-    return {int(i): int(j) for i, j in zip(rows, cols) if i < n1 and j < n2}
-
-
-def _combinatorially_identical(g1: Multigraph, g2: Multigraph) -> bool:
-    if g1.n_vertices != g2.n_vertices:
-        return False
-    return _adjacency_multiset(g1) == _adjacency_multiset(g2)
-
-
 def approx_ged(g1: Multigraph, g2: Multigraph) -> float:
     """Upper bound on the exact unit-cost graph edit distance.
 
@@ -296,14 +279,18 @@ def approx_ged(g1: Multigraph, g2: Multigraph) -> float:
     assignment over local signatures and the induced edit script is costed
     exactly, so the result is always >= the exact GED. Identically labeled
     graphs short-circuit to 0 (the identity is a perfect correspondence),
-    and the assignment is evaluated in both directions so symmetry is exact.
+    and the assignment is evaluated in both directions, the backward one on
+    the transposed cost matrix, so symmetry is exact.
     """
-    if _combinatorially_identical(g1, g2):
+    n1, n2 = g1.n_vertices, g2.n_vertices
+    adj1, adj2 = _adjacency_multiset(g1), _adjacency_multiset(g2)
+    if n1 == n2 and adj1 == adj2:
         return 0.0
-    forward = edit_cost(g1, g2, _assignment_mapping(g1, g2))
-    backward_map = _assignment_mapping(g2, g1)
-    backward = edit_cost(g1, g2, {v: k for k, v in backward_map.items()})
-    return min(forward, backward)
+    cost = _assignment_cost(g1, g2)
+    # Forward g1 -> g2, and backward g2 -> g1 on the transpose, its (row, column) pairs read as (column, row).
+    pairs = linear_sum_assignment(cost), linear_sum_assignment(cost.T)[::-1]
+    mappings = ({i: j for i, j in zip(rows.tolist(), cols.tolist()) if i < n1 and j < n2} for rows, cols in pairs)
+    return min(_edit_cost(n1, n2, adj1, adj2, mapping) for mapping in mappings)
 
 
 # -- persistence images ------------------------------------------------------

@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 from . import graph as graphmod
 from .errors import ConfigError, GenerationError, GenerationReject, InvalidDataError
 from .geometry import PointCloud, row_dots
-from .graph import Edge, Multigraph
+from .graph import Multigraph
 
 _MASK64 = (1 << 64) - 1
 
@@ -192,7 +192,7 @@ class _Builder:
     """Incremental simple-graph builder with degree and size caps."""
 
     def __init__(self, degree_cap: int, nodes_left: int, edges_left: int):
-        self.edges: list[tuple[int, int]] = []
+        self.links: list[tuple[int, int]] = []
         self.deg: list[int] = []
         self.degree_cap = degree_cap
         self.nodes_left = nodes_left
@@ -211,7 +211,7 @@ class _Builder:
         if self.deg[u] >= self.degree_cap or self.deg[v] >= self.degree_cap:
             raise _Unrealizable
         self.edges_left -= 1
-        self.edges.append((u, v))
+        self.links.append((u, v))
         self.deg[u] += 1
         self.deg[v] += 1
 
@@ -319,7 +319,7 @@ def _build_component(cls_name: str, cfg: GeneratorConfig, rng: np.random.Generat
         elif mode == "fuse_edge":
             options = [
                 (u, v)
-                for u, v in b.edges
+                for u, v in b.links
                 if b.deg[u] <= b.degree_cap - 1 and b.deg[v] <= b.degree_cap - 1
             ]
             if not options:
@@ -367,13 +367,12 @@ def sample_topology_meta(cfg: GeneratorConfig, rng: np.random.Generator) -> tupl
             builders.append(b)
             classes.append(cls_name)
             nodes_left -= len(b.deg)
-            edges_left -= len(b.edges)
+            edges_left -= len(b.links)
             break
         else:
             raise GenerationReject("topology-unrealizable")
-    pieces = [
-        Multigraph(len(b.deg), tuple(Edge(u, v, 1.0, 1) for u, v in b.edges)) for b in builders
-    ]
+    ends = [np.array(b.links, dtype=np.int64).reshape(-1, 2).T for b in builders]
+    pieces = [Multigraph.from_arrays(len(b.deg), u, v, np.ones(u.size)) for b, (u, v) in zip(builders, ends)]
     return graphmod.disjoint_union(pieces), classes
 
 
@@ -388,12 +387,11 @@ def sample_topology(cfg: GeneratorConfig, rng: np.random.Generator) -> Multigrap
 
 
 def _simple_adjacency(g: Multigraph, vertices: list[int]) -> dict[int, list[tuple[int, int]]]:
-    vset = set(vertices)
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
-    for i, e in enumerate(g.edges):
-        if e.u in vset and e.v in vset:
-            adj[e.u].append((e.v, i))
-            adj[e.v].append((e.u, i))
+    for i, (a, b) in enumerate(zip(g.u.tolist(), g.v.tolist())):
+        if a in adj and b in adj:
+            adj[a].append((b, i))
+            adj[b].append((a, i))
     return adj
 
 
@@ -650,6 +648,12 @@ def _segment_distances(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.nd
     return np.sqrt(row_dots(gap, gap))
 
 
+def _edge_lengths(g: Multigraph, positions: np.ndarray) -> np.ndarray:
+    """The length of each entry's straight segment at ``positions``, bit for bit ``np.linalg.norm``."""
+    gaps = positions[g.u] - positions[g.v]
+    return np.sqrt(row_dots(gaps, gaps))
+
+
 def _features(g: Multigraph) -> np.ndarray:
     """End vertex ids of the features of ``g``, (k, 2): its edge segments, then
     its isolated vertices as point segments."""
@@ -871,8 +875,9 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
     # Each component relabelled to local vertex ids 0..len(comp) - 1.
     comp_graphs: list[Multigraph] = []
     for comp in comps:
-        idx = {v: i for i, v in enumerate(comp)}
-        local = Multigraph(len(comp), tuple(Edge(idx[e.u], idx[e.v], 1.0, 1) for e in g.edges if e.u in idx))
+        inside = np.isin(g.u, comp)
+        local_u, local_v = np.searchsorted(comp, (g.u[inside], g.v[inside]))  # components come sorted
+        local = Multigraph.from_arrays(len(comp), local_u, local_v, np.ones(local_u.size))
         pairs = _clearance_pairs(local)
         placed = None
         for _attempt in range(cfg.max_search_iterations):
@@ -900,8 +905,7 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
 
     max_edge_len = cfg.feature_scale
     for local, arr in zip(comp_graphs, comp_positions):
-        for e in local.edges:
-            max_edge_len = max(max_edge_len, float(np.linalg.norm(arr[e.u] - arr[e.v])))
+        max_edge_len = float(_edge_lengths(local, arr).max(initial=max_edge_len))
 
     for ci, (comp, local, arr) in enumerate(zip(comps, comp_graphs, comp_positions)):
         arr = arr - arr.mean(axis=0, keepdims=True)
@@ -1028,8 +1032,7 @@ def sample_point_cloud(
     dim = positions.shape[1]
     loops = _cycle_loops(g)
 
-    edge_lengths = [float(np.linalg.norm(positions[e.u] - positions[e.v])) for e in g.edges]
-    mean_edge_len = float(np.mean(edge_lengths)) if edge_lengths else cfg.feature_scale
+    mean_edge_len = float(np.mean(_edge_lengths(g, positions))) if g.u.size else cfg.feature_scale
 
     pairs = _clearance_pairs(g)
     clearance0 = _pair_clearance(positions, pairs)
@@ -1076,19 +1079,10 @@ def sample_point_cloud(
 
     # Fix vertex labels and edge enumeration to the canonical (serialized)
     # order now, so per-point parent ids stay valid across a disk round-trip.
-    latent = graphmod.canonicalize(
-        Multigraph(
-            g.n_vertices,
-            tuple(
-                Edge(e.u, e.v, float(np.linalg.norm(positions[e.u] - positions[e.v])), e.multiplicity)
-                for e in g.edges
-            ),
-            positions,
-        )
-    )
+    straight = _edge_lengths(g, positions)
+    latent = graphmod.canonicalize(Multigraph.from_arrays(g.n_vertices, g.u, g.v, straight, g.multiplicity, positions))
     positions = np.array(latent.positions)
-    edges = list(latent.edges)
-    edge_lengths = [e.length for e in edges]
+    us, vs, edge_lengths = latent.u.tolist(), latent.v.tolist(), latent.length.tolist()
     deg = latent.degrees()
     clearance = _min_clearance(positions, latent)
     if not math.isfinite(clearance):
@@ -1106,14 +1100,13 @@ def sample_point_cloud(
     density_jitter = float(rng.uniform(*cfg.density_jitter_range))
 
     def add_edge_points(ei: int, count: int, include_endpoints: bool) -> None:
-        e = edges[ei]
-        a, bpos = positions[e.u], positions[e.v]
-        axis = bpos - a
-        seg_len = float(np.linalg.norm(axis))
+        a = positions[us[ei]]
+        axis = positions[vs[ei]] - a
+        seg_len = edge_lengths[ei]  # the norm of ``axis``
         axis_unit = axis / seg_len if seg_len > 1e-12 else np.zeros(dim)
-        comp_id = int(comp_of_vertex[e.u])
+        comp_id = int(comp_of_vertex[us[ei]])
         if include_endpoints:
-            pts.append(positions[[e.u, e.v]])
+            pts.append(positions[[us[ei], vs[ei]]])
             parent_kinds.extend(["e"] * 2)
             parent_ids.extend([ei] * 2)
             point_comps.extend([comp_id] * 2)
@@ -1134,9 +1127,9 @@ def sample_point_cloud(
         parent_ids.extend([int(v)] * count)
         point_comps.extend([int(comp_of_vertex[v])] * count)
 
-    for ei, e in enumerate(edges):
+    for ei, length in enumerate(edge_lengths):
         dens = coords.density * (1.0 + rng.uniform(-density_jitter, density_jitter))
-        count = max(cfg.min_points_per_edge, math.ceil(dens * edge_lengths[ei]))
+        count = max(cfg.min_points_per_edge, math.ceil(dens * length))
         add_edge_points(ei, count, include_endpoints=True)
     for v in range(latent.n_vertices):
         if deg[v] >= 3:
@@ -1147,8 +1140,8 @@ def sample_point_cloud(
     # Top components up to the minimum point count.
     counts = np.bincount(point_comps, minlength=len(comps))
     comp_edges: list[list[int]] = [[] for _ in comps]
-    for ei, e in enumerate(edges):
-        comp_edges[comp_of_vertex[e.u]].append(ei)
+    for ei, a in enumerate(us):
+        comp_edges[comp_of_vertex[a]].append(ei)
     for ci in range(len(comps)):
         while counts[ci] < cfg.min_points_per_component:
             if comp_edges[ci]:
@@ -1245,12 +1238,9 @@ def validate(sample: SyntheticSample, cfg: GeneratorConfig) -> ValidationResult:
             return ValidationResult(False, "component-count")
 
     # (d) noise confusion
-    edges = list(g.edges)
-    if edges:
-        dist_matrix = np.column_stack(
-            [_point_segment_distances(points, positions[e.u], positions[e.v]) for e in edges]
-        )
-        ends = np.array([(e.u, e.v) for e in edges])
+    if g.u.size:
+        ends = np.column_stack((g.u, g.v))
+        dist_matrix = np.column_stack([_point_segment_distances(points, a, b) for a, b in positions[ends]])
         on_edge = np.asarray(parent_kinds) == "e"
         # Each point's parent feature as two vertex ids (a vertex twice).
         parent_ends = np.repeat(parent_ids[:, None], 2, axis=1)
@@ -1284,14 +1274,8 @@ def generate_sample(cfg: GeneratorConfig, seed: int, index: int) -> SyntheticSam
             dim = draw_dimension(cfg, rng)
             topo, classes = sample_topology_meta(cfg, rng)
             positions = embed_graph(topo, dim, cfg, rng)
-            embedded = Multigraph(
-                topo.n_vertices,
-                tuple(
-                    Edge(e.u, e.v, float(np.linalg.norm(positions[e.u] - positions[e.v])), e.multiplicity)
-                    for e in topo.edges
-                ),
-                positions,
-            )
+            lengths = _edge_lengths(topo, positions)
+            embedded = Multigraph.from_arrays(topo.n_vertices, topo.u, topo.v, lengths, topo.multiplicity, positions)
             cloud, geometry = sample_point_cloud(embedded, cfg, rng, coords)
             metadata = {
                 "seed": int(sub),

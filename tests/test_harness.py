@@ -465,6 +465,39 @@ def test_cli_subprocess_entry(tmp_path):
     assert (tmp_path / "b" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_worker_counts_below_one(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.delenv("BENCH_WORKERS", raising=False)
+    bench = tmp_path / "bench"
+    assert cli_main(["generate", "--n", "1", "--seed", "5", "--out", str(bench), "--workers", workers]) == 1
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not bench.exists()  # refused before the output directory is made
+    assert cli_main(["generate", "--n", "1", "--seed", "5", "--out", str(bench)]) == 0
+    run = tmp_path / "run"
+    assert cli_main(["run", "--bench", str(bench), "--methods", "mapper", "--out", str(run), "--workers", workers]) == 1
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not run.exists()
+    with pytest.raises(ConfigError):
+        cmd_generate(None, 1, 5, str(tmp_path / "api"), workers=int(workers))
+    with pytest.raises(ConfigError):
+        RunConfig(str(bench), ("mapper",), str(run), workers=int(workers))
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_bench_workers_env_below_one(tmp_path, monkeypatch, capsys, value):
+    from screeb.harness import default_workers
+
+    monkeypatch.setenv("BENCH_WORKERS", value)
+    with pytest.raises(ConfigError, match=f"BENCH_WORKERS must be >= 1, got {value}"):
+        default_workers()
+    bench = tmp_path / "bench"
+    assert cli_main(["generate", "--n", "1", "--seed", "5", "--out", str(bench)]) == 1
+    assert not bench.exists()
+    assert cli_main(["generate", "--n", "1", "--seed", "5", "--out", str(bench), "--workers", "1"]) == 0
+    assert cli_main(["run", "--bench", str(bench), "--methods", "mapper", "--out", str(tmp_path / "run")]) == 1
+    assert f"BENCH_WORKERS must be >= 1, got {value}" in capsys.readouterr().err
+
+
 def test_bench_workers_env(tmp_path, monkeypatch):
     monkeypatch.setenv("BENCH_WORKERS", "2")
     from screeb.harness import default_workers

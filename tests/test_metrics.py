@@ -1,11 +1,13 @@
 """Topology metrics: persistence diagrams, Wasserstein matching, GED upper
 bound, persistence images, and the combined comparison."""
 
+import collections
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from screeb import (
     Edge,
@@ -21,6 +23,7 @@ from screeb import (
     wasserstein_distance,
 )
 from screeb import graph as graphmod
+from screeb import metrics
 from screeb.errors import UnitMismatchError
 from screeb.metrics import _assignment_cost, _node_signatures, edit_cost
 
@@ -31,28 +34,23 @@ from conftest import random_multigraph
 
 
 def sweep_diagram_oracle(g, normalize):
-    """Brute-force threshold sweep: recompute (b0, b1) of the prefix subgraph
-    at every edge weight; b0 drops are H0 deaths, b1 jumps are H1 births."""
+    """Brute-force threshold sweep: add the entries shortest first (ties by
+    endpoints) and recompute (b0, b1) of the prefix subgraph after each; an
+    entry's b0 drop counts its H0 deaths and its b1 jump its H1 births, one
+    per copy."""
     if not g.edges:
         return [], g.n_vertices, []
     scale = max(e.length for e in g.edges) if normalize else 1.0
     if scale <= 0:
         scale = 1.0
-    instances = []
-    for e in g.edges:
-        instances.extend([(e.length, e.u, e.v)] * e.multiplicity)
-    instances.sort()
     deaths, births = [], []
     included = []
     prev_b0, prev_b1 = g.n_vertices, 0
-    for length, u, v in instances:
-        included.append(Edge(u, v, length))
-        sub = Multigraph(g.n_vertices, tuple(included))
-        b0, b1 = betti(sub)
-        if b0 == prev_b0 - 1:
-            deaths.append(length / scale)
-        elif b1 == prev_b1 + 1:
-            births.append(length / scale)
+    for e in sorted(g.edges, key=lambda e: (e.length, e.u, e.v)):
+        included.append(e)
+        b0, b1 = betti(Multigraph(g.n_vertices, tuple(included)))
+        deaths.extend([e.length / scale] * (prev_b0 - b0))
+        births.extend([e.length / scale] * (b1 - prev_b1))
         prev_b0, prev_b1 = b0, b1
     return sorted(deaths), prev_b0, sorted(births)
 
@@ -94,6 +92,28 @@ def exact_ged(g1, g2):
             for image in itertools.permutations(range(n2), k):
                 best = min(best, edit_cost(g1, g2, dict(zip(keep, image))))
     return best
+
+
+def two_matrix_ged(g1, g2):
+    """``approx_ged`` with one assignment-cost matrix per direction: the
+    backward mapping is solved on ``_assignment_cost(g2, g1)`` and inverted,
+    and graphs with equal vertex counts and adjacency multisets score 0."""
+
+    def adjacency(g):
+        counts = collections.Counter()
+        for e in g.edges:
+            counts[e.u, e.v] += e.multiplicity
+        return counts
+
+    def mapping(a, b):
+        rows, cols = linear_sum_assignment(_assignment_cost(a, b))
+        return {int(i): int(j) for i, j in zip(rows, cols) if i < a.n_vertices and j < b.n_vertices}
+
+    if g1.n_vertices == g2.n_vertices and adjacency(g1) == adjacency(g2):
+        return 0.0
+    forward = edit_cost(g1, g2, mapping(g1, g2))
+    backward = edit_cost(g1, g2, {j: i for i, j in mapping(g2, g1).items()})
+    return min(forward, backward)
 
 
 def signature_cost_oracle(sa, sb):
@@ -178,13 +198,25 @@ def test_diagram_counts_match_betti(rng):
 
 
 def test_diagram_matches_sweep_oracle(rng):
-    for _ in range(120):
+    for i in range(160):
         g = random_multigraph(rng, max_vertices=30, max_edges=40)
-        d = edge_length_diagram(g, normalize=True)
-        deaths, b0, births = sweep_diagram_oracle(g, normalize=True)
-        assert np.allclose(d.h0_deaths, deaths)
-        assert d.h0_essential == b0
-        assert np.allclose(d.h1_births, births)
+        if i % 2:  # lengths 0.0 and -0.0 and ties, multiplicities up to 10**3
+            lengths = [0.0, -0.0, 1.0, 2.5]
+            edges = [Edge(e.u, e.v, lengths[rng.integers(4)], int(rng.integers(1, 1001))) for e in g.edges]
+            g = Multigraph(g.n_vertices, tuple(edges))
+        for normalize in (True, False):
+            d = edge_length_diagram(g, normalize=normalize)
+            deaths, b0, births = sweep_diagram_oracle(g, normalize=normalize)
+            assert d.h0_deaths.tolist() == deaths  # the same float divisions: exactly equal
+            assert d.h0_essential == b0
+            assert d.h1_births.tolist() == births
+
+
+def test_diagram_one_entry_of_many_copies():
+    d = edge_length_diagram(Multigraph(3, (Edge(0, 1, 2.0, 10**6), Edge(2, 2, 1.0, 10**6))))
+    assert d.h0_deaths.tolist() == [1.0] and d.h0_essential == 2
+    assert d.h1_births.shape == (2 * 10**6 - 1,)
+    assert (d.h1_births[: 10**6] == 0.5).all() and (d.h1_births[10**6 :] == 1.0).all()
 
 
 def test_diagram_deaths_are_forest_weights(rng):
@@ -352,6 +384,55 @@ def test_assignment_cost_matches_per_pair_oracle(rng):
         got, want = _assignment_cost(g1, g2), assignment_cost_oracle(g1, g2)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+        assert np.array_equal(_assignment_cost(g2, g1), got.T)  # approx_ged's backward mapping reads the transpose
+
+
+def test_approx_ged_matches_two_matrix_oracle(rng):
+    special = [
+        Multigraph(0, ()),
+        Multigraph(1, ()),
+        Multigraph(3, ()),
+        Multigraph(1, (Edge(0, 0, 1.0, 3),)),
+        Multigraph(2, (Edge(0, 0, 1.0), Edge(1, 1, 1.0, 2))),
+        Multigraph(3, (Edge(0, 1, 1.0, 2), Edge(0, 1, 2.0), Edge(1, 2, 1.0), Edge(2, 2, 0.5))),
+        Multigraph(4, (Edge(0, 1, 1.0), Edge(1, 2, 1.0, 3), Edge(2, 3, 1.0), Edge(3, 0, 1.0), Edge(1, 1, 1.0))),
+    ]
+    graphs = [random_multigraph(rng, max_vertices=10, max_edges=14) for _ in range(40)]
+    graphs += [graphmod.reduce(g) for g in graphs[:20]]
+    relabeled = []  # equal vertex counts, other adjacency: no short cut
+    for g in graphs:
+        perm = rng.permutation(g.n_vertices)
+        edges = tuple(Edge(perm[e.u], perm[e.v], e.length, e.multiplicity) for e in g.edges)
+        relabeled.append(Multigraph(g.n_vertices, edges))
+    pairs = [*itertools.product(special, repeat=2), *zip(graphs, graphs[1:]), *zip(graphs, graphs[::-1])]
+    pairs += zip(graphs, relabeled)
+    assert any(g1.n_vertices != g2.n_vertices for g1, g2 in pairs)
+    assert any(approx_ged(g1, g2) > 0 for g1, g2 in zip(graphs, relabeled))
+    for g1, g2 in pairs:
+        assert approx_ged(g1, g2) == two_matrix_ged(g1, g2)
+
+
+def test_approx_ged_builds_one_cost_matrix(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name):
+        original = getattr(metrics, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in ("_assignment_cost", "_adjacency_multiset"):
+        monkeypatch.setattr(metrics, name, counting(name))
+    g1 = Multigraph(3, (Edge(0, 1, 1.0), Edge(1, 2, 1.0, 2)))
+    g2 = Multigraph(4, (Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(1, 3, 1.0), Edge(3, 3, 1.0)))
+    assert approx_ged(g1, g2) > 0
+    assert calls == {"_assignment_cost": 1, "_adjacency_multiset": 2}
+    calls.clear()
+    assert approx_ged(g2, g2) == 0.0
+    assert calls == {"_adjacency_multiset": 2}
 
 
 # -- persistence images --------------------------------------------------------
