@@ -19,6 +19,15 @@ bound ``sqrt(||M||_F^2 - 1)`` on the other eigenvalues is below ``c``. M is
 normalised once per matrix; a component given as a range of rows slices it.
 Iterating ``X <- P^t X`` with a fresh matrix each round is diffusion condensation.
 
+The shift-invert factor of ``M - sigma I`` (sigma = 1 + 1e-6) is one SuperLU
+LU in symmetric mode: a minimum-degree ordering of ``A^T + A`` and diagonal
+pivots only. That is safe because M's spectrum lies in [-1, 1], so
+``sigma I - M`` is symmetric positive definite (smallest eigenvalue at least
+1e-6, diagonal ``sigma - 1/d_i`` never zero), and an unpivoted LU of such a
+matrix is backward stable like Cholesky. scipy's default (COLAMD with
+partial pivoting) treats it as unsymmetric: on a noisy circle of n = 32 000
+its L + U hold 7.1M entries, against 3.5M here.
+
 A neighbor graph stores the own lists of its ``(n, k + 1)`` cKDTree query
 (see ``NeighborGraph``); its undirected edges and the bandwidths are derived
 from them with array operations.
@@ -34,7 +43,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cs_components
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateInputError, InvalidDataError, IsolatedPointError, SolverError
@@ -152,6 +161,13 @@ class NeighborGraph:
         return np.column_stack(np.divmod(keys, n)), self.own_distances[first]
 
 
+def _check_ids(lo: int, hi: int, n: int) -> None:
+    """Refuse vertex ids, given by the smallest and the largest, outside ``0..n-1``
+    (numpy would wrap a negative one)."""
+    if lo < 0 or hi >= n:
+        raise InvalidDataError(f"vertex id {lo if lo < 0 else hi} is outside 0..{n - 1} of a {n}-vertex graph")
+
+
 def _csr(n: int, u, v, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only CSR arrays (indptr, v, d) of flat entries grouped by ascending ``u``."""
     indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=n))])
@@ -186,16 +202,30 @@ def _symmetric_spectrum(m: sp.csr_matrix, rank: int) -> tuple[np.ndarray, np.nda
     at sigma = 1 + 1e-6, accepted if its smallest eigenvalue exceeds
     ``c = 1 - 2 min diag(M) = 1 - 2/d_max`` (``W + cD`` is diagonally dominant,
     so ``M >= -c``), else a dense ``eigh`` up to ``_DENSE_FALLBACK_LIMIT`` rows.
+    A singular factor or an ARPACK failure takes the same fallback, and raises
+    ``SolverError`` above it.
 
     The squared eigenvalues sum to ``||M||_F^2`` and the top one is 1, so no
     other exceeds ``sqrt(||M||_F^2 - 1)``. When that is below ``c`` by more than
-    rounding, the certificate must fail: the dense ``eigh`` runs without ``eigsh``."""
+    rounding, the certificate must fail: the dense ``eigh`` runs without ``eigsh``.
+
+    ``eigsh`` gets ``M - sigma I`` factored once by SuperLU in symmetric mode
+    (ordering ``MMD_AT_PLUS_A``, no pivoting) as ``OPinv``. ``sigma I - M`` is
+    positive definite, so no pivot is needed and none breaks the symmetric
+    ordering; the fill is about half that of scipy's default COLAMD with partial
+    pivoting (3.5M against 7.1M L + U entries on a noisy circle at n = 32 000).
+    Against that default the pairs move at rounding level only; ``reeb_graph``
+    reads only the filter's order and ties."""
     n, k = m.shape[0], rank + 1
     c = 1.0 - 2.0 * m.diagonal().min()
     uncertifiable = n <= _DENSE_FALLBACK_LIMIT and np.sqrt(max(m.data @ m.data - 1.0, 0.0)) < c - _ROUNDING_MARGIN
     if k < n - 1 and not uncertifiable:
+        sigma = 1.0 + 1e-6
         try:
-            vals, vecs = eigsh(m, k=k, sigma=1.0 + 1e-6, which="LM", v0=np.full(n, 1.0 / np.sqrt(n)))
+            lu = splu((m - sigma * sp.eye(n)).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+            shift_invert = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+            vals, vecs = eigsh(m, k=k, sigma=sigma, which="LM", v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=shift_invert)
         except RuntimeError as exc:  # ArpackNoConvergence, or SuperLU's "exactly singular"
             failure = str(exc)
         else:
@@ -311,14 +341,19 @@ def fiedler_filter(affinity: AffinityMatrix, component: np.ndarray) -> np.ndarra
     component (a component of ``affinity_components`` has no other entries) with
     second-largest eigenvalue magnitude, sign-fixed so the entry of largest
     absolute value is positive. A single-vertex component gets the constant
-    filter 0. A range of ids is sliced from ``affinity.operator``.
+    filter 0. A range of ids is sliced from ``affinity.operator``. An id
+    outside the affinity's rows raises ``InvalidDataError``.
     """
     component = np.asarray(component, dtype=int)
+    a = component[0] if component.size else 0
+    ranged = np.array_equal(component, np.arange(a, a + component.size))
+    # A range (the empty one too) is checked by its ends.
+    lo, hi = (a, a + component.size - 1) if ranged else (component.min(), component.max())
+    _check_ids(lo, hi, affinity.n)
     if component.size == 1:
         return np.zeros(1)
     m, degrees = affinity.operator
-    a = component[0] if component.size else 0
-    if np.array_equal(component, np.arange(a, a + component.size)):
+    if ranged:
         rows = slice(a, a + component.size)
         sub_w, sub_m = affinity.matrix[rows, rows], m[rows, rows]
     else:
@@ -400,8 +435,11 @@ def load_points_csv(path) -> PointCloud:
 
 def induced_neighbor_subgraph(nbrs: NeighborGraph, vertices: np.ndarray) -> NeighborGraph:
     """Restrict a neighbor graph to ``vertices``, reindexed 0..len-1: row r
-    keeps the entries of ``vertices[r]``'s own list inside ``vertices``, in order."""
+    keeps the entries of ``vertices[r]``'s own list inside ``vertices``, in order.
+    An id outside ``0..nbrs.n-1`` raises ``InvalidDataError``."""
     vertices = np.asarray(vertices, dtype=int)
+    if vertices.size:
+        _check_ids(vertices.min(), vertices.max(), nbrs.n)
     ptr, relabel = nbrs.own_indptr, np.full(nbrs.n, -1)
     relabel[vertices] = np.arange(len(vertices))
     # Gather the rows of ``vertices`` in order: row r's entries start at ptr[vertices[r]].

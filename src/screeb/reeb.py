@@ -114,7 +114,9 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
     the slice's edges (ascending) first touch them, and nodes are numbered
     by (slice, smallest vertex). Nodes at adjacent slices that share a data
     point are joined, with the distance between centroids as length. A
-    constant filter yields the single-vertex graph at the data centroid.
+    constant filter yields the single-vertex graph at the data centroid. A
+    non-finite filter value, or positions of another size than the graph,
+    raise ``InvalidDataError``.
 
     The graph is built as arrays straight from the sweep (see the module
     docstring and ``_sweep``). Each int64 code the sweep packs stays below
@@ -125,6 +127,10 @@ def reeb_graph(nbrs: NeighborGraph, filter_values: np.ndarray, positions: PointC
     pts = positions.points
     if f.shape != (nbrs.n,):
         raise ValueError("filter must assign one value per vertex")
+    if not np.all(np.isfinite(f)):
+        raise InvalidDataError("filter contains non-finite values")
+    if positions.n != nbrs.n:
+        raise InvalidDataError(f"{positions.n} positions for a {nbrs.n}-vertex neighbor graph")
     distinct = np.unique(f)
     if distinct.size == 1:
         return Multigraph(1, (), pts.mean(axis=0, keepdims=True))

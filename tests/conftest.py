@@ -1,6 +1,6 @@
 """Shared test helpers: canonical clouds, random multigraphs, the dict
-canonicalisation oracle, the per-copy reduction oracle and the sorted-key
-Reeb sweep oracle."""
+canonicalisation oracle, the per-copy reduction oracle, the sorted-key
+Reeb sweep oracle and the default-factor shift-invert oracle."""
 
 import math
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as csgraph_components
+from scipy.sparse.linalg import eigsh
 
 from screeb import Edge, Multigraph, PointCloud, connected_components
 from screeb.errors import InvalidDataError
@@ -230,6 +231,15 @@ def own_block_filter(affinity, comp):
     _, vecs = _symmetric_spectrum((inv_sqrt @ w @ inv_sqrt).tocsr(), 1)
     phi = vecs[:, 1] / np.sqrt(degrees)
     return -phi if phi[np.argmax(np.abs(phi))] < 0 else phi
+
+
+def default_factor_eigsh(m, k, sigma, which, v0, OPinv=None):
+    """The shift-invert solve as ``_symmetric_spectrum`` made it before it
+    passed its own factor: ``eigsh`` factors ``M - sigma I`` itself with
+    scipy's SuperLU defaults (COLAMD ordering, partial pivoting). ``OPinv`` is
+    ignored, so patched in for ``geometry.eigsh`` it is the oracle for the
+    symmetric-mode factor."""
+    return eigsh(m, k=k, sigma=sigma, which=which, v0=v0)
 
 
 def separated_clusters(rng, sizes, dim=3, gap=100.0):

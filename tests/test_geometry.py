@@ -12,21 +12,27 @@ from scipy.spatial.distance import pdist, squareform
 
 from screeb import (
     AffinityMatrix,
+    GeneratorConfig,
     PointCloud,
     adaptive_affinity,
     condense,
     fiedler_filter,
+    generate_sample,
+    graph_to_json,
     knn_graph,
     load_points_csv,
     save_points_csv,
     screeb,
+    screeb_tower,
     transition_matrix,
 )
-from screeb import geometry
+from screeb import geometry, reeb
 from screeb.errors import DegenerateInputError, InvalidDataError, IsolatedPointError, SolverError
 from screeb.geometry import _symmetric_spectrum, affinity_components, induced_neighbor_subgraph
 
-from conftest import disk_points, own_block_filter, separated_clusters
+from conftest import default_factor_eigsh, disk_points, own_block_filter, separated_clusters
+
+CI_SEED = 20260422  # the shipped preset's benchmark seed
 
 
 def own_rows(nbrs):
@@ -409,8 +415,12 @@ def _no_convergence(m, k, **kwargs):
     raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((m.shape[0], 0)))
 
 
-def _singular_factor(m, k, **kwargs):
+def _singular_factor(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
+
+
+# (name patched in geometry, replacement): ARPACK fails, or the shift-invert factor is singular.
+_SOLVER_FAILURES = (("eigsh", _no_convergence), ("splu", _singular_factor))
 
 
 def _dense_pairs(m, k):
@@ -434,10 +444,11 @@ def test_arpack_failure_falls_back_to_dense_eigh(rng, monkeypatch):
     shift_invert = fiedler_filter(aff, comp)
     m = sp.random(500, 500, density=0.02, random_state=1, format="csr")
     m = (m + m.T).tocsr()
-    for failure in (_no_convergence, _singular_factor):
-        monkeypatch.setattr(geometry, "eigsh", failure)
-        np.testing.assert_allclose(fiedler_filter(aff, comp), shift_invert, atol=1e-8)
-        vals, vecs = _symmetric_spectrum(m, 1)
+    for name, failure in _SOLVER_FAILURES:
+        with monkeypatch.context() as patched:
+            patched.setattr(geometry, name, failure)
+            np.testing.assert_allclose(fiedler_filter(aff, comp), shift_invert, atol=1e-8)
+            vals, vecs = _symmetric_spectrum(m, 1)
         dense_vals, dense_vecs = _dense_pairs(m, 2)
         assert np.array_equal(vals, dense_vals) and np.array_equal(vecs, dense_vecs)
 
@@ -445,12 +456,15 @@ def test_arpack_failure_falls_back_to_dense_eigh(rng, monkeypatch):
 def test_arpack_failure_above_dense_limit_raises_solver_error(rng, monkeypatch):
     # n > 4096 has no dense fallback; screeb surfaces the SolverError.
     m = sp.diags(np.arange(1.0, 4098.0)).tocsr()
-    for failure, message in ((_no_convergence, "no convergence"), (_singular_factor, "exactly singular")):
-        monkeypatch.setattr(geometry, "eigsh", failure)
-        with pytest.raises(SolverError, match=message):
-            _symmetric_spectrum(m, 1)
-    with pytest.raises(SolverError):
-        screeb(PointCloud(disk_points(rng, 4097, 1.0, (0.0, 0.0))))
+    cloud = PointCloud(disk_points(rng, 4097, 1.0, (0.0, 0.0)))
+    for name, failure in _SOLVER_FAILURES:
+        message = "no convergence" if failure is _no_convergence else "exactly singular"
+        with monkeypatch.context() as patched:
+            patched.setattr(geometry, name, failure)
+            with pytest.raises(SolverError, match=message):
+                _symmetric_spectrum(m, 1)
+            with pytest.raises(SolverError, match=message):
+                screeb(cloud)
 
 
 def test_magnitude_certificate_bounds_bottom_eigenvalue(rng):
@@ -502,6 +516,57 @@ def test_fiedler_filter_order_matches_dense_on_large_circle(rng, monkeypatch):
     assert np.array_equal(np.argsort(f, kind="stable"), np.argsort(dense, kind="stable"))
     assert np.array_equal(np.unique(f, return_counts=True)[1], np.unique(dense, return_counts=True)[1])
     assert abs(np.dot(f, dense)) / (np.linalg.norm(f) * np.linalg.norm(dense)) > 1 - 1e-9
+
+
+def _filters_and_certificates(monkeypatch, solve, run):
+    """``run()``'s output, each filter ``fiedler_filter`` returns in it, and
+    whether each shift-invert solve, made by ``solve`` as ``geometry.eigsh``,
+    passed the magnitude certificate."""
+    filters, certified = [], []
+
+    def certifying(m, k, **kwargs):
+        vals, vecs = solve(m, k, **kwargs)
+        certified.append(bool(vals.min() > 1.0 - 2.0 * m.diagonal().min()))
+        return vals, vecs
+
+    def recording(*args):
+        filters.append(fiedler_filter(*args))
+        return filters[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(geometry, "eigsh", certifying)
+        patched.setattr(reeb, "fiedler_filter", recording)
+        out = run()
+    return out, filters, certified
+
+
+def test_symmetric_factor_matches_default_factor_oracle(monkeypatch):
+    # The symmetric-mode factor moves filter bits at rounding level only: every
+    # filter has the oracle's order, ties and signs, every solve the same
+    # certificate decision, on noisy circles and every piece of the first
+    # ten CI samples' towers.
+    def circle(n, seed):
+        rng = np.random.default_rng((seed, n))
+        theta = rng.uniform(0, 2 * np.pi, n)
+        return PointCloud(np.c_[np.cos(theta), np.sin(theta)] + rng.normal(0, 0.05, (n, 2)))
+
+    def tower(i):
+        return [g for _, _, g in screeb_tower(generate_sample(GeneratorConfig(), CI_SEED, i).cloud).entries]
+
+    runs = [lambda c=circle(n, seed): [screeb(c)] for n in (1000, 2000) for seed in (1, 2, 3)]
+    runs += [lambda i=i: tower(i) for i in range(10)]
+    solves = 0
+    for run in runs:
+        out, got, got_certified = _filters_and_certificates(monkeypatch, eigsh, run)
+        want_out, want, want_certified = _filters_and_certificates(monkeypatch, default_factor_eigsh, run)
+        assert got_certified == want_certified and len(got) == len(want)
+        for f, g in zip(got, want):
+            assert np.array_equal(np.argsort(f, kind="stable"), np.argsort(g, kind="stable"))
+            assert np.array_equal(np.unique(f, return_counts=True)[1], np.unique(g, return_counts=True)[1])
+            assert np.array_equal(np.signbit(f), np.signbit(g))
+        assert list(map(graph_to_json, out)) == list(map(graph_to_json, want_out))
+        solves += len(got_certified)
+    assert solves > len(runs)
 
 
 def _shuffled_pieces(rng):

@@ -8,8 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screeb import Multigraph, PointCloud, ReebParams, errors, mapper_graph, screeb, screeb_tower
-from screeb.geometry import condense
+from screeb import (
+    Multigraph,
+    PointCloud,
+    ReebParams,
+    adaptive_affinity,
+    errors,
+    fiedler_filter,
+    knn_graph,
+    mapper_graph,
+    reeb_graph,
+    screeb,
+    screeb_tower,
+)
+from screeb.geometry import condense, induced_neighbor_subgraph
 
 ERRORS = tuple(
     obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, Exception)
@@ -128,3 +140,35 @@ def test_coordinates_just_below_squared_spread_overflow_resolve():
     for call in ENTRY_POINTS:
         out = call(PointCloud(points))
         assert isinstance(out.graph(0) if hasattr(out, "entries") else out, (Multigraph, PointCloud))
+
+
+def _thirty_points():
+    cloud = PointCloud(np.random.default_rng(0).normal(size=(30, 2)))
+    nbrs = knn_graph(cloud, 5)
+    affinity = adaptive_affinity(cloud, nbrs, 5)
+    return cloud, nbrs, affinity, fiedler_filter(affinity, np.arange(30))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reeb_graph_refuses_non_finite_filters(bad):
+    # NaN would sort as the largest rank and a graph would come back.
+    cloud, nbrs, _, f = _thirty_points()
+    with pytest.raises(errors.InvalidDataError, match="non-finite"):
+        reeb_graph(nbrs, np.where(np.arange(30) == 3, bad, f), cloud)
+
+
+def test_out_of_range_ids_and_sizes_name_the_size():
+    # Each of these raised a bare IndexError, or named the wrong fault: scipy
+    # cuts a range past the end short, and numpy wraps a negative id.
+    cloud, nbrs, affinity, f = _thirty_points()
+    calls = (
+        lambda: reeb_graph(nbrs, f, PointCloud(cloud.points[:12])),
+        lambda: fiedler_filter(affinity, [0, 40]),
+        lambda: fiedler_filter(affinity, np.arange(25, 31)),  # a range, checked by its ends
+        lambda: fiedler_filter(affinity, [-1, 0]),
+        lambda: induced_neighbor_subgraph(nbrs, [0, 31]),
+        lambda: induced_neighbor_subgraph(nbrs, [-1, 3]),
+    )
+    for call in calls:
+        with pytest.raises(errors.InvalidDataError, match="30"):
+            call()
