@@ -1,6 +1,7 @@
 """Golden digests of the CI benchmark: the ``N_SAMPLES`` samples of the
-shipped preset, generated, run through every method and evaluated by the
-harness, must keep their bytes, down to ``aggregate.csv``.
+shipped preset, generated, run through every method, evaluated and
+reported by the harness, must keep their bytes, down to ``aggregate.csv``
+and ``bench report``'s stdout.
 
 ``tests/golden/ci_digests.json`` holds two tiers per file, and
 ``tests/golden/circle_digest.json`` the same two tiers for ``screeb`` on one
@@ -14,24 +15,37 @@ The sha256 digests of each ``points.csv``, ``meta.json`` (whose
 ``realized`` block holds the generator's clearance, tube radius and
 shrink) and ``graph.json`` are compared only under the numpy and scipy versions they were recorded with,
 because eigenvector bits can differ between LAPACK builds.
+``tests/golden/harness_digests.json`` pins, under the same version rule,
+the sha256 of the harness's timing-free artifacts of the same run: the
+benchmark's ``manifest.json``, ``run.json``, every ``tower.json``,
+``evaluate.json``, ``stratified.csv`` and ``bench report``'s stdout
+(``run_manifest.json`` and ``results.json`` carry timings and are not
+pinned). The pipeline runs with relative directory names, so ``run.json``
+holds no temporary path.
 
-Re-record (only for a change that is meant to move outputs, stating which
-digests changed and why): ``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py`` recomputes every digest and
+prints those that differ from the golden files. Add ``--rewrite`` to
+overwrite the golden files, only for a change that is meant to move
+outputs, stating which digests changed and why.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 from screeb import PointCloud, betti, graph_to_json, load_graph, screeb
-from screeb.harness import RunConfig, cmd_evaluate, cmd_generate, cmd_run
+from screeb.harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cmd_run
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "ci_digests.json"
 CIRCLE_GOLDEN = GOLDEN.parent / "circle_digest.json"
+HARNESS_GOLDEN = GOLDEN.parent / "harness_digests.json"
 CI_SEED = 20260422
 CIRCLE_N = 2000
 N_SAMPLES = 40
@@ -61,20 +75,31 @@ def _assert_edge_lengths(got: list[float], want: list[float], name) -> None:
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9, err_msg=str(name))
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def ci_pipeline(root: Path) -> str:
+    """Generate, run, evaluate and report the CI samples in ``root``, which
+    becomes the working directory meanwhile; returns the report's stdout."""
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.chdir(root)
+        assert cmd_generate(None, N_SAMPLES, CI_SEED, "bench", workers=1) == 0
+        assert cmd_generate(None, N_BATCH, CI_SEED, "batch", workers=1) == 0
+        assert cmd_run(RunConfig(bench_dir="bench", methods=METHODS, out_dir="run", workers=1)) == 0
+        assert cmd_evaluate("bench", "run", "results") == 0
+        assert cmd_report("results") == 0
+    return stdout.getvalue()
+
+
 def ci_digests(root: Path) -> dict:
-    """Generate, run and evaluate the CI samples under ``root``; digest every
-    output."""
+    """Digest every output of :func:`ci_pipeline` in ``root``."""
     bench, batch, run, results = root / "bench", root / "batch", root / "run", root / "results"
-    assert cmd_generate(None, N_SAMPLES, CI_SEED, str(bench), workers=1) == 0
-    assert cmd_generate(None, N_BATCH, CI_SEED, str(batch), workers=1) == 0
-    assert cmd_run(RunConfig(bench_dir=str(bench), methods=METHODS, out_dir=str(run), workers=1)) == 0
-    assert cmd_evaluate(str(bench), str(run), str(results)) == 0
-    files = {"aggregate.csv": {"sha256": hashlib.sha256((results / "aggregate.csv").read_bytes()).hexdigest()}}
+    files = {"aggregate.csv": {"sha256": _sha256(results / "aggregate.csv")}}
     for sid in sorted(p.name for p in bench.iterdir() if p.is_dir()):
-        points = bench / sid / "points.csv"
-        files[f"bench/{sid}/points.csv"] = {"sha256": hashlib.sha256(points.read_bytes()).hexdigest()}
-        meta = bench / sid / "meta.json"
-        files[f"bench/{sid}/meta.json"] = {"sha256": hashlib.sha256(meta.read_bytes()).hexdigest()}
+        files[f"bench/{sid}/points.csv"] = {"sha256": _sha256(bench / sid / "points.csv")}
+        files[f"bench/{sid}/meta.json"] = {"sha256": _sha256(bench / sid / "meta.json")}
         files[f"bench/{sid}/graph.json"] = _graph_entry(bench / sid / "graph.json")
         for method in METHODS:
             files[f"{method}/{sid}/graph.json"] = _graph_entry(run / method / sid / "graph.json")
@@ -86,6 +111,23 @@ def ci_digests(root: Path) -> dict:
         "seed": CI_SEED,
         "n_samples": N_SAMPLES,
         "methods": list(METHODS),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "files": files,
+    }
+
+
+def harness_digests(root: Path, report_stdout: str) -> dict:
+    """The sha256 of the timing-free harness artifacts of :func:`ci_pipeline`
+    in ``root``, and of the report's stdout."""
+    paths = [root / "bench" / "manifest.json", root / "run" / "run.json"]
+    paths += sorted((root / "run" / "screebtower").glob("*/tower.json"))
+    paths += [root / "results" / "evaluate.json", root / "results" / "stratified.csv"]
+    files = {p.relative_to(root).as_posix(): {"sha256": _sha256(p)} for p in paths}
+    files["bench report stdout"] = {"sha256": hashlib.sha256(report_stdout.encode()).hexdigest()}
+    return {
+        "seed": CI_SEED,
+        "n_samples": N_SAMPLES,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "files": files,
@@ -113,18 +155,48 @@ def circle_digest() -> dict:
     }
 
 
-def test_ci_golden_digests(tmp_path):
+def _sha256s(doc: dict) -> dict[str, str]:
+    """Every sha256 of a golden document, by file name."""
+    if "files" in doc:
+        return {name: entry["sha256"] for name, entry in doc["files"].items()}
+    return {"screeb circle graph.json": doc["sha256"]}
+
+
+def _changed_digests(got: dict, golden: dict) -> list[str]:
+    """Names whose sha256 differs, when both were taken under the same numpy
+    and scipy versions."""
+    if (got["numpy"], got["scipy"]) != (golden["numpy"], golden["scipy"]):
+        return []
+    want = _sha256s(golden)
+    return [name for name, sha in _sha256s(got).items() if want.get(name) != sha]
+
+
+@pytest.fixture(scope="module")
+def ci_run(tmp_path_factory):
+    """(root, report stdout) of one :func:`ci_pipeline`, shared by the CI pins."""
+    root = tmp_path_factory.mktemp("ci")
+    return root, ci_pipeline(root)
+
+
+def test_ci_golden_digests(ci_run):
     golden = json.loads(GOLDEN.read_text())
-    got = ci_digests(tmp_path)
+    got = ci_digests(ci_run[0])
     assert sorted(got["files"]) == sorted(golden["files"])
     for name, want in golden["files"].items():
         for key in ("betti", "vertices", "edges"):
             assert got["files"][name].get(key) == want.get(key), (name, key)
         if "edge_lengths" in want:
             _assert_edge_lengths(got["files"][name]["edge_lengths"], want["edge_lengths"], name)
-    if (got["numpy"], got["scipy"]) == (golden["numpy"], golden["scipy"]):
-        changed = [n for n, want in golden["files"].items() if got["files"][n]["sha256"] != want["sha256"]]
-        assert not changed, f"digests changed: {changed}"
+    changed = _changed_digests(got, golden)
+    assert not changed, f"digests changed: {changed}"
+
+
+def test_harness_golden_digests(ci_run):
+    golden = json.loads(HARNESS_GOLDEN.read_text())
+    got = harness_digests(*ci_run)
+    assert sorted(got["files"]) == sorted(golden["files"])
+    changed = _changed_digests(got, golden)
+    assert not changed, f"digests changed: {changed}"
 
 
 def test_multi_block_circle_golden_digest():
@@ -133,17 +205,38 @@ def test_multi_block_circle_golden_digest():
     for key in ("betti", "vertices", "edges"):
         assert got[key] == golden[key], key
     _assert_edge_lengths(got["edge_lengths"], golden["edge_lengths"], "circle")
-    if (got["numpy"], got["scipy"]) == (golden["numpy"], golden["scipy"]):
-        assert got["sha256"] == golden["sha256"]
+    assert not _changed_digests(got, golden)
+
+
+def main(argv=None) -> int:
+    """Print every digest that differs from the golden files (exit 1 if any);
+    with ``--rewrite``, overwrite the golden files instead."""
+    import argparse
+    import tempfile
+
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("--rewrite", action="store_true", help="overwrite the golden files with this checkout's digests")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        stdout = ci_pipeline(root)
+        docs = {GOLDEN: ci_digests(root), HARNESS_GOLDEN: harness_digests(root, stdout), CIRCLE_GOLDEN: circle_digest()}
+    differ = 0
+    for path, doc in docs.items():
+        if args.rewrite:
+            path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+            print(f"wrote {path} ({len(_sha256s(doc))} digests)", file=sys.stderr)
+            continue
+        golden = json.loads(path.read_text()) if path.exists() else {"numpy": None, "scipy": None, "files": {}}
+        if (doc["numpy"], doc["scipy"]) != (golden["numpy"], golden["scipy"]):
+            print(f"{path.name}: recorded under numpy {golden['numpy']}, scipy {golden['scipy']}", file=sys.stderr)
+        want, got = _sha256s(golden), _sha256s(doc)
+        for name in sorted(want.keys() | got.keys()):
+            if want.get(name) != got.get(name):
+                print(f"{path.name}: {name}: {want.get(name)} -> {got.get(name)}")
+                differ += 1
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        doc = ci_digests(Path(tmp))
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN} ({len(doc['files'])} files)", file=sys.stderr)
-    CIRCLE_GOLDEN.write_text(json.dumps(circle_digest(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {CIRCLE_GOLDEN}", file=sys.stderr)
+    sys.exit(main())
