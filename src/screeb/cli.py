@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import ConfigError, GenerationError
-from .harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cmd_run, default_workers
+from .harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cmd_run, default_workers, read_config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,15 +48,11 @@ def main(argv=None) -> int:
                 args.config, args.n, args.seed, args.out, force=args.force, workers=args.workers
             )
         if args.command == "run":
-            overrides = {}
-            if args.config:
-                with open(args.config) as fh:
-                    overrides = json.load(fh)
             cfg = RunConfig(
                 bench_dir=args.bench,
                 methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
                 out_dir=args.out,
-                overrides=overrides,
+                overrides=read_config(args.config) if args.config else {},
                 level=args.level,
                 workers=default_workers() if args.workers is None else args.workers,
             )

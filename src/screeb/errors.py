@@ -21,15 +21,8 @@ class SolverError(RuntimeError):
     """The Fiedler solve on a component of more than 4096 points, where no
     dense fallback runs, failed: the shift-invert eigensolver did not
     converge, its sparse LU was singular, or its pairs failed the magnitude
-    certificate. The message carries the solver's diagnostics.
-
-    The LU of ``M - sigma I`` runs in SuperLU's symmetric mode without
-    pivoting. ``sigma I - M`` is positive definite (M's spectrum lies in
-    [-1, 1], sigma = 1 + 1e-6), so every pivot is nonzero in exact arithmetic
-    and the factor is backward stable like Cholesky; a singular factor means
-    an input outside that contract. Its fill is about half that of scipy's
-    default COLAMD with partial pivoting (3.5M against 7.1M L + U entries on
-    a noisy circle at n = 32 000)."""
+    certificate. The message carries the solver's diagnostics. Why the LU
+    needs no pivoting: ``geometry._symmetric_spectrum``."""
 
 
 class UnitMismatchError(ValueError):

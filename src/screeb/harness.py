@@ -5,7 +5,8 @@ Directory layouts
 benchmark:  <bench>/<id>/{points.csv, graph.json, meta.json}, <bench>/manifest.json
 run:        <run>/run.json, <run>/<method>/<id>/graph.json (+ tower levels),
             <run>/<method>/run_manifest.json
-results:    <results>/<method>/<id>/results.json, <results>/aggregate.csv
+results:    <results>/<method>/<id>/results.json, <results>/{aggregate.csv, evaluate.json}
+            (``bench report`` prints evaluate.json's table, adds stratified.csv)
 
 The manifest is written last and acts as the completion marker. Method
 outputs are deterministic; timings live only in manifests and results, so
@@ -91,8 +92,24 @@ def default_workers() -> int:
     return _worker_count(count, "BENCH_WORKERS")
 
 
-def _json_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1)
+def _write(path: Path, doc) -> None:
+    """Write one artifact with a final newline: a list as CSV lines, any
+    other ``doc`` as JSON with sorted keys and an indent of 1."""
+    text = "\n".join(doc) if isinstance(doc, list) else json.dumps(doc, sort_keys=True, indent=1)
+    path.write_text(text + "\n")
+
+
+def read_config(path: str) -> dict:
+    """The JSON object in the config file at ``path``; a file that holds
+    anything else is a ``ConfigError`` naming it."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +127,7 @@ def write_sample(sample_dir: Path, sample: SyntheticSample, sid: str) -> None:
     meta = dict(sample.metadata)
     meta["sample_id"] = sid
     meta["reduced_graph"] = json.loads(graph_to_json(sample.reduced_graph))
-    with open(sample_dir / "meta.json", "w") as fh:
-        fh.write(_json_dumps(meta))
-        fh.write("\n")
+    _write(sample_dir / "meta.json", meta)
 
 
 def load_sample(sample_dir: Path) -> SyntheticSample:
@@ -147,8 +162,7 @@ def cmd_generate(
     workers = _worker_count(default_workers() if workers is None else workers, "workers")
     cfg = GeneratorConfig()
     if config_path:
-        with open(config_path) as fh:
-            cfg = GeneratorConfig.from_dict(json.load(fh))
+        cfg = GeneratorConfig.from_dict(read_config(config_path))
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     if out.exists() and any(out.iterdir()):
@@ -175,9 +189,7 @@ def cmd_generate(
         "config": cfg.to_dict(),
         "sample_ids": ids,
     }
-    with open(manifest_path, "w") as fh:
-        fh.write(_json_dumps(manifest))
-        fh.write("\n")
+    _write(manifest_path, manifest)
     return 0
 
 
@@ -277,9 +289,7 @@ def _run_method(
             "files": [fname for fname, _ in extras],
             "scored_level": fields_.get("tower_level"),
         }
-        with open(out / "tower.json", "w") as fh:
-            fh.write(_json_dumps(tower_doc))
-            fh.write("\n")
+        _write(out / "tower.json", tower_doc)
     save_graph(g, out / "graph.json")
     return {"status": "ok", **fields_}
 
@@ -325,12 +335,8 @@ def cmd_run(cfg: RunConfig) -> int:
         statuses = {sid: by_sample[sid][method] for sid in sorted(by_sample)}
         any_failure = any_failure or any(st["status"] != "ok" for st in statuses.values())
         mdir.mkdir(parents=True, exist_ok=True)
-        with open(mdir / "run_manifest.json", "w") as fh:
-            fh.write(_json_dumps({"method": method, "samples": statuses}))
-            fh.write("\n")
-    with open(run_root / "run.json", "w") as fh:
-        fh.write(_json_dumps(run_doc))
-        fh.write("\n")
+        _write(mdir / "run_manifest.json", {"method": method, "samples": statuses})
+    _write(run_root / "run.json", run_doc)
     return 2 if any_failure else 0
 
 
@@ -396,9 +402,7 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
                     sims[method].append(comparison.wasserstein_similarity)
                     geds[method].append(comparison.ged)
             sample_out.mkdir(parents=True, exist_ok=True)
-            with open(sample_out / "results.json", "w") as fh:
-                fh.write(_json_dumps(result_doc))
-                fh.write("\n")
+            _write(sample_out / "results.json", result_doc)
     table: dict[str, dict[str, float]] = {
         m: {
             "wasserstein_similarity": float(np.mean(sims[m])) if sims[m] else float("nan"),
@@ -412,12 +416,8 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
     for metric in ("wasserstein_similarity", "ged", "excluded"):
         cells = [_fmt_cell(table[m][metric]) for m in method_names]
         lines.append(f"{metric}," + ",".join(cells))
-    with open(out / "aggregate.csv", "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-    with open(out / "evaluate.json", "w") as fh:
-        fh.write(_json_dumps({"methods": {m: methods[m] for m in methods}, "table": table}))
-        fh.write("\n")
+    _write(out / "aggregate.csv", lines)
+    _write(out / "evaluate.json", {"methods": {m: methods[m] for m in methods}, "table": table})
     return 0
 
 
@@ -426,38 +426,29 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
 
 
 def cmd_report(results_dir: str, out_path: Optional[str] = None) -> int:
+    """Print the table of ``evaluate.json`` and write the stratified CSV of
+    every ``results.json``; returns 1 when there are none."""
     results_root = Path(results_dir)
     eval_path = results_root / "evaluate.json"
     rows: list[dict] = []
+    table: dict[str, dict[str, float]] = {}
     if eval_path.exists():
         with open(eval_path) as fh:
             eval_doc = json.load(fh)
-        method_dirs = eval_doc["methods"]
-    else:
-        method_dirs = {}
-    for method, mdirname in method_dirs.items():
-        mdir = results_root / mdirname
-        if not mdir.is_dir():
-            continue
-        for sid_dir in sorted(mdir.iterdir()):
-            rpath = sid_dir / "results.json"
-            if rpath.exists():
+        table = eval_doc["table"]
+        for mdirname in eval_doc["methods"].values():
+            for rpath in sorted((results_root / mdirname).glob("*/results.json")):
                 with open(rpath) as fh:
-                    doc = json.load(fh)
-                rows.append(doc)
+                    rows.append(json.load(fh))
     if not rows:
         print("no results")
         return 1
     methods = sorted({r["method"] for r in rows})
     print("metric".ljust(28) + "".join(m.rjust(18) for m in methods))
     for metric in ("wasserstein_similarity", "ged"):
-        cells = []
-        for m in methods:
-            vals = [r[metric] for r in rows if r["method"] == m and r.get("status") == "ok"]
-            cells.append(f"{np.mean(vals):.4f}" if vals else "n/a")
+        cells = ["n/a" if np.isnan(table[m][metric]) else f"{table[m][metric]:.4f}" for m in methods]
         print(metric.ljust(28) + "".join(c.rjust(18) for c in cells))
-    excluded = {m: sum(1 for r in rows if r["method"] == m and r.get("status") != "ok") for m in methods}
-    print("excluded".ljust(28) + "".join(str(excluded[m]).rjust(18) for m in methods))
+    print("excluded".ljust(28) + "".join(str(int(table[m]["excluded"])).rjust(18) for m in methods))
 
     strat_path = Path(out_path) if out_path else results_root / "stratified.csv"
     header = "sample_id,method,noise_ratio,separation,density,thickness,wasserstein_similarity,ged"
@@ -478,7 +469,5 @@ def cmd_report(results_dir: str, out_path: Optional[str] = None) -> int:
                 ]
             )
         )
-    with open(strat_path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write(strat_path, lines)
     return 0

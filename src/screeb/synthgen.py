@@ -402,23 +402,16 @@ def _strip_leaves(adj: dict[int, list[tuple[int, int]]]) -> tuple[list[tuple[int
     vertices, core edge ids).
     """
     deg = {v: len(nbrs) for v, nbrs in adj.items()}
-    removed: set[int] = set()
     removed_edges: set[int] = set()
     twigs: list[tuple[int, int, int]] = []
     queue = sorted(v for v, d in deg.items() if d == 1)
     while queue:
         leaf = queue.pop(0)
-        if leaf in removed or deg[leaf] != 1:
+        if deg[leaf] != 1:
             continue
-        anchor = None
-        eid = None
-        for w, e in adj[leaf]:
-            if w not in removed and e not in removed_edges:
-                anchor, eid = w, e
-                break
-        if anchor is None:
-            continue
-        removed.add(leaf)
+        # Each vertex is queued once, on reaching degree 1, so a leaf left at
+        # degree 1 is live and has one live edge, whose far end is live too.
+        anchor, eid = next((w, e) for w, e in adj[leaf] if e not in removed_edges)
         removed_edges.add(eid)
         deg[leaf] -= 1
         deg[anchor] -= 1
@@ -426,7 +419,7 @@ def _strip_leaves(adj: dict[int, list[tuple[int, int]]]) -> tuple[list[tuple[int
         if deg[anchor] == 1:
             queue.append(anchor)
             queue.sort()
-    core_vertices = {v for v in adj if v not in removed and deg[v] > 0}
+    core_vertices = {v for v in adj if deg[v] > 0}  # a removed leaf is left at degree 0
     core_edges = {
         e for v in core_vertices for _, e in adj[v] if e not in removed_edges
     }
@@ -501,7 +494,8 @@ def _chain_decomposition(
     """Ear decomposition of a 2-connected block as vertex chains.
 
     The first chain is a cycle through ``anchor``; every later chain is a
-    path whose endpoints already appear in earlier chains.
+    path whose endpoints already appear in earlier chains (Schmidt, "A simple
+    test on 2-vertex- and 2-edge-connectivity", IPL 2013).
     """
     adj: dict[int, list[tuple[int, int]]] = {}
     for u, v, e in block:
@@ -572,7 +566,7 @@ def _cycle_loops(g: Multigraph) -> list[list[int]]:
                 block_adj.setdefault(u, []).append(v)
                 block_adj.setdefault(v, []).append(u)
             for ci, chain in enumerate(chains):
-                if ci == 0 or chain[0] == chain[-1]:
+                if ci == 0:
                     loops.append(chain[:-1])  # closed: first vertex repeats last
                     continue
                 # Close the open ear with a shortest path avoiding its interior.
@@ -614,9 +608,20 @@ def _unit(vec: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndar
     return vec / norm
 
 
-def _clamp01(x: np.ndarray) -> np.ndarray:
-    """``min(1.0, max(0.0, x))`` elementwise."""
-    return np.where(x < 1.0, np.where(x > 0.0, x, 0.0), 1.0)
+def _bisect(ok, lo: float, hi: float, steps: int, tol: float = 0.0) -> tuple[float, float]:
+    """Halve ``[lo, hi]`` toward where ``ok`` turns true: each of up to
+    ``steps`` steps tests ``mid = 0.5 * (lo + hi)`` and moves ``hi`` to it when
+    ``ok(mid)``, else ``lo``, stopping once ``hi - lo < tol``. Returns the
+    final ``(lo, hi)``."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < tol:
+            break
+    return lo, hi
 
 
 def _segment_distances(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -635,15 +640,16 @@ def _segment_distances(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.nd
     p_point = a <= 1e-30
     q_point = e <= 1e-30
     # Every branch is evaluated and the degenerate ones are masked out, so
-    # their divisions by zero are expected.
+    # their divisions by zero are expected; a NaN that ``np.clip`` keeps is
+    # overwritten through ``denom``, ``p_point`` or ``q_point``.
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = a * e - b * b
-        s = np.where(denom > 1e-30, _clamp01((b * f - c * e) / denom), 0.0)
+        s = np.where(denom > 1e-30, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
         t = (b * s + f) / e
-        s = np.where(t < 0.0, _clamp01(-c / a), np.where(t > 1.0, _clamp01((b - c) / a), s))
-        t = _clamp01(t)
-        s = np.where(p_point, 0.0, np.where(q_point, _clamp01(-c / a), s))
-        t = np.where(q_point, 0.0, np.where(p_point, _clamp01(f / e), t))
+        s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0), np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
+        t = np.clip(t, 0.0, 1.0)
+        s = np.where(p_point, 0.0, np.where(q_point, np.clip(-c / a, 0.0, 1.0), s))
+        t = np.where(q_point, 0.0, np.where(p_point, np.clip(f / e, 0.0, 1.0), t))
     gap = (p1 + s[:, None] * d1) - (q1 + t[:, None] * d2)
     return np.sqrt(row_dots(gap, gap))
 
@@ -743,12 +749,7 @@ def _place_arc(a: np.ndarray, z: np.ndarray, n_interior: int, side_dir: np.ndarr
     target = float(n_seg)
     lo, hi = 0.0, float(n_seg)
     if polyline_len(0.0) < target:
-        for _ in range(24):
-            mid = 0.5 * (lo + hi)
-            if polyline_len(mid) < target:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect(lambda h: not polyline_len(h) < target, lo, hi, 24)
     h = 0.5 * (lo + hi)
     return [row + normal * (h * arch * (1.0 + rng.uniform(-jitter, jitter))) for row, arch in zip(base, shape)]
 
@@ -822,21 +823,16 @@ def _layout_component_2d(
                     for vert, p in zip(chain[1:-1], ring):
                         place(vert, p)
                 else:
+                    # Later chains of a 2-connected block are open ears.
                     a, z = chain[0], chain[-1]
                     interior = chain[1:-1]
                     if not interior:
                         continue
-                    if a == z:
-                        out_dir = _rotate2(outward(a), rng.uniform(-spread, spread))
-                        ring = _place_polygon(pos[a], len(interior) + 1, out_dir, jitter, rng)
-                        for vert, p in zip(interior, ring):
-                            place(vert, p)
-                    else:
-                        mid = 0.5 * (pos[a] + pos[z])
-                        side = _unit(mid - centroid(), rng)
-                        arc = _place_arc(pos[a], pos[z], len(interior), side, jitter, rng)
-                        for vert, p in zip(interior, arc):
-                            place(vert, p)
+                    mid = 0.5 * (pos[a] + pos[z])
+                    side = _unit(mid - centroid(), rng)
+                    arc = _place_arc(pos[a], pos[z], len(interior), side, jitter, rng)
+                    for vert, p in zip(interior, arc):
+                        place(vert, p)
     for anchor, leaf, _e in reversed(twigs):
         angle = rng.uniform(-spread, spread)
         step = 1.0 * (1.0 + rng.uniform(-jitter, jitter))
@@ -933,15 +929,9 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
         hi = r_all + r_new + gap + max_edge_len
         while min_dist_at(hi) < gap:
             hi *= 1.5
-        lo = 0.0
-        for _ in range(cfg.max_search_iterations):
-            mid = 0.5 * (lo + hi)
-            if min_dist_at(mid) >= gap:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < cfg.search_tolerance * gap:
-                break
+        _, hi = _bisect(
+            lambda dist: min_dist_at(dist) >= gap, 0.0, hi, cfg.max_search_iterations, cfg.search_tolerance * gap
+        )
         arr = arr + (center_all + direction * hi)
         for i, v in enumerate(comp):
             positions[v] = arr[i]
@@ -1065,16 +1055,7 @@ def sample_point_cloud(
     if feasible(target):
         factor = target
     else:
-        lo, hi = target, 1.0
-        for _ in range(cfg.max_search_iterations):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < cfg.search_tolerance:
-                break
-        factor = hi
+        _, factor = _bisect(feasible, target, 1.0, cfg.max_search_iterations, cfg.search_tolerance)
     positions = shrink(factor)
 
     # Fix vertex labels and edge enumeration to the canonical (serialized)

@@ -423,6 +423,28 @@ def test_report_table_and_stratified(small_bench, small_run, tmp_path, capsys):
     assert len(strat) - 1 == 4 * 3  # samples x methods
 
 
+def test_report_prints_evaluate_table(small_bench, small_run, tmp_path, capsys):
+    # Every mapper graph broken: its means are NaN, shown as n/a, and its
+    # excluded count an int; the other columns are the means of results.json.
+    broken_run = tmp_path / "broken"
+    shutil.copytree(small_run, broken_run)
+    for bad in (broken_run / "mapper").glob("*/graph.json"):
+        bad.write_text("{not json")
+    out = tmp_path / "results"
+    assert cmd_evaluate(str(small_bench), str(broken_run), str(out)) == 0
+    capsys.readouterr()
+    assert cmd_report(str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["metric", "mapper", "screeb", "screebtower"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    assert rows["excluded"] == ["4", "0", "0"]
+    for metric in ("wasserstein_similarity", "ged"):
+        assert rows[metric][0] == "n/a"
+        for col, method in ((1, "screeb"), (2, "screebtower")):
+            docs = [json.loads(p.read_text()) for p in sorted((out / method).glob("*/results.json"))]
+            assert rows[metric][col] == f"{np.mean([d[metric] for d in docs]):.4f}"
+
+
 def test_report_empty_results(tmp_path, capsys):
     assert cmd_report(str(tmp_path)) == 1
     assert "no results" in capsys.readouterr().out
@@ -447,6 +469,27 @@ def test_cli_invalid_method_exit_code(tmp_path):
     cli_main(["generate", "--n", "1", "--seed", "5", "--out", str(bench)])
     code = cli_main(["run", "--bench", str(bench), "--methods", "nosuch", "--out", str(tmp_path / "r")])
     assert code == 1
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '"preset"'])
+def test_cli_generate_refuses_config_that_is_not_a_json_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    bench = tmp_path / "bench"
+    assert cli_main(["generate", "--n", "1", "--seed", "5", "--out", str(bench), "--config", str(cfg)]) == 1
+    assert f"error: config file {cfg} " in capsys.readouterr().err
+    assert not bench.exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", "3"])
+def test_cli_run_refuses_config_that_is_not_a_json_object(small_bench, tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    run = tmp_path / "run"
+    args = ["run", "--bench", str(small_bench), "--methods", "mapper", "--out", str(run), "--config", str(cfg)]
+    assert cli_main(args) == 1
+    assert f"error: config file {cfg} " in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_cli_subprocess_entry(tmp_path):

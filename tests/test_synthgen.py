@@ -26,6 +26,8 @@ from screeb import graph as graphmod
 from screeb.errors import ConfigError, GenerationReject, InvalidDataError
 from screeb.synthgen import (
     DifficultyCoords,
+    _biconnected_blocks,
+    _chain_decomposition,
     _clearance_pairs,
     _cycle_loops,
     _hole_scales,
@@ -34,6 +36,8 @@ from screeb.synthgen import (
     _place_arc,
     _point_segment_distances,
     _segment_distances,
+    _simple_adjacency,
+    _strip_leaves,
     _unit,
     draw_difficulty,
     sample_subseed,
@@ -553,6 +557,28 @@ def test_clearance_and_hole_scales_match_loop_reference_on_drawn_graphs(drawn, f
         assert _pair_clearance(pos, pairs) == loop_min_clearance(pos, g)
         assert _min_clearance(pos, g) == loop_min_clearance(pos, g)
         assert _hole_scales(pos, loops) == loop_hole_scales(pos, loops)
+
+
+@given(small_embedded_graphs())
+@settings(max_examples=300, deadline=None)
+def test_chain_decomposition_of_a_block_is_one_cycle_then_open_ears(drawn):
+    # The layout and ``_cycle_loops`` place only the first chain as a cycle.
+    _, g, _ = drawn
+    adj = _simple_adjacency(g, list(range(g.n_vertices)))
+    _, core_vertices, core_edges = _strip_leaves(adj)
+    for block in _biconnected_blocks(core_vertices, adj, core_edges):
+        if len(block) < 2:
+            continue
+        for anchor in sorted({u for u, _, _ in block} | {v for _, v, _ in block}):
+            chains = _chain_decomposition(block, anchor)
+            assert chains[0][0] == chains[0][-1] == anchor
+            held = set(chains[0])
+            for chain in chains[1:]:
+                assert chain[0] != chain[-1]
+                assert chain[0] in held and chain[-1] in held
+                assert not held & set(chain[1:-1])
+                held.update(chain)
+            assert sum(len(chain) - 1 for chain in chains) == len(block)
 
 
 def listwise_place_arc(a, z, n_interior, side_dir, jitter, rng):
