@@ -53,11 +53,15 @@ N_BATCH = 10
 METHODS = ("screeb", "screebtower", "mapper")
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _graph_entry(path: Path) -> dict:
     g = load_graph(path)
     b = betti(g)
     return {
-        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "sha256": _sha256(path),
         "betti": [b.b0, b.b1],
         "vertices": g.n_vertices,
         "edges": g.edge_count(),
@@ -73,10 +77,6 @@ def _edge_lengths(g) -> list[float]:
 def _assert_edge_lengths(got: list[float], want: list[float], name) -> None:
     assert len(got) == len(want), name
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9, err_msg=str(name))
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def ci_pipeline(root: Path) -> str:
