@@ -7,7 +7,10 @@ and ``bench report``'s stdout.
 ``tests/golden/circle_digest.json`` the same two tiers for ``screeb`` on one
 pinned noisy circle whose level sets hold about 290k (slice, edge)
 crossings, so ``reeb_graph`` works through several slice blocks (no CI
-sample reaches a second one). The portable tier
+sample reaches a second one). ``tests/golden/union_digests.json`` pins
+``screeb`` and every ``screeb_tower`` level on the first ``UNION_SAMPLES``
+CI samples side by side in ``UNION_DIM`` dimensions, rotated and shuffled,
+so one call recovers many separated components. The portable tier
 (Betti numbers, vertex and edge counts, and sorted edge lengths to a
 relative and absolute 1e-9, of every graph) is compared everywhere, so a
 solver change that moves a graph under another LAPACK build still shows.
@@ -40,17 +43,21 @@ import numpy as np
 import pytest
 import scipy
 
-from screeb import PointCloud, betti, graph_to_json, load_graph, screeb
+from screeb import GeneratorConfig, PointCloud, betti, generate_sample, graph_to_json, load_graph, screeb, screeb_tower
 from screeb.harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cmd_run
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "ci_digests.json"
 CIRCLE_GOLDEN = GOLDEN.parent / "circle_digest.json"
 HARNESS_GOLDEN = GOLDEN.parent / "harness_digests.json"
+UNION_GOLDEN = GOLDEN.parent / "union_digests.json"
 CI_SEED = 20260422
 CIRCLE_N = 2000
 N_SAMPLES = 40
 N_BATCH = 10
 METHODS = ("screeb", "screebtower", "mapper")
+UNION_SAMPLES = 10
+UNION_DIM = 5
+UNION_GAP = 10.0
 
 
 def _sha256(path: Path) -> str:
@@ -58,10 +65,14 @@ def _sha256(path: Path) -> str:
 
 
 def _graph_entry(path: Path) -> dict:
-    g = load_graph(path)
+    return _graph_doc(load_graph(path), path.read_bytes())
+
+
+def _graph_doc(g, data: bytes) -> dict:
+    """Both tiers of a graph whose ``graph.json`` bytes are ``data``."""
     b = betti(g)
     return {
-        "sha256": _sha256(path),
+        "sha256": hashlib.sha256(data).hexdigest(),
         "betti": [b.b0, b.b1],
         "vertices": g.n_vertices,
         "edges": g.edge_count(),
@@ -141,17 +152,41 @@ def circle_digest() -> dict:
     theta = rng.uniform(0.0, 2.0 * np.pi, CIRCLE_N)
     points = np.c_[np.cos(theta), np.sin(theta)] + rng.normal(0.0, 0.05, (CIRCLE_N, 2))
     g = screeb(PointCloud(points))
-    b = betti(g)
+    doc = {"n": CIRCLE_N, "seed": CI_SEED, "numpy": np.__version__, "scipy": scipy.__version__}
+    return doc | _graph_doc(g, graph_to_json(g).encode())
+
+
+def union_cloud() -> PointCloud:
+    """The first ``UNION_SAMPLES`` CI samples, zero-padded to ``UNION_DIM``
+    and laid along axis 0 with ``UNION_GAP`` between neighbours (as the
+    ``union`` benchmark workload lays them out), then rotated and shuffled
+    by a generator seeded from ``CI_SEED``."""
+    cfg, blocks, offset = GeneratorConfig(), [], 0.0
+    for i in range(UNION_SAMPLES):
+        cloud = generate_sample(cfg, CI_SEED, i).cloud
+        pts = np.zeros((cloud.n, UNION_DIM))
+        pts[:, : cloud.dim] = cloud.points
+        pts[:, 0] += offset - pts[:, 0].min()
+        offset = pts[:, 0].max() + UNION_GAP
+        blocks.append(pts)
+    rng = np.random.default_rng((CI_SEED, UNION_SAMPLES))
+    q, r = np.linalg.qr(rng.normal(size=(UNION_DIM, UNION_DIM)))
+    points = np.vstack(blocks) @ (q * np.sign(np.diag(r))).T
+    return PointCloud(points[rng.permutation(len(points))])
+
+
+def union_digests() -> dict:
+    """``screeb`` and each ``screeb_tower`` level on :func:`union_cloud`."""
+    cloud = union_cloud()
+    tower = screeb_tower(cloud)
+    graphs = {"screeb": screeb(cloud)} | {f"screebtower/level_{i}": tower.graph(i) for i in range(len(tower))}
     return {
-        "n": CIRCLE_N,
+        "n": cloud.n,
         "seed": CI_SEED,
+        "n_samples": UNION_SAMPLES,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "sha256": hashlib.sha256(graph_to_json(g).encode()).hexdigest(),
-        "betti": [b.b0, b.b1],
-        "vertices": g.n_vertices,
-        "edges": g.edge_count(),
-        "edge_lengths": _edge_lengths(g),
+        "files": {name: _graph_doc(g, graph_to_json(g).encode()) for name, g in graphs.items()},
     }
 
 
@@ -178,9 +213,9 @@ def ci_run(tmp_path_factory):
     return root, ci_pipeline(root)
 
 
-def test_ci_golden_digests(ci_run):
-    golden = json.loads(GOLDEN.read_text())
-    got = ci_digests(ci_run[0])
+def _assert_files_match(got: dict, golden: dict) -> None:
+    """Every portable-tier entry of ``golden`` holds in ``got``, and so does
+    every sha256 under the recorded numpy and scipy versions."""
     assert sorted(got["files"]) == sorted(golden["files"])
     for name, want in golden["files"].items():
         for key in ("betti", "vertices", "edges"):
@@ -189,6 +224,10 @@ def test_ci_golden_digests(ci_run):
             _assert_edge_lengths(got["files"][name]["edge_lengths"], want["edge_lengths"], name)
     changed = _changed_digests(got, golden)
     assert not changed, f"digests changed: {changed}"
+
+
+def test_ci_golden_digests(ci_run):
+    _assert_files_match(ci_digests(ci_run[0]), json.loads(GOLDEN.read_text()))
 
 
 def test_harness_golden_digests(ci_run):
@@ -208,6 +247,13 @@ def test_multi_block_circle_golden_digest():
     assert not _changed_digests(got, golden)
 
 
+def test_many_component_union_golden_digests():
+    golden = json.loads(UNION_GOLDEN.read_text())
+    got = union_digests()
+    assert got["n"] == golden["n"]
+    _assert_files_match(got, golden)
+
+
 def main(argv=None) -> int:
     """Print every digest that differs from the golden files (exit 1 if any);
     with ``--rewrite``, overwrite the golden files instead."""
@@ -221,6 +267,7 @@ def main(argv=None) -> int:
         root = Path(tmp)
         stdout = ci_pipeline(root)
         docs = {GOLDEN: ci_digests(root), HARNESS_GOLDEN: harness_digests(root, stdout), CIRCLE_GOLDEN: circle_digest()}
+    docs[UNION_GOLDEN] = union_digests()
     differ = 0
     for path, doc in docs.items():
         if args.rewrite:
