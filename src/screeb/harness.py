@@ -62,6 +62,9 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown method {m!r}; expected one of {KNOWN_METHODS} or 'external:<dir>'"
                 )
+        for m, section in self.overrides.items():
+            if not isinstance(section, dict):
+                raise ConfigError(f"config section {m!r} must be a JSON object, not {type(section).__name__}")
         _worker_count(self.workers, "workers")
 
 

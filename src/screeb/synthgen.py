@@ -13,6 +13,7 @@ noise-confusion constraints all hold. Every sample is a pure function of
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -35,6 +36,10 @@ def splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _is_number(x, kind=numbers.Real) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def sample_subseed(seed: int, index: int) -> int:
@@ -90,31 +95,31 @@ class GeneratorConfig:
     min_points_per_edge: int = 2
 
     def __post_init__(self):
-        for name in (
-            "noise_ratio_range",
-            "separation_range",
-            "density_range",
-            "thickness_range",
-            "cycle_length_range",
-            "branch_count_range",
-            "branch_length_range",
-            "branch_depth_range",
-            "gap_ratio_range",
-            "edge_jitter_range",
-            "branch_angle_spread_range",
-            "density_jitter_range",
-        ):
-            rng = getattr(self, name)
-            if len(rng) != 2 or rng[0] > rng[1]:
-                raise ConfigError(f"{name} must be a nonempty (lo, hi) range")
-            object.__setattr__(self, name, (rng[0], rng[1]))
+        # Each value must have its field's annotated type: an int field takes
+        # an integer, a float field any number, a range two of them, a dict
+        # numeric values. A bool is no number here.
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type
+            number = numbers.Integral if "int" in kind else numbers.Real
+            if kind == "dict":
+                ok = isinstance(value, dict) and all(map(_is_number, value.values()))
+            elif kind.startswith("tuple"):
+                ok = isinstance(value, (tuple, list)) and len(value) == 2 and all(_is_number(x, number) for x in value)
+            else:
+                ok = _is_number(value, number)
+            if not ok:
+                raise ConfigError(f"{f.name} must be {'a dict of numbers' if kind == 'dict' else kind}, not {value!r}")
+            if kind.startswith("tuple"):
+                if value[0] > value[1]:
+                    raise ConfigError(f"{f.name} must be a nonempty (lo, hi) range")
+                object.__setattr__(self, f.name, (value[0], value[1]))
         if abs(sum(self.class_probs.values()) - 1.0) > 1e-12:
             raise ConfigError("class_probs must sum to 1 within 1e-12")
         if set(self.class_probs) != set(TOPOLOGY_CLASSES):
             raise ConfigError(f"class_probs must cover exactly {TOPOLOGY_CLASSES}")
         if abs(sum(self.dim_probs.values()) - 1.0) > 1e-12:
             raise ConfigError("dim_probs must sum to 1 within 1e-12")
-        if any(int(d) not in (2, 3, 4, 5) for d in self.dim_probs):
+        if any(str(d) not in ("2", "3", "4", "5") for d in self.dim_probs):
             raise ConfigError("dim_probs keys must lie in {2, 3, 4, 5}")
         object.__setattr__(self, "dim_probs", {int(k): float(v) for k, v in self.dim_probs.items()})
         if not (0.0 <= self.component_prob <= 1.0):
@@ -133,17 +138,11 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for key, value in doc.items():
+        known = {f.name for f in fields(cls)}
+        for key in doc:
             if key not in known:
                 raise ConfigError(f"unknown generator config field: {key}")
-            if isinstance(value, list):
-                value = tuple(value)
-            if key == "dim_probs":
-                value = {int(k): float(v) for k, v in value.items()}
-            kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

@@ -492,6 +492,40 @@ def test_cli_run_refuses_config_that_is_not_a_json_object(small_bench, tmp_path,
     assert not run.exists()
 
 
+@pytest.mark.parametrize("section", ["[1]", '"k=5"', "null"])
+def test_cli_run_refuses_config_section_that_is_not_an_object(small_bench, tmp_path, capsys, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"screeb": {{"k": 10}}, "mapper": {section}}}')
+    run = tmp_path / "run"
+    args = ["run", "--bench", str(small_bench), "--methods", "mapper", "--out", str(run), "--config", str(cfg)]
+    assert cli_main(args) == 1
+    assert "error: config section 'mapper' must be a JSON object" in capsys.readouterr().err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"dim_probs": []}, "dim_probs"),
+        ({"cycle_length_range": 5}, "cycle_length_range"),
+        ({"dim_probs": {"two": 1.0}}, "dim_probs"),
+        ({"class_probs": {"tree": "all"}}, "class_probs"),
+        ({"max_nodes": 80.5}, "max_nodes"),
+    ],
+)
+def test_cli_generate_refuses_wrongly_typed_config_field(tmp_path, doc, field):
+    # Through the module entry point: one error line naming the field, exit 1, no traceback.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    src = str(Path(screeb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    args = ["generate", "--n", "1", "--seed", "5", "--out", str(tmp_path / "b"), "--config", str(cfg)]
+    proc = subprocess.run([sys.executable, "-m", "screeb.cli", *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {field}") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "b").exists()
+
+
 def test_cli_subprocess_entry(tmp_path):
     # The installed console script must exist per the external interface.
     # The child imports the package this process imported, also when pytest

@@ -180,8 +180,12 @@ def assert_matches_brute_force(nbrs, f, cloud):
         with pytest.raises(InvalidDataError):
             reeb_graph(nbrs, f, cloud)
         return
-    g = reeb_graph(nbrs, f, cloud)
-    positions, pairs = want
+    assert_graph_is(reeb_graph(nbrs, f, cloud), *want)
+
+
+def assert_graph_is(g, positions, pairs):
+    """``g`` has exactly the oracle's node positions and single joins, with
+    the distance between centroids as each join's length."""
     assert g.n_vertices == len(positions)
     assert g.positions.shape == positions.shape
     assert g.positions.tobytes() == positions.tobytes()
@@ -329,12 +333,97 @@ def test_reeb_vertex_whose_every_edge_ties(block):
     np.testing.assert_array_equal(g.positions, cloud.points[[0, 1, 1, 2, 2, 4]].reshape(3, 2, 2).mean(axis=1))
 
 
+def side_by_side(parts):
+    """One neighbor graph, filter and cloud of ``parts``, a list of (neighbor
+    graph, filter, points), laid side by side with vertex ids offset; and the
+    per-piece brute-force oracles, in order (None for a piece with a slice
+    that no edge crosses)."""
+    pairs, offset = [], 0
+    for nbrs, _, _ in parts:
+        pairs += [(u + offset, v + offset) for u, v in nbrs.undirected_edges()[0].tolist()]
+        offset += nbrs.n
+    nbrs = listed_neighbor_graph(offset, pairs)
+    f = np.concatenate([f for _, f, _ in parts])
+    cloud = PointCloud(np.vstack([pts for _, _, pts in parts]))
+    return nbrs, f, cloud, [brute_force_reeb(*part) for part in parts]
+
+
+def assert_pieces_match_brute_force(parts):
+    nbrs, f, cloud, wants = side_by_side(parts)
+    sizes = [part[0].n for part in parts]
+    if any(want is None for want in wants):
+        with pytest.raises(InvalidDataError, match="disconnected"):
+            reeb_graph(nbrs, f, cloud, piece_sizes=sizes)
+        return
+    g = reeb_graph(nbrs, f, cloud, piece_sizes=sizes)
+    offsets = np.cumsum([0] + [len(positions) for positions, _ in wants])
+    pairs = [(a + base, b + base) for (_, joined), base in zip(wants, offsets.tolist()) for a, b in joined]
+    assert_graph_is(g, np.vstack([positions for positions, _ in wants]), pairs)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@given(st.lists(reeb_inputs(), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_reeb_pieces_match_per_piece_brute_force(block, inputs):
+    # One sweep over pieces side by side gives each piece's Reeb graph in
+    # piece order, and refuses a piece that some slice's edges do not cross.
+    parts = []
+    for cloud, f, k in inputs:
+        pts = np.zeros((cloud.n, 3))
+        pts[:, : cloud.dim] = cloud.points
+        parts.append((knn_graph(cloud, k), f, pts))
+    with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block or reeb_module._BLOCK_CROSSINGS):
+        assert_pieces_match_brute_force(parts)
+
+
+@pytest.mark.parametrize("block", [None, 1, 2])
+def test_reeb_single_point_and_all_duplicate_pieces(block):
+    # A lone point first and three copies of one point last, each with a
+    # constant filter, around two paths: each constant piece is one node at
+    # its centroid, in piece order, and the slices before the first path
+    # and after the second hold no edge.
+    lone, copies = np.array([[-5.0, 0.0]]), np.full((3, 2), 20.0)
+    path, short = np.c_[np.arange(4.0), np.zeros(4)], np.c_[10.0 + np.arange(3.0), np.ones(3)]
+    parts = [
+        (listed_neighbor_graph(1, []), np.zeros(1), lone),
+        (listed_neighbor_graph(4, [(0, 1), (1, 2), (2, 3)]), np.arange(4.0), path),
+        (listed_neighbor_graph(3, [(0, 1), (1, 2)]), np.array([2.0, 1.0, 0.0]), short),
+        (listed_neighbor_graph(3, [(0, 1), (0, 2), (1, 2)]), np.full(3, 7.0), copies),
+    ]
+    with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block or reeb_module._BLOCK_CROSSINGS):
+        assert_pieces_match_brute_force(parts)
+        nbrs, f, cloud, _ = side_by_side(parts)
+        g = reeb_graph(nbrs, f, cloud, piece_sizes=[1, 4, 3, 3])
+        assert [(e.u, e.v) for e in g.edges] == [(1, 2), (2, 3), (4, 5)]
+        np.testing.assert_array_equal(g.positions[[0, 6]], [[-5.0, 0.0], [20.0, 20.0]])
+        # Every piece constant: no sweep, one node per piece.
+        g = reeb_graph(nbrs, np.zeros(11), cloud, piece_sizes=[1, 4, 3, 3])
+        assert g.n_vertices == 4 and g.edges == ()
+        assert g.positions.tobytes() == np.array([p.mean(axis=0) for p in (lone, path, short, copies)]).tobytes()
+
+
+def test_reeb_refuses_bad_pieces():
+    nbrs = listed_neighbor_graph(4, [(0, 1), (1, 2), (2, 3)])
+    cloud, f = PointCloud(np.arange(8.0).reshape(4, 2)), np.arange(4.0)
+    with pytest.raises(InvalidDataError, match="joins two pieces"):
+        reeb_graph(nbrs, f, cloud, piece_sizes=[2, 2])
+    for sizes in ([2, 1], [0, 4], [4.0], [], [[4]]):
+        with pytest.raises(ValueError, match="piece sizes"):
+            reeb_graph(nbrs, f, cloud, piece_sizes=sizes)
+    # A piece that is not connected is refused, as a disconnected graph is.
+    nbrs = listed_neighbor_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(InvalidDataError, match="disconnected"):
+        reeb_graph(nbrs, f, cloud, piece_sizes=[4])
+    assert reeb_graph(nbrs, f, cloud, piece_sizes=np.array([2, 2], dtype=np.int32)).n_vertices == 2
+
+
 def test_reeb_packed_codes_fit_int64(rng):
     """``reeb_graph``'s sweep packs pairs into int64 codes. Take n vertices,
-    E undirected edges, m >= E own-list entries, S <= n distinct filter
-    values and T (vertex, slice) keys over all blocks. A vertex lies in at
-    most n - 1 slices, and only the at most 2E vertices with an edge lie in
-    any, so T <= n (n - 1) and T <= 2E (n - 1). A node holds both ends of
+    E undirected edges, m >= E own-list entries, S <= n ranks (distinct
+    filter values per piece, summed over pieces) and T (vertex, slice) keys
+    over all blocks. A vertex lies in at most n - 1 slices, and only the at
+    most 2E vertices with an edge lie in any, so T <= n (n - 1) and
+    T <= 2E (n - 1). A node holds both ends of
     an edge, so there are at most T / 2 nodes. The codes and their bounds:
 
     - rising order ``vertex * S - hi``: below n^2;
@@ -454,14 +543,35 @@ def per_piece_screeb(cloud, params=ReebParams(), nbrs=None):
 
 def test_screeb_matches_per_piece_reference(rng):
     # Shuffled clusters of several sizes, with exact copies within a cluster
-    # and copies that outnumber k: permuting once and slicing ranges gives the
-    # bytes of one restriction per component.
+    # and copies that outnumber k: permuting once, slicing ranges and sweeping
+    # them together gives the bytes of one restriction and one Reeb graph per
+    # component, also where blocks span piece boundaries.
     pts = separated_clusters(rng, (60, 9, 5, 5, 30, 12))
     pts = np.vstack([pts, pts[:10], pts[60:63], np.repeat(pts[-1:], 6, axis=0)])
     cloud = PointCloud(pts[rng.permutation(len(pts))])
-    for k in (3, 4, 8):
-        params = ReebParams(k=k)
-        assert graph_to_json(screeb(cloud, params)) == graph_to_json(per_piece_screeb(cloud, params))
+    for block in (1, 7, reeb_module._BLOCK_CROSSINGS):
+        with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block):
+            for k in (3, 4, 8):
+                params = ReebParams(k=k)
+                assert graph_to_json(screeb(cloud, params)) == graph_to_json(per_piece_screeb(cloud, params))
+
+
+def test_screeb_sweeps_and_reduces_once_per_call(rng, monkeypatch):
+    # Four components: one reeb_graph call over all of them and one reduce.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(reeb_module, "reeb_graph", counted("reeb_graph", reeb_module.reeb_graph))
+    monkeypatch.setattr(graphmod, "reduce", counted("reduce", graphmod.reduce))
+    g = screeb(PointCloud(separated_clusters(rng, (30, 9, 5, 12))[rng.permutation(56)]), ReebParams(k=4))
+    assert betti(g).b0 == 4
+    assert calls == ["reeb_graph", "reduce"]
 
 
 def test_knn_pairs_stay_inside_affinity_components(rng):
@@ -499,13 +609,16 @@ def test_screeb_ties_copies_within_their_own_component(monkeypatch):
 
 
 def test_screeb_many_tiny_pieces_match_per_piece_reference():
-    # 400 separated 4-point clusters, k = 3: one piece per cluster.
+    # 400 separated 4-point clusters, k = 3: one piece per cluster, at block
+    # sizes that put every slice, or a few pieces, or all of them in a block.
     local = np.random.default_rng(11)
     cloud = PointCloud(separated_clusters(local, (4,) * 400)[local.permutation(1600)])
     params = ReebParams(k=3)
-    got = screeb(cloud, params)
-    assert betti(got).b0 == 400
-    assert graph_to_json(got) == graph_to_json(per_piece_screeb(cloud, params))
+    for block in (1, 7, reeb_module._BLOCK_CROSSINGS):
+        with mock.patch.object(reeb_module, "_BLOCK_CROSSINGS", block):
+            got = screeb(cloud, params)
+            assert betti(got).b0 == 400
+            assert graph_to_json(got) == graph_to_json(per_piece_screeb(cloud, params))
 
 
 # -- screeb_tower ----------------------------------------------------------------

@@ -87,6 +87,27 @@ def test_config_validates_probabilities():
         GeneratorConfig(noise_ratio_range=(0.5, 0.1))
 
 
+def test_config_refuses_values_of_the_wrong_type():
+    # Ranges are two numbers (two integers for an integer range), the two
+    # probability tables map to numbers, integer fields hold integers.
+    for doc in (
+        {"noise_ratio_range": [0.1]},
+        {"noise_ratio_range": [0.1, "0.2"]},
+        {"cycle_length_range": [3.0, 8]},
+        {"branch_count_range": 4},
+        {"dim_probs": [[2, 1.0]]},
+        {"dim_probs": {"2": None}},
+        {"class_probs": "uniform"},
+        {"degree_cap": "5"},
+        {"max_nodes": True},
+        {"feature_scale": None},
+    ):
+        with pytest.raises(ConfigError, match=next(iter(doc))):
+            GeneratorConfig.from_dict(doc)
+    cfg = GeneratorConfig.from_dict({"cycle_length_range": [4, 6], "feature_scale": 2, "dim_probs": {"3": 1}})
+    assert cfg.cycle_length_range == (4, 6) and cfg.feature_scale == 2 and cfg.dim_probs == {3: 1.0}
+
+
 def test_config_round_trip():
     cfg = GeneratorConfig()
     doc = cfg.to_dict()
