@@ -1,19 +1,11 @@
 """Topology-aware scoring on small hand-built graphs.
 
 Shows the edge-length persistence diagram, the Wasserstein persistence
-similarity, the approximate graph edit distance, and the persistence-image
-featurization on a segment, a circle, and a theta graph.
+similarity and the approximate graph edit distance on a segment, a circle,
+and a theta graph.
 """
 
-import numpy as np
-
-from screeb import (
-    Edge,
-    Multigraph,
-    compare,
-    edge_length_diagram,
-    persistence_image,
-)
+from screeb import Edge, Multigraph, compare, edge_length_diagram
 
 
 def main():
@@ -37,16 +29,6 @@ def main():
             r = compare(graphs[a], graphs[b])
             cells.append(f"sim={r.wasserstein_similarity:.3f} ged={r.ged:.0f}")
         print(f"{a:>8}" + "".join(f"{c:>22}" for c in cells))
-
-    print()
-    d = edge_length_diagram(theta, normalize=True)
-    img = persistence_image(d)
-    h0 = img.vector[:100].reshape(10, 10)
-    h1 = img.vector[100:].reshape(10, 10)
-    print(f"persistence image: H0 mass {h0.sum():.4f}, H1 mass {h1.sum():.4f} (200-vector)")
-    row = np.argmax(h1.sum(axis=1))
-    print("densest H1 row:", np.array2string(h1[row], precision=3, suppress_small=True))
-
 
 if __name__ == "__main__":
     main()

@@ -34,11 +34,9 @@ from .mapper import MapperParams, dbscan, mapper_graph, pca_lens, third_neighbor
 from .metrics import (
     ComparisonResult,
     PersistenceDiagram,
-    PersistenceImage,
     approx_ged,
     compare,
     edge_length_diagram,
-    persistence_image,
     persistence_similarity,
     wasserstein_breakdown,
     wasserstein_distance,
@@ -70,7 +68,6 @@ __all__ = [
     "Multigraph",
     "NeighborGraph",
     "PersistenceDiagram",
-    "PersistenceImage",
     "PointCloud",
     "ReebParams",
     "ReebTower",
@@ -95,7 +92,6 @@ __all__ = [
     "load_points_csv",
     "mapper_graph",
     "pca_lens",
-    "persistence_image",
     "persistence_similarity",
     "reduce",
     "reeb_graph",

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, GenerationError
-from .harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cmd_run, default_workers, read_config
+from .harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cmd_run, default_workers, read_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
                 bench_dir=args.bench,
                 methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
                 out_dir=args.out,
-                overrides=read_config(args.config) if args.config else {},
+                overrides=read_json(args.config) if args.config else {},
                 level=args.level,
                 workers=default_workers() if args.workers is None else args.workers,
             )

@@ -63,9 +63,21 @@ class RunConfig:
                     f"unknown method {m!r}; expected one of {KNOWN_METHODS} or 'external:<dir>'"
                 )
         for m, section in self.overrides.items():
+            if m not in KNOWN_METHODS:
+                raise ConfigError(f"config section {m!r} names no method; expected one of {KNOWN_METHODS}")
             if not isinstance(section, dict):
                 raise ConfigError(f"config section {m!r} must be a JSON object, not {type(section).__name__}")
+            _method_params(m, section)
         _worker_count(self.workers, "workers")
+
+
+def _method_params(method: str, section: dict):
+    """The ``MapperParams`` or ``ReebParams`` of one method's config section;
+    a section they refuse is a ``ConfigError`` naming the method."""
+    try:
+        return (MapperParams if method == "mapper" else ReebParams)(**section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config section {method!r}: {exc}") from exc
 
 
 def _map(fn, tasks: list, workers: int) -> list:
@@ -102,16 +114,22 @@ def _write(path: Path, doc) -> None:
     path.write_text(text + "\n")
 
 
-def read_config(path: str) -> dict:
-    """The JSON object in the config file at ``path``; a file that holds
-    anything else is a ``ConfigError`` naming it."""
+def read_json(path, what: str = "config file", **required: type) -> dict:
+    """The JSON object in the ``what`` at ``path``, holding each ``required``
+    key with a value of its type; a missing file, or one that holds anything
+    else, is a ``ConfigError`` naming it."""
+    if not Path(path).exists():
+        raise ConfigError(f"{what} not found at {path}")
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except ValueError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object, not {type(doc).__name__}")
+        raise ConfigError(f"{what} {path} must hold a JSON object, not {type(doc).__name__}")
+    for key, kind in required.items():
+        if not isinstance(doc.get(key), kind):
+            raise ConfigError(f"{what} {path} must hold {key!r} as a JSON {'array' if kind is list else 'object'}")
     return doc
 
 
@@ -165,7 +183,7 @@ def cmd_generate(
     workers = _worker_count(default_workers() if workers is None else workers, "workers")
     cfg = GeneratorConfig()
     if config_path:
-        cfg = GeneratorConfig.from_dict(read_config(config_path))
+        cfg = GeneratorConfig.from_dict(read_json(config_path))
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     if out.exists() and any(out.iterdir()):
@@ -197,11 +215,7 @@ def cmd_generate(
 
 
 def read_manifest(bench_dir: str) -> dict:
-    path = Path(bench_dir) / "manifest.json"
-    if not path.exists():
-        raise ConfigError(f"benchmark manifest not found at {path}")
-    with open(path) as fh:
-        return json.load(fh)
+    return read_json(Path(bench_dir) / "manifest.json", "benchmark manifest", sample_ids=list)
 
 
 # ---------------------------------------------------------------------------
@@ -248,27 +262,22 @@ class _SharedWork:
 def _run_method_on_cloud(
     method: str, cloud: PointCloud, overrides: dict, level: Optional[int], shared: _SharedWork
 ) -> tuple[Multigraph, dict, list[tuple[str, Multigraph]]]:
-    """Returns (scored graph, status fields, extra per-level outputs)."""
-    params_doc = dict(overrides.get(method, {}))
-    if method in ("screeb", "screebtower"):
-        if method == "screeb":
-            params_doc["levels"] = 0
-        params = ReebParams(**params_doc)
-        # The tower's level 0 is screeb's graph, so parameters that differ
-        # only in levels share it.
-        base = shared.get(replace(params, levels=0), lambda: screeb(cloud, params))
-        if method == "screeb":
-            return base, {"tower_level": 0}, []
-        tower = screeb_tower(cloud, params, base=base)
-        scored = params.levels if level is None else level
-        if not (0 <= scored < len(tower)):
-            raise ConfigError(f"tower level {scored} outside 0..{len(tower) - 1}")
-        extras = [(f"level_{i}.json", tower.graph(i)) for i in range(len(tower))]
-        return tower.graph(scored), {"tower_level": scored}, extras
+    """Runs one of ``KNOWN_METHODS``; returns (scored graph, status fields,
+    extra per-level outputs)."""
+    params = _method_params(method, overrides.get(method, {}))
     if method == "mapper":
-        params = MapperParams(**params_doc)
         return mapper_graph(cloud, params), {}, []
-    raise ConfigError(f"method {method!r} does not run locally")
+    # The tower's level 0 is screeb's graph, so parameters that differ only
+    # in levels share it; ``screeb`` itself reads no ``levels``.
+    base = shared.get(replace(params, levels=0), lambda: screeb(cloud, params))
+    if method == "screeb":
+        return base, {"tower_level": 0}, []
+    tower = screeb_tower(cloud, params, base=base)
+    scored = params.levels if level is None else level
+    if not (0 <= scored < len(tower)):
+        raise ConfigError(f"tower level {scored} outside 0..{len(tower) - 1}")
+    extras = [(f"level_{i}.json", tower.graph(i)) for i in range(len(tower))]
+    return tower.graph(scored), {"tower_level": scored}, extras
 
 
 def _run_method(
@@ -353,18 +362,13 @@ def _fmt_cell(x: float) -> str:
 
 def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
     manifest = read_manifest(bench_dir)
-    run_path = Path(run_dir) / "run.json"
-    if not run_path.exists():
-        raise ConfigError(f"run manifest not found at {run_path}")
-    with open(run_path) as fh:
-        run_doc = json.load(fh)
+    methods = read_json(Path(run_dir) / "run.json", "run manifest", methods=dict)["methods"]
+    run_statuses = {
+        method: read_json(Path(run_dir) / mdirname / "run_manifest.json", "method run manifest", samples=dict)["samples"]
+        for method, mdirname in methods.items()
+    }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    methods = run_doc["methods"]
-    run_statuses = {}
-    for method, mdirname in methods.items():
-        with open(Path(run_dir) / mdirname / "run_manifest.json") as fh:
-            run_statuses[method] = json.load(fh)["samples"]
     sims: dict[str, list[float]] = {m: [] for m in methods}
     geds: dict[str, list[float]] = {m: [] for m in methods}
     excluded = dict.fromkeys(methods, 0)

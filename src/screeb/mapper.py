@@ -11,6 +11,7 @@ centroids, nodes sharing a data point are joined, duplicate nodes
 from __future__ import annotations
 
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -33,6 +34,10 @@ class MapperParams:
     d_lens: Optional[int] = None  # None: min(2, ambient dim, n)
 
     def __post_init__(self):
+        for name in ("n_intervals", "min_samples", "d_lens"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if not (0.0 <= self.overlap < 1.0):
             raise ValueError("overlap fraction must lie in [0, 1)")
         if self.n_intervals < 1:

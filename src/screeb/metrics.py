@@ -1,6 +1,5 @@
 """Topology-aware graph comparison: edge-length-filtration persistence,
-Wasserstein persistence similarity, approximate graph edit distance, and
-persistence-image vectorization.
+Wasserstein persistence similarity and approximate graph edit distance.
 
 The comparison used by the benchmark harness reduces both graphs, builds
 normalized persistence diagrams under the edge-length filtration, and
@@ -10,19 +9,14 @@ the unit-cost graph edit distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.special import ndtr
 
 from . import graph as graphmod
 from .errors import UnitMismatchError
 from .graph import Multigraph
-
-# Persistence-image parameters (fixed featurization shared by all methods).
-PI_GRID = 10
-PI_SIGMA = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,32 +56,6 @@ class PersistenceDiagram:
             "h1_births": self.h1_births.tolist(),
             "normalized": bool(self.normalized),
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PersistenceDiagram":
-        return cls(
-            np.asarray(doc["h0_deaths"], dtype=float),
-            int(doc["h0_essential"]),
-            np.asarray(doc["h1_births"], dtype=float),
-            bool(doc["normalized"]),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class PersistenceImage:
-    """Flattened 10x10 H0 image followed by the 10x10 H1 image (200 floats)."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=float)
-        if vec.shape != (2 * PI_GRID * PI_GRID,):
-            raise ValueError(f"persistence image must have length {2 * PI_GRID * PI_GRID}")
-        if vec.size and vec.min() < 0:
-            raise ValueError("persistence image entries must be non-negative")
-        vec = vec.copy()
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
 
 
 def edge_length_diagram(g: Multigraph, normalize: bool = True) -> PersistenceDiagram:
@@ -141,7 +109,7 @@ def _matching_distance(points_a: np.ndarray, points_b: np.ndarray, diag_a: np.nd
     return float(cost[rows, cols].sum())
 
 
-def wasserstein_breakdown(d1: PersistenceDiagram, d2: PersistenceDiagram, order: int = 1) -> dict:
+def wasserstein_breakdown(d1: PersistenceDiagram, d2: PersistenceDiagram) -> dict:
     """Order-1 Wasserstein distance between diagrams, with per-part terms.
 
     H0 finite bars live at (0, death); unmatched bars pay their L-infinity
@@ -149,8 +117,6 @@ def wasserstein_breakdown(d1: PersistenceDiagram, d2: PersistenceDiagram, order:
     (birth, 1) on normalized diagrams with unmatched cost (1 - birth)/2.
     A component-count mismatch adds 0.5 per missing essential H0 bar.
     """
-    if order != 1:
-        raise ValueError("only order-1 Wasserstein distance is supported")
     if d1.normalized != d2.normalized:
         raise UnitMismatchError("cannot compare a normalized diagram with an unnormalized one")
     if not d1.normalized and (d1.h1_births.size or d2.h1_births.size):
@@ -173,8 +139,9 @@ def wasserstein_breakdown(d1: PersistenceDiagram, d2: PersistenceDiagram, order:
     }
 
 
-def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, order: int = 1) -> float:
-    return wasserstein_breakdown(d1, d2, order)["total"]
+def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
+    """The order-1 Wasserstein distance: ``wasserstein_breakdown``'s total."""
+    return wasserstein_breakdown(d1, d2)["total"]
 
 
 def persistence_similarity(distance: float) -> float:
@@ -293,55 +260,6 @@ def approx_ged(g1: Multigraph, g2: Multigraph) -> float:
     return min(_edit_cost(n1, n2, adj1, adj2, mapping) for mapping in mappings)
 
 
-# -- persistence images ------------------------------------------------------
-
-
-def _cell_mass(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Exact integral of weighted isotropic Gaussians over each grid cell.
-
-    The mass a point deposits in a cell factorizes into one-dimensional
-    Gaussian CDF differences along each axis.
-    """
-    image = np.zeros((PI_GRID, PI_GRID))
-    if len(points) == 0:
-        return image
-    grid = np.linspace(0.0, 1.0, PI_GRID + 1)
-    # cdf_x[k, i] = P(N(mu_k, sigma) <= grid_i)
-    cdf_x = ndtr((grid[None, :] - points[:, 0][:, None]) / PI_SIGMA)
-    cdf_y = ndtr((grid[None, :] - points[:, 1][:, None]) / PI_SIGMA)
-    mass_x = np.diff(cdf_x, axis=1)
-    mass_y = np.diff(cdf_y, axis=1)
-    for k in range(len(points)):
-        image += weights[k] * np.outer(mass_x[k], mass_y[k])
-    return image
-
-
-def persistence_image(diagram: PersistenceDiagram) -> PersistenceImage:
-    """Vectorize a normalized diagram as a pair of 10x10 persistence images.
-
-    H0 bars map to (birth, persistence) = (0, death), H1 essential bars to
-    (birth, 1 - birth); each point deposits an isotropic Gaussian
-    (sigma = 0.1) weighted by its persistence, integrated exactly over each
-    cell of the 10x10 grid on [0, 1]^2 (per-axis Gaussian CDF differences,
-    not the cell-center approximation). Images are flattened row-major
-    (birth axis first) and concatenated H0 then H1.
-    """
-    if not diagram.normalized:
-        raise ValueError("persistence images require a normalized diagram")
-    if (diagram.h0_deaths.size and diagram.h0_deaths.max() > 1.0 + 1e-12) or (
-        diagram.h1_births.size and diagram.h1_births.max() > 1.0 + 1e-12
-    ):
-        raise ValueError("diagram has bars outside [0, 1]^2")
-    h0_points = np.column_stack([np.zeros(len(diagram.h0_deaths)), diagram.h0_deaths])
-    h0_weights = diagram.h0_deaths
-    h1_pers = 1.0 - diagram.h1_births
-    h1_points = np.column_stack([diagram.h1_births, h1_pers])
-    h1_weights = h1_pers
-    img0 = _cell_mass(h0_points, h0_weights)
-    img1 = _cell_mass(h1_points, h1_weights)
-    return PersistenceImage(np.concatenate([img0.ravel(), img1.ravel()]))
-
-
 # -- combined comparison ------------------------------------------------------
 
 
@@ -354,17 +272,10 @@ class ComparisonResult:
     h1_distance: float
     essential_distance: float
     diagram_s: PersistenceDiagram
-    diagram_g: PersistenceDiagram
 
     def to_dict(self) -> dict:
-        return {
-            "wasserstein_similarity": self.wasserstein_similarity,
-            "ged": self.ged,
-            "wasserstein_distance": self.wasserstein_distance,
-            "h0_distance": self.h0_distance,
-            "h1_distance": self.h1_distance,
-            "essential_distance": self.essential_distance,
-        }
+        """Every score, without the diagram."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "diagram_s"}
 
 
 def compare(s: Multigraph, g: Multigraph) -> ComparisonResult:
@@ -386,5 +297,4 @@ def compare(s: Multigraph, g: Multigraph) -> ComparisonResult:
         h1_distance=parts["h1"],
         essential_distance=parts["essential"],
         diagram_s=ds,
-        diagram_g=dg,
     )

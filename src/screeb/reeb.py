@@ -22,6 +22,7 @@ smallest ``2 * edge + side``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -65,6 +66,10 @@ class ReebParams:
     k_bw: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("k", "levels", "k_smooth", "t", "k_bw"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.levels < 0:

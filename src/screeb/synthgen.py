@@ -1154,16 +1154,6 @@ def sample_point_cloud(
 # Validation
 
 
-def _point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    axis = b - a
-    denom = float(axis @ axis)
-    if denom < 1e-30:
-        return np.linalg.norm(points - a, axis=1)
-    t = np.clip((points - a) @ axis / denom, 0.0, 1.0)
-    proj = a + t[:, None] * axis
-    return np.linalg.norm(points - proj, axis=1)
-
-
 def validate(sample: SyntheticSample, cfg: GeneratorConfig) -> ValidationResult:
     """Re-check a sampled candidate against the acceptance constraints.
 
@@ -1220,7 +1210,10 @@ def validate(sample: SyntheticSample, cfg: GeneratorConfig) -> ValidationResult:
     # (d) noise confusion
     if g.u.size:
         ends = np.column_stack((g.u, g.v))
-        dist_matrix = np.column_stack([_point_segment_distances(points, a, b) for a, b in positions[ends]])
+        # Point i against edge j in row i * |E| + j, the point as a zero-length segment.
+        p = np.repeat(points, len(ends), axis=0)
+        a, b = (np.tile(positions[end], (len(points), 1)) for end in (g.u, g.v))
+        dist_matrix = _segment_distances(p, p, a, b).reshape(len(points), len(ends))
         on_edge = np.asarray(parent_kinds) == "e"
         # Each point's parent feature as two vertex ids (a vertex twice).
         parent_ends = np.repeat(parent_ids[:, None], 2, axis=1)

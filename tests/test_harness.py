@@ -504,6 +504,67 @@ def test_cli_run_refuses_config_section_that_is_not_an_object(small_bench, tmp_p
 
 
 @pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"screeb": {"bogus": 1}}, "config section 'screeb': "),
+        ({"screb": {"k": 5}}, "config section 'screb' names no method"),
+        ({"screeb": {"k": 2.5}}, "config section 'screeb': k must be an integer, not 2.5"),
+        ({"screebtower": {"levels": True}}, "config section 'screebtower': levels must be an integer, not True"),
+        ({"mapper": {"n_intervals": 2.5}}, "config section 'mapper': n_intervals must be an integer, not 2.5"),
+        ({"mapper": {"overlap": 1.5}}, "config section 'mapper': overlap fraction must lie in [0, 1)"),
+    ],
+)
+def test_cli_run_refuses_bad_config_section_up_front(small_bench, tmp_path, capsys, doc, message):
+    # One error line naming the section, before any sample runs or the run directory is made.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    run = tmp_path / "run"
+    args = ["run", "--bench", str(small_bench), "--methods", "screeb,mapper", "--out", str(run), "--config", str(cfg)]
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not run.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"sample_ids": ', "is not valid JSON"),
+        ("[]", "must hold a JSON object, not list"),
+        ("{}", "must hold 'sample_ids'"),
+    ],
+)
+def test_cli_run_refuses_bad_benchmark_manifest(small_bench, tmp_path, capsys, text, message):
+    bench = tmp_path / "bench"
+    shutil.copytree(small_bench, bench)
+    (bench / "manifest.json").write_text(text)
+    run = tmp_path / "run"
+    assert cli_main(["run", "--bench", str(bench), "--methods", "mapper", "--out", str(run)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: benchmark manifest {bench / 'manifest.json'} {message}")
+    assert not run.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("run.json", "{}", "run manifest {} must hold 'methods'"),
+        ("run.json", "[]", "run manifest {} must hold a JSON object, not list"),
+        ("run.json", '{"methods": ', "run manifest {} is not valid JSON"),
+        ("mapper/run_manifest.json", "{}", "method run manifest {} must hold 'samples'"),
+        ("mapper/run_manifest.json", '"ok"', "method run manifest {} must hold a JSON object, not str"),
+    ],
+)
+def test_cli_evaluate_refuses_bad_run_manifest(small_bench, small_run, tmp_path, capsys, name, text, message):
+    # Every document is read before the results directory is made.
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    (run / name).write_text(text)
+    results = tmp_path / "results"
+    assert cli_main(["evaluate", "--bench", str(small_bench), "--run", str(run), "--out", str(results)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message.format(run / name)}")
+    assert not results.exists()
+
+
+@pytest.mark.parametrize(
     "doc, field",
     [
         ({"dim_probs": []}, "dim_probs"),

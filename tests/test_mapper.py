@@ -60,6 +60,10 @@ def test_params_validation():
         MapperParams(n_intervals=0)
     assert MapperParams().resolve_d_lens(100, 5) == 2
     assert MapperParams().resolve_d_lens(100, 1) == 1
+    for field, value in (("n_intervals", 2.5), ("min_samples", True), ("d_lens", 1.0)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MapperParams(**{field: value})
+    assert MapperParams(n_intervals=np.int64(4)).n_intervals == 4
 
 
 def test_mapper_rejects_single_point():

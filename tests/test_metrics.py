@@ -1,5 +1,5 @@
 """Topology metrics: persistence diagrams, Wasserstein matching, GED upper
-bound, persistence images, and the combined comparison."""
+bound, and the combined comparison."""
 
 import collections
 import itertools
@@ -17,7 +17,6 @@ from screeb import (
     betti,
     compare,
     edge_length_diagram,
-    persistence_image,
     persistence_similarity,
     wasserstein_breakdown,
     wasserstein_distance,
@@ -278,12 +277,6 @@ def test_wasserstein_unit_mismatch():
         wasserstein_distance(d1, d2)
 
 
-def test_wasserstein_rejects_other_orders():
-    d = PersistenceDiagram(np.array([0.5]), 1, np.array([]), True)
-    with pytest.raises(ValueError):
-        wasserstein_distance(d, d, order=2)
-
-
 def test_wasserstein_matches_brute_force(rng):
     for _ in range(200):
         d1 = random_diagram(rng, max_bars=4)
@@ -433,61 +426,6 @@ def test_approx_ged_builds_one_cost_matrix(monkeypatch):
     calls.clear()
     assert approx_ged(g2, g2) == 0.0
     assert calls == {"_adjacency_multiset": 2}
-
-
-# -- persistence images --------------------------------------------------------
-
-
-def test_image_empty_diagram_zero():
-    d = PersistenceDiagram(np.array([]), 0, np.array([]), True)
-    img = persistence_image(d)
-    assert img.vector.shape == (200,)
-    assert np.all(img.vector == 0.0)
-
-
-def test_image_corner_mass_quarter():
-    # A single full bar deposits a Gaussian at the (0, 1) corner; a quarter
-    # of its mass lands inside the unit square. Oracle: midpoint quadrature.
-    d = PersistenceDiagram(np.array([1.0]), 1, np.array([]), True)
-    img = persistence_image(d)
-    assert img.vector.sum() == pytest.approx(0.25, abs=1e-6)
-    xs = np.linspace(0, 1, 400, endpoint=False) + 1 / 800
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    dens = np.exp(-((gx - 0.0) ** 2 + (gy - 1.0) ** 2) / (2 * 0.1**2)) / (2 * np.pi * 0.1**2)
-    oracle = dens.sum() / 400**2
-    assert img.vector.sum() == pytest.approx(oracle, abs=1e-4)
-
-
-def test_image_linearity():
-    single = PersistenceDiagram(np.array([0.6]), 1, np.array([]), True)
-    double = PersistenceDiagram(np.array([0.6, 0.6]), 1, np.array([]), True)
-    np.testing.assert_allclose(persistence_image(double).vector, 2 * persistence_image(single).vector)
-
-
-def test_image_h0_h1_blocks():
-    d_h1 = PersistenceDiagram(np.array([]), 1, np.array([0.4]), True)
-    img = persistence_image(d_h1).vector
-    assert np.all(img[:100] == 0.0)
-    assert img[100:].sum() > 0
-
-
-def test_image_lipschitz_under_perturbation(rng):
-    base = np.sort(rng.uniform(0.2, 0.9, size=5))
-    for _ in range(20):
-        delta = float(rng.uniform(0, 0.01))
-        idx = int(rng.integers(0, 5))
-        moved = base.copy()
-        moved[idx] = np.clip(moved[idx] + delta, 0.0, 1.0)
-        realized = abs(moved[idx] - base[idx])
-        a = persistence_image(PersistenceDiagram(base, 1, np.array([]), True)).vector
-        b = persistence_image(PersistenceDiagram(moved, 1, np.array([]), True)).vector
-        assert np.linalg.norm(a - b) <= 5 * realized * max(base.max(), moved.max()) + 1e-12
-
-
-def test_image_requires_normalized():
-    d = PersistenceDiagram(np.array([2.0]), 1, np.array([]), False)
-    with pytest.raises(ValueError):
-        persistence_image(d)
 
 
 # -- compare -----------------------------------------------------------------------

@@ -50,6 +50,10 @@ def test_params_validation():
     assert ReebParams().resolve_k_smooth(50) == 49
     assert ReebParams().resolve_k_bw(1000) == 32
     assert ReebParams(k_bw=10).resolve_k_bw(1000) == 10
+    for field, value in (("k", 2.5), ("levels", True), ("k_smooth", 10.0), ("t", "1"), ("k_bw", False)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ReebParams(**{field: value})
+    assert ReebParams(k=np.int64(5)).k == 5
 
 
 # -- reeb_graph ---------------------------------------------------------------

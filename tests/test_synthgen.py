@@ -34,7 +34,6 @@ from screeb.synthgen import (
     _min_clearance,
     _pair_clearance,
     _place_arc,
-    _point_segment_distances,
     _segment_distances,
     _simple_adjacency,
     _strip_leaves,
@@ -515,7 +514,7 @@ def loop_own_and_foreign(sample):
     edges = list(g.edges)
     if not edges:
         return []
-    dist = np.column_stack([_point_segment_distances(points, positions[e.u], positions[e.v]) for e in edges])
+    dist = np.array([[scalar_segment_distance(p, p, positions[e.u], positions[e.v]) for e in edges] for p in points])
     out = []
     for i in range(len(points)):
         if kinds[i] == "e":
