@@ -15,7 +15,7 @@ def main():
 
     print("edge-length diagrams (normalized):")
     for name, g in (("segment", segment), ("circle", circle), ("theta", theta)):
-        d = edge_length_diagram(g, normalize=True)
+        d = edge_length_diagram(g)
         print(f"  {name:>8}: H0 deaths {d.h0_deaths.tolist()}, essential {d.h0_essential}, H1 births {d.h1_births.tolist()}")
 
     print()

@@ -47,10 +47,8 @@ from .synthgen import (
     GeneratorConfig,
     SyntheticSample,
     embed_graph,
-    generate_benchmark,
     generate_sample,
     sample_point_cloud,
-    sample_topology,
     sample_topology_meta,
     validate,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "edge_length_diagram",
     "embed_graph",
     "fiedler_filter",
-    "generate_benchmark",
     "generate_sample",
     "graph_from_json",
     "graph_to_json",
@@ -96,7 +93,6 @@ __all__ = [
     "reduce",
     "reeb_graph",
     "sample_point_cloud",
-    "sample_topology",
     "sample_topology_meta",
     "save_graph",
     "save_points_csv",

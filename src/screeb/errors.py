@@ -25,11 +25,6 @@ class SolverError(RuntimeError):
     needs no pivoting: ``geometry._symmetric_spectrum``."""
 
 
-class UnitMismatchError(ValueError):
-    """A normalized persistence diagram was compared with an unnormalized
-    one."""
-
-
 class ConfigError(ValueError):
     """A configuration file or parameter set failed validation. The message
     names the offending field."""

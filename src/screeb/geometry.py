@@ -28,6 +28,7 @@ from them with array operations.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -40,6 +41,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateInputError, InvalidDataError, IsolatedPointError, SolverError
+from .graph import Multigraph
 
 _DENSE_FALLBACK_LIMIT = 4096  # rows; above it a failed or uncertified Fiedler solve raises SolverError
 _ROUNDING_MARGIN = 1e-6  # between the Frobenius bound and c before a certificate is known to fail
@@ -84,6 +86,13 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     values match those bit for bit; ``einsum`` or hand-expanded sums do not
     where BLAS fuses multiply-adds."""
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def straight_graph(u, v, positions: np.ndarray, multiplicity=None) -> Multigraph:
+    """The multigraph on ``positions`` whose entries ``(u[i], v[i])`` are
+    straight segments, each as long as its ends are apart (by ``row_dots``)."""
+    gaps = positions[u] - positions[v]
+    return Multigraph.from_arrays(len(positions), u, v, np.sqrt(row_dots(gaps, gaps)), multiplicity, positions)
 
 
 def _run_starts(s: np.ndarray) -> np.ndarray:
@@ -391,8 +400,8 @@ def condense(cloud: PointCloud, k_smooth: int, t: int, k_bw: Optional[int] = Non
 
 # -- point-cloud file format ------------------------------------------------
 #
-# CSV, one row per point, plain decimal float text, no header. Loaders
-# reject ragged rows.
+# CSV, one row per point, plain decimal float text, no header. The loader
+# skips empty lines and rejects ragged rows.
 
 
 def save_points_csv(cloud: PointCloud, path) -> None:
@@ -403,27 +412,15 @@ def save_points_csv(cloud: PointCloud, path) -> None:
 
 
 def load_points_csv(path) -> PointCloud:
-    rows: list[list[float]] = []
-    width = None
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise InvalidDataError(
-                    f"ragged CSV row at line {line_no}: expected {width} fields, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise InvalidDataError(f"non-numeric value at line {line_no}") from exc
-    if not rows:
-        raise InvalidDataError("empty point-cloud file")
-    return PointCloud(np.array(rows))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:  # a ragged row or a field that is no number
+            raise InvalidDataError(f"{path}: {exc}") from exc
+    if not rows.size:
+        raise InvalidDataError(f"{path}: empty point-cloud file")
+    return PointCloud(rows)
 
 
 def induced_neighbor_subgraph(nbrs: NeighborGraph, vertices: np.ndarray) -> NeighborGraph:

@@ -68,6 +68,9 @@ class RunConfig:
             if not isinstance(section, dict):
                 raise ConfigError(f"config section {m!r} must be a JSON object, not {type(section).__name__}")
             _method_params(m, section)
+        tower = _method_params("screebtower", self.overrides.get("screebtower", {}))
+        if "screebtower" in self.methods and self.level is not None and not 0 <= self.level <= tower.levels:
+            raise ConfigError(f"tower level {self.level} outside 0..{tower.levels}")
         _worker_count(self.workers, "workers")
 
 
@@ -114,10 +117,11 @@ def _write(path: Path, doc) -> None:
     path.write_text(text + "\n")
 
 
-def read_json(path, what: str = "config file", **required: type) -> dict:
+def read_json(path, what: str = "config file", **required: tuple[type, type]) -> dict:
     """The JSON object in the ``what`` at ``path``, holding each ``required``
-    key with a value of its type; a missing file, or one that holds anything
-    else, is a ``ConfigError`` naming it."""
+    key as a list or dict (the pair's first type) of items of the pair's
+    second type; a missing file, or one that holds anything else, is a
+    ``ConfigError`` naming it."""
     if not Path(path).exists():
         raise ConfigError(f"{what} not found at {path}")
     try:
@@ -127,9 +131,12 @@ def read_json(path, what: str = "config file", **required: type) -> dict:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} must hold a JSON object, not {type(doc).__name__}")
-    for key, kind in required.items():
-        if not isinstance(doc.get(key), kind):
-            raise ConfigError(f"{what} {path} must hold {key!r} as a JSON {'array' if kind is list else 'object'}")
+    for key, (kind, item) in required.items():
+        value = doc.get(key)
+        items = value.values() if isinstance(value, dict) else value
+        if not isinstance(value, kind) or not all(isinstance(x, item) for x in items):
+            names = {list: "array", dict: "object", str: "string", object: "value"}
+            raise ConfigError(f"{what} {path} must hold {key!r} as a JSON {names[kind]} of {names[item]}s")
     return doc
 
 
@@ -154,8 +161,7 @@ def write_sample(sample_dir: Path, sample: SyntheticSample, sid: str) -> None:
 def load_sample(sample_dir: Path) -> SyntheticSample:
     cloud = load_points_csv(sample_dir / "points.csv")
     graph = load_graph(sample_dir / "graph.json")
-    with open(sample_dir / "meta.json") as fh:
-        meta = json.load(fh)
+    meta = read_json(sample_dir / "meta.json", "sample metadata", reduced_graph=(dict, object))
     reduced = graphmod.graph_from_json(json.dumps(meta["reduced_graph"]))
     return SyntheticSample(cloud=cloud, graph=graph, reduced_graph=reduced, metadata=meta)
 
@@ -215,7 +221,7 @@ def cmd_generate(
 
 
 def read_manifest(bench_dir: str) -> dict:
-    return read_json(Path(bench_dir) / "manifest.json", "benchmark manifest", sample_ids=list)
+    return read_json(Path(bench_dir) / "manifest.json", "benchmark manifest", sample_ids=(list, str))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +279,7 @@ def _run_method_on_cloud(
     if method == "screeb":
         return base, {"tower_level": 0}, []
     tower = screeb_tower(cloud, params, base=base)
-    scored = params.levels if level is None else level
-    if not (0 <= scored < len(tower)):
-        raise ConfigError(f"tower level {scored} outside 0..{len(tower) - 1}")
+    scored = params.levels if level is None else level  # RunConfig checked it
     extras = [(f"level_{i}.json", tower.graph(i)) for i in range(len(tower))]
     return tower.graph(scored), {"tower_level": scored}, extras
 
@@ -362,10 +366,14 @@ def _fmt_cell(x: float) -> str:
 
 def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
     manifest = read_manifest(bench_dir)
-    methods = read_json(Path(run_dir) / "run.json", "run manifest", methods=dict)["methods"]
+    methods = read_json(Path(run_dir) / "run.json", "run manifest", methods=(dict, str))["methods"]
     run_statuses = {
-        method: read_json(Path(run_dir) / mdirname / "run_manifest.json", "method run manifest", samples=dict)["samples"]
-        for method, mdirname in methods.items()
+        m: read_json(Path(run_dir) / d / "run_manifest.json", "method run manifest", samples=(dict, dict))["samples"]
+        for m, d in methods.items()
+    }
+    requested = {
+        sid: read_json(Path(bench_dir) / sid / "meta.json", "sample metadata").get("requested", {})
+        for sid in manifest["sample_ids"]
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -373,7 +381,7 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
     geds: dict[str, list[float]] = {m: [] for m in methods}
     excluded = dict.fromkeys(methods, 0)
     for sid in manifest["sample_ids"]:
-        latent, requested = None, None  # read once per sample, by its first scored method
+        latent = None  # read once per sample, by its first scored method
         for method, mdirname in methods.items():
             status = run_statuses[method].get(sid, {"status": "missing"})
             sample_out = out / mdirname / sid
@@ -402,10 +410,7 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
                     result_doc.update(comparison.to_dict())
                     result_doc["status"] = "ok"
                     result_doc["diagram"] = comparison.diagram_s.to_dict()
-                    if requested is None:
-                        with open(Path(bench_dir) / sid / "meta.json") as fh:
-                            requested = json.load(fh).get("requested", {})
-                    result_doc["requested"] = requested
+                    result_doc["requested"] = requested[sid]
                     sims[method].append(comparison.wasserstein_similarity)
                     geds[method].append(comparison.ged)
             sample_out.mkdir(parents=True, exist_ok=True)
@@ -440,13 +445,11 @@ def cmd_report(results_dir: str, out_path: Optional[str] = None) -> int:
     rows: list[dict] = []
     table: dict[str, dict[str, float]] = {}
     if eval_path.exists():
-        with open(eval_path) as fh:
-            eval_doc = json.load(fh)
+        eval_doc = read_json(eval_path, "evaluation summary", methods=(dict, str), table=(dict, dict))
         table = eval_doc["table"]
         for mdirname in eval_doc["methods"].values():
             for rpath in sorted((results_root / mdirname).glob("*/results.json")):
-                with open(rpath) as fh:
-                    rows.append(json.load(fh))
+                rows.append(read_json(rpath, "result"))
     if not rows:
         print("no results")
         return 1

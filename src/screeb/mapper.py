@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from . import graph as graphmod
 from .errors import DegenerateInputError
-from .geometry import PointCloud, row_dots
+from .geometry import PointCloud, straight_graph
 from .graph import Multigraph
 
 
@@ -184,14 +185,8 @@ def mapper_graph(cloud: PointCloud, params: MapperParams = MapperParams()) -> Mu
     if n_nodes == 0:
         return Multigraph(0, ())
     centroids = np.array([cloud.points[list(m)].mean(axis=0) for m in node_members])
-    point_to_nodes: dict[int, list[int]] = {}
-    for node_id, member_set in enumerate(node_members):
-        for p in member_set:
-            point_to_nodes.setdefault(p, []).append(node_id)
-    pairs: set[tuple[int, int]] = set()
-    for nodes in point_to_nodes.values():
-        for a, b in itertools.combinations(nodes, 2):
-            pairs.add((a, b) if a < b else (b, a))
-    a, b = np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
-    gaps = centroids[a] - centroids[b]
-    return graphmod.reduce(Multigraph.from_arrays(n_nodes, a, b, np.sqrt(row_dots(gaps, gaps)), positions=centroids))
+    # Nodes a < b share a data point where B B^T has an entry, B the node x point incidence.
+    indptr = np.cumsum([0] + [len(m) for m in node_members])
+    incidence = sp.csr_matrix((np.ones(indptr[-1]), np.concatenate(node_members), indptr), shape=(n_nodes, cloud.n))
+    nerve = sp.triu(incidence @ incidence.T, k=1)
+    return graphmod.reduce(straight_graph(nerve.row, nerve.col, centroids))

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import graph as graphmod
-from .errors import UnitMismatchError
 from .graph import Multigraph
 
 
@@ -26,14 +25,12 @@ class PersistenceDiagram:
     ``h0_deaths`` are the finite H0 deaths (all births are 0),
     ``h0_essential`` counts components (bars that never die), and
     ``h1_births`` are the birth values of essential H1 bars (cycles in a
-    graph never die). ``normalized`` records whether lengths were divided by
-    the maximum edge length.
+    graph never die). Values are edge lengths divided by the longest.
     """
 
     h0_deaths: np.ndarray
     h0_essential: int
     h1_births: np.ndarray
-    normalized: bool
 
     def __post_init__(self):
         deaths = np.sort(np.asarray(self.h0_deaths, dtype=float))
@@ -54,31 +51,28 @@ class PersistenceDiagram:
             "h0_deaths": self.h0_deaths.tolist(),
             "h0_essential": int(self.h0_essential),
             "h1_births": self.h1_births.tolist(),
-            "normalized": bool(self.normalized),
         }
 
 
-def edge_length_diagram(g: Multigraph, normalize: bool = True) -> PersistenceDiagram:
+def edge_length_diagram(g: Multigraph) -> PersistenceDiagram:
     """Persistence of the edge-length filtration via a Kruskal sweep.
 
     Edges enter shortest first (ties broken by endpoints); an edge joining
     two components records an H0 death at its length, an edge inside a
     component or a self-loop records an essential H1 birth. Every vertex is
-    born at 0 and one H0 bar per component is essential. With ``normalize``
-    lengths are divided by the maximum edge length; an edgeless graph skips
-    the division and yields an empty diagram with ``h0_essential = |V|``.
+    born at 0 and one H0 bar per component is essential. Lengths are divided
+    by the maximum edge length, unless it is 0; an edgeless graph yields an
+    empty diagram with ``h0_essential = |V|``.
     """
     if not g.u.size:
-        return PersistenceDiagram(np.zeros(0), g.n_vertices, np.zeros(0), normalize)
-    scale = float(g.length.max()) if normalize else 1.0
-    if scale <= 0:
-        scale = 1.0
+        return PersistenceDiagram(np.zeros(0), g.n_vertices, np.zeros(0))
+    scale = float(g.length.max()) or 1.0
     order = np.lexsort((g.v, g.u, g.length))
     uf = graphmod.UnionFind(g.n_vertices)
     joined = np.array([a != b and uf.union(a, b) for a, b in zip(g.u[order].tolist(), g.v[order].tolist())], dtype=bool)
     values = g.length[order] / scale
     births = np.repeat(values, g.multiplicity[order] - joined)  # one per copy that closes a cycle
-    return PersistenceDiagram(values[joined], g.n_vertices - int(joined.sum()), births, normalize)
+    return PersistenceDiagram(values[joined], g.n_vertices - int(joined.sum()), births)
 
 
 def _matching_distance(points_a: np.ndarray, points_b: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray) -> float:
@@ -114,16 +108,9 @@ def wasserstein_breakdown(d1: PersistenceDiagram, d2: PersistenceDiagram) -> dic
 
     H0 finite bars live at (0, death); unmatched bars pay their L-infinity
     distance to the diagonal, death/2. Essential H1 bars are embedded at
-    (birth, 1) on normalized diagrams with unmatched cost (1 - birth)/2.
+    (birth, 1), 1 being the longest edge, with unmatched cost (1 - birth)/2.
     A component-count mismatch adds 0.5 per missing essential H0 bar.
     """
-    if d1.normalized != d2.normalized:
-        raise UnitMismatchError("cannot compare a normalized diagram with an unnormalized one")
-    if not d1.normalized and (d1.h1_births.size or d2.h1_births.size):
-        raise UnitMismatchError(
-            "H1 essential bars are embedded at death 1, which assumes the "
-            "normalized scale; normalize both diagrams first"
-        )
     a0 = np.column_stack([np.zeros(len(d1.h0_deaths)), d1.h0_deaths])
     b0 = np.column_stack([np.zeros(len(d2.h0_deaths)), d2.h0_deaths])
     h0 = _matching_distance(a0, b0, d1.h0_deaths / 2.0, d2.h0_deaths / 2.0)
@@ -286,8 +273,8 @@ def compare(s: Multigraph, g: Multigraph) -> ComparisonResult:
     """
     s_red = graphmod.reduce(s)
     g_red = graphmod.reduce(g)
-    ds = edge_length_diagram(s_red, normalize=True)
-    dg = edge_length_diagram(g_red, normalize=True)
+    ds = edge_length_diagram(s_red)
+    dg = edge_length_diagram(g_red)
     parts = wasserstein_breakdown(ds, dg)
     return ComparisonResult(
         wasserstein_similarity=persistence_similarity(parts["total"]),

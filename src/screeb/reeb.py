@@ -43,7 +43,7 @@ from .geometry import (
     fiedler_filter,
     induced_neighbor_subgraph,
     knn_graph,
-    row_dots,
+    straight_graph,
 )
 from .graph import Multigraph
 
@@ -181,8 +181,7 @@ def reeb_graph(
         spans = zip(vertex_from[single].tolist(), vertex_from[single + 1].tolist())
         centroids = np.insert(centroids, at, [pts[a:b].mean(axis=0) for a, b in spans], axis=0)
         down, up = down + np.searchsorted(at, down, side="right"), up + np.searchsorted(at, up, side="right")
-    gaps = centroids[down] - centroids[up]
-    return Multigraph.from_arrays(len(centroids), down, up, np.sqrt(row_dots(gaps, gaps)), positions=centroids)
+    return straight_graph(down, up, centroids)
 
 
 def _sweep(

@@ -12,9 +12,10 @@ noise-confusion constraints all hold. Every sample is a pure function of
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -22,7 +23,7 @@ from scipy.spatial import cKDTree
 
 from . import graph as graphmod
 from .errors import ConfigError, GenerationError, GenerationReject, InvalidDataError
-from .geometry import PointCloud, row_dots
+from .geometry import PointCloud, row_dots, straight_graph
 from .graph import Multigraph
 
 _MASK64 = (1 << 64) - 1
@@ -126,15 +127,8 @@ class GeneratorConfig:
             raise ConfigError("component_prob must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            elif isinstance(value, dict):
-                value = {str(k): v for k, v in value.items()}
-            out[f.name] = value
-        return out
+        """The config as JSON holds it: ranges as lists, dict keys as strings."""
+        return json.loads(json.dumps(asdict(self)))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":
@@ -375,12 +369,6 @@ def sample_topology_meta(cfg: GeneratorConfig, rng: np.random.Generator) -> tupl
     return graphmod.disjoint_union(pieces), classes
 
 
-def sample_topology(cfg: GeneratorConfig, rng: np.random.Generator) -> Multigraph:
-    """Sample a latent multigraph (combinatorial; no positions)."""
-    g, _ = sample_topology_meta(cfg, rng)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Structure analysis shared by embedding and tube sampling
 
@@ -394,11 +382,11 @@ def _simple_adjacency(g: Multigraph, vertices: list[int]) -> dict[int, list[tupl
     return adj
 
 
-def _strip_leaves(adj: dict[int, list[tuple[int, int]]]) -> tuple[list[tuple[int, int, int]], set[int], set[int]]:
+def _strip_leaves(adj: dict[int, list[tuple[int, int]]]) -> tuple[list, dict[int, list[tuple[int, int]]]]:
     """Iteratively remove degree-1 vertices.
 
-    Returns (twigs in removal order as (anchor, leaf, edge_id), core
-    vertices, core edge ids).
+    Returns (twigs in removal order as (anchor, leaf, edge_id), the core's
+    adjacency: each core vertex's sorted (neighbor, edge_id) pairs).
     """
     deg = {v: len(nbrs) for v, nbrs in adj.items()}
     removed_edges: set[int] = set()
@@ -418,33 +406,21 @@ def _strip_leaves(adj: dict[int, list[tuple[int, int]]]) -> tuple[list[tuple[int
         if deg[anchor] == 1:
             queue.append(anchor)
             queue.sort()
-    core_vertices = {v for v in adj if deg[v] > 0}  # a removed leaf is left at degree 0
-    core_edges = {
-        e for v in core_vertices for _, e in adj[v] if e not in removed_edges
-    }
-    return twigs, core_vertices, core_edges
+    # A removed leaf is left at degree 0.
+    core = {v: sorted((w, e) for w, e in nbrs if e not in removed_edges) for v, nbrs in adj.items() if deg[v] > 0}
+    return twigs, core
 
 
-def _biconnected_blocks(
-    core_vertices: set[int], adj: dict[int, list[tuple[int, int]]], core_edges: set[int]
-) -> list[list[tuple[int, int, int]]]:
-    """Biconnected components of the core as lists of (u, v, edge_id)."""
-    edge_ends: dict[int, tuple[int, int]] = {}
-    core_adj: dict[int, list[tuple[int, int]]] = {v: [] for v in core_vertices}
-    for v in core_vertices:
-        for w, e in adj[v]:
-            if e in core_edges:
-                core_adj[v].append((w, e))
-                if e not in edge_ends:
-                    edge_ends[e] = (v, w)
-    for v in core_adj:
-        core_adj[v].sort()
+def _biconnected_blocks(core_adj: dict[int, list[tuple[int, int]]]) -> list[list[tuple[int, int, int]]]:
+    """Biconnected components of a core (``_strip_leaves``) as lists of
+    (u, v, edge_id), sorted by edge id."""
+    edge_ends = {e: (v, w) for v, nbrs in core_adj.items() for w, e in nbrs}
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     parent_edge: dict[int, int] = {}
     blocks: list[list[int]] = []
     counter = 0
-    for root in sorted(core_vertices):
+    for root in sorted(core_adj):
         if root in disc:
             continue
         disc[root] = low[root] = counter
@@ -481,10 +457,7 @@ def _biconnected_blocks(
                             if eid == parent_edge[v]:
                                 break
                         blocks.append(block)
-    out = []
-    for block in blocks:
-        out.append([(edge_ends[e][0], edge_ends[e][1], e) for e in sorted(block)])
-    return out
+    return [[(*edge_ends[e], e) for e in sorted(block)] for block in blocks]
 
 
 def _chain_decomposition(
@@ -552,10 +525,8 @@ def _cycle_loops(g: Multigraph) -> list[list[int]]:
     loops: list[list[int]] = []
     for comp in graphmod.connected_components(g):
         adj = _simple_adjacency(g, comp)
-        _, core_vertices, core_edges = _strip_leaves(adj)
-        if not core_edges:
-            continue
-        for block in _biconnected_blocks(core_vertices, adj, core_edges):
+        _, core = _strip_leaves(adj)
+        for block in _biconnected_blocks(core):
             if len(block) == 1:
                 continue
             anchor = min(min(u, v) for u, v, _ in block)
@@ -759,7 +730,7 @@ def _layout_component_2d(
     jitter = rng.uniform(*cfg.edge_jitter_range)
     spread = rng.uniform(*cfg.branch_angle_spread_range)
     adj = _simple_adjacency(g, comp)
-    twigs, core_vertices, core_edges = _strip_leaves(adj)
+    twigs, core = _strip_leaves(adj)
     pos: dict[int, np.ndarray] = {}
     # Means are sums in placement order divided by the count: the bits of
     # ``np.mean`` over the same rows, without building an array per call.
@@ -781,11 +752,11 @@ def _layout_component_2d(
             return _unit(pos[anchor] - sum(placed_nbrs[1:], placed_nbrs[0]) / len(placed_nbrs), rng)
         return _unit(pos[anchor] - centroid(), rng)
 
-    if not core_edges:
+    if not core:
         root = next(v for v in sorted(comp) if v not in {leaf for _, leaf, _ in twigs})
         place(root, np.zeros(2))
     else:
-        blocks = _biconnected_blocks(core_vertices, adj, core_edges)
+        blocks = _biconnected_blocks(core)
         block_verts = [sorted({u for u, v, _ in b} | {v for u, v, _ in b}) for b in blocks]
         start = min(min(bv) for bv in block_verts)
         # Blocks by vertex list; each step places the first one that holds
@@ -906,8 +877,7 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
         arr = arr - arr.mean(axis=0, keepdims=True)
         feats = _features(local)
         if ci == 0:
-            for i, v in enumerate(comp):
-                positions[v] = arr[i]
+            positions[comp] = arr
             placed = arr[feats]
             continue
         gap = rng.uniform(*cfg.gap_ratio_range) * max_edge_len
@@ -932,8 +902,7 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
             lambda dist: min_dist_at(dist) >= gap, 0.0, hi, cfg.max_search_iterations, cfg.search_tolerance * gap
         )
         arr = arr + (center_all + direction * hi)
-        for i, v in enumerate(comp):
-            positions[v] = arr[i]
+        positions[comp] = arr
         placed = np.concatenate([placed, arr[feats]])
     return positions
 
@@ -997,7 +966,7 @@ def sample_point_cloud(
     g_embedded: Multigraph,
     cfg: GeneratorConfig,
     rng: np.random.Generator,
-    coords: Optional[DifficultyCoords] = None,
+    coords: DifficultyCoords,
 ) -> tuple[PointCloud, RealizedGeometry]:
     """Sample a noisy point cloud from solid tubes around an embedded graph.
 
@@ -1010,8 +979,6 @@ def sample_point_cloud(
     clearance over the safety multiplier. The clearance pairs of the graph
     are built once and serve every step of the crowding search.
     """
-    if coords is None:
-        coords = draw_difficulty(cfg, rng)
     g = g_embedded
     if g.positions is None:
         raise InvalidDataError("sample_point_cloud requires an embedded graph")
@@ -1059,8 +1026,7 @@ def sample_point_cloud(
 
     # Fix vertex labels and edge enumeration to the canonical (serialized)
     # order now, so per-point parent ids stay valid across a disk round-trip.
-    straight = _edge_lengths(g, positions)
-    latent = graphmod.canonicalize(Multigraph.from_arrays(g.n_vertices, g.u, g.v, straight, g.multiplicity, positions))
+    latent = graphmod.canonicalize(straight_graph(g.u, g.v, positions, g.multiplicity))
     positions = np.array(latent.positions)
     us, vs, edge_lengths = latent.u.tolist(), latent.v.tolist(), latent.length.tolist()
     deg = latent.degrees()
@@ -1247,8 +1213,7 @@ def generate_sample(cfg: GeneratorConfig, seed: int, index: int) -> SyntheticSam
             dim = draw_dimension(cfg, rng)
             topo, classes = sample_topology_meta(cfg, rng)
             positions = embed_graph(topo, dim, cfg, rng)
-            lengths = _edge_lengths(topo, positions)
-            embedded = Multigraph.from_arrays(topo.n_vertices, topo.u, topo.v, lengths, topo.multiplicity, positions)
+            embedded = straight_graph(topo.u, topo.v, positions, topo.multiplicity)
             cloud, geometry = sample_point_cloud(embedded, cfg, rng, coords)
             metadata = {
                 "seed": int(sub),
@@ -1287,10 +1252,3 @@ def generate_sample(cfg: GeneratorConfig, seed: int, index: int) -> SyntheticSam
         f"sample {index} exhausted {cfg.max_rejects_per_sample} rejects; "
         f"last requested coordinates: {last_coords}"
     )
-
-
-def generate_benchmark(cfg: GeneratorConfig, n: int, seed: int) -> list[SyntheticSample]:
-    """Generate ``n`` accepted samples; bit-reproducible for fixed inputs."""
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    return [generate_sample(cfg, seed, i) for i in range(n)]

@@ -145,8 +145,8 @@ def test_criterion_3_persistence_oracle_equivalence():
     bad = 0
     for _ in range(500):
         g = random_multigraph(rng, max_vertices=30, max_edges=40)
-        d = edge_length_diagram(g, normalize=True)
-        deaths, b0, births = sweep_diagram_oracle(g, normalize=True)
+        d = edge_length_diagram(g)
+        deaths, b0, births = sweep_diagram_oracle(g)
         if not (
             np.array_equal(np.round(d.h0_deaths, 12), np.round(deaths, 12))
             and d.h0_essential == b0

@@ -1,6 +1,8 @@
 """Geometry: kNN graphs, adaptive affinities, the transition matrix, Fiedler
 filter, condensation, and the points.csv format."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -696,3 +698,35 @@ def test_points_csv_rejects_nonnumeric(tmp_path):
     path.write_text("1.0,a\n")
     with pytest.raises(InvalidDataError):
         load_points_csv(path)
+
+
+def test_points_csv_round_trip_is_bit_exact_at_extreme_exponents(tmp_path, rng):
+    points = rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-150, 151, size=(300, 5))
+    points[0, :2] = -0.0, 5e-324
+    path = tmp_path / "points.csv"
+    save_points_csv(PointCloud(points), path)
+    assert load_points_csv(path).points.tobytes() == points.tobytes()
+
+
+def test_points_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("\n1.5,-2\n\n3,4e-3\n\n")
+    assert load_points_csv(path).points.tolist() == [[1.5, -2.0], [3.0, 0.004]]
+    path.write_text("7\n")
+    assert load_points_csv(path).points.shape == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1.0,2.0\n3.0\n", "1.0,a\n", "1.0,,2.0\n", "#x,y\n1,2\n", "", "\n\n", "1,2\n   \n3,4\n"],
+    ids=["ragged", "nonnumeric", "empty-field", "hash-prefixed", "empty", "blank-lines-only", "spaces-only-line"],
+)
+def test_points_csv_refuses_malformed_files_naming_them(tmp_path, text):
+    # The empty file leaks no numpy warning; a line of only spaces is a ragged row.
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDataError) as exc:
+            load_points_csv(path)
+    assert str(path) in str(exc.value)

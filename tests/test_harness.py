@@ -381,7 +381,7 @@ def test_evaluate_results_schema(small_bench, small_run, tmp_path):
 
     assert doc["method"] == "screebtower"
     assert doc["tower_level"] == ReebParams().levels
-    assert set(doc["diagram"]) == {"h0_deaths", "h0_essential", "h1_births", "normalized"}
+    assert set(doc["diagram"]) == {"h0_deaths", "h0_essential", "h1_births"}
 
 
 def test_evaluate_deterministic_csv(small_bench, small_run, tmp_path):
@@ -531,6 +531,7 @@ def test_cli_run_refuses_bad_config_section_up_front(small_bench, tmp_path, caps
         ('{"sample_ids": ', "is not valid JSON"),
         ("[]", "must hold a JSON object, not list"),
         ("{}", "must hold 'sample_ids'"),
+        ('{"sample_ids": [5]}', "must hold 'sample_ids' as a JSON array of strings"),
     ],
 )
 def test_cli_run_refuses_bad_benchmark_manifest(small_bench, tmp_path, capsys, text, message):
@@ -551,6 +552,12 @@ def test_cli_run_refuses_bad_benchmark_manifest(small_bench, tmp_path, capsys, t
         ("run.json", '{"methods": ', "run manifest {} is not valid JSON"),
         ("mapper/run_manifest.json", "{}", "method run manifest {} must hold 'samples'"),
         ("mapper/run_manifest.json", '"ok"', "method run manifest {} must hold a JSON object, not str"),
+        ("run.json", '{"methods": {"mapper": 5}}', "run manifest {} must hold 'methods' as a JSON object of strings"),
+        (
+            "mapper/run_manifest.json",
+            '{"samples": {"00000": 3}}',
+            "method run manifest {} must hold 'samples' as a JSON object of objects",
+        ),
     ],
 )
 def test_cli_evaluate_refuses_bad_run_manifest(small_bench, small_run, tmp_path, capsys, name, text, message):
@@ -562,6 +569,50 @@ def test_cli_evaluate_refuses_bad_run_manifest(small_bench, small_run, tmp_path,
     assert cli_main(["evaluate", "--bench", str(small_bench), "--run", str(run), "--out", str(results)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message.format(run / name)}")
     assert not results.exists()
+
+
+def test_cli_evaluate_refuses_truncated_sample_metadata(small_bench, small_run, tmp_path, capsys):
+    # Every meta.json is read before the results directory is made; load_sample reads it the same way.
+    bench = tmp_path / "bench"
+    shutil.copytree(small_bench, bench)
+    meta = bench / "00001" / "meta.json"
+    meta.write_text('{"seed": ')
+    results = tmp_path / "results"
+    assert cli_main(["evaluate", "--bench", str(bench), "--run", str(small_run), "--out", str(results)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: sample metadata {meta} is not valid JSON")
+    assert not results.exists()
+    with pytest.raises(ConfigError, match="sample metadata .* is not valid JSON"):
+        load_sample(bench / "00001")
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("evaluate.json", '{"table": ', "evaluation summary {} is not valid JSON"),
+        ("evaluate.json", "{}", "evaluation summary {} must hold 'methods' as a JSON object of strings"),
+        ("screeb/00002/results.json", '{"sample_id": ', "result {} is not valid JSON"),
+    ],
+)
+def test_cli_report_refuses_bad_results(small_bench, small_run, tmp_path, capsys, name, text, message):
+    results = tmp_path / "results"
+    assert cmd_evaluate(str(small_bench), str(small_run), str(results)) == 0
+    (results / name).write_text(text)
+    assert cli_main(["report", "--results", str(results)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message.format(results / name)}")
+    assert not (results / "stratified.csv").exists()
+
+
+@pytest.mark.parametrize("level", ["7", "-1"])
+def test_cli_run_refuses_tower_level_outside_the_tower_up_front(small_bench, tmp_path, capsys, level):
+    # Refused before any tower is computed or the run directory is made.
+    run = tmp_path / "run"
+    args = ["run", "--bench", str(small_bench), "--methods", "screebtower", "--out", str(run), "--level", level]
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err == f"error: tower level {level} outside 0..2\n"
+    assert not run.exists()
+    with pytest.raises(ConfigError, match="tower level 4 outside 0..3"):
+        RunConfig(str(small_bench), ("screebtower",), str(run), {"screebtower": {"levels": 3}}, level=4)
+    RunConfig(str(small_bench), ("screeb", "mapper"), str(run), level=7)  # no tower, no level to check
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,24 @@
 """Mapper baseline: PCA lens, DBSCAN, radius rule, nerve construction."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from screeb import (
     MapperParams,
+    Multigraph,
     PointCloud,
     betti,
     dbscan,
     graph_to_json,
     mapper_graph,
     pca_lens,
+    reduce,
     third_neighbor_eps,
 )
 from screeb import mapper as mapper_module
@@ -260,3 +267,65 @@ def test_mapper_membership_invariants(rng):
             noise -= ms
     assert covered
     assert covered | noise == set(range(cloud.n))
+
+
+def dict_nerve_mapper(cloud, params=MapperParams()):
+    """``mapper_graph`` with its nerve taken pair by pair: a dict from each
+    point to the nodes that hold it, and every pair of those nodes. The
+    cover, the clusters and the node order are ``mapper_graph``'s own."""
+    d_lens = params.resolve_d_lens(cloud.n, cloud.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lens = pca_lens(cloud, d_lens)
+    distinct = np.unique(cloud.points, axis=0)
+    eps = (len(distinct) > 1 and third_neighbor_eps(distinct, params.eps_factor)) or 1.0
+    mins, maxs = lens.min(axis=0), lens.max(axis=0)
+    widths = (maxs - mins) / params.n_intervals
+    pad = params.overlap * widths
+    node_members, seen = [], set()
+    for cell in itertools.product(range(params.n_intervals), repeat=d_lens):
+        mask = np.ones(cloud.n, dtype=bool)
+        for axis, idx in enumerate(cell):
+            lo = mins[axis] + idx * widths[axis] - pad[axis]
+            hi = mins[axis] + (idx + 1) * widths[axis] + pad[axis]
+            mask &= (lens[:, axis] >= lo) & (lens[:, axis] <= hi)
+        members = np.flatnonzero(mask)
+        if not members.size:
+            continue
+        labels = dbscan(cloud.points[members], eps, params.min_samples)
+        for cluster_id in range(labels.max() + 1):
+            member_set = tuple(members[labels == cluster_id].tolist())
+            if member_set not in seen:
+                seen.add(member_set)
+                node_members.append(member_set)
+    if not node_members:
+        return Multigraph(0, ())
+    centroids = np.array([cloud.points[list(m)].mean(axis=0) for m in node_members])
+    point_to_nodes = {}
+    for node_id, member_set in enumerate(node_members):
+        for p in member_set:
+            point_to_nodes.setdefault(p, []).append(node_id)
+    pairs = set()
+    for nodes in point_to_nodes.values():
+        for a, b in itertools.combinations(nodes, 2):
+            pairs.add((min(a, b), max(a, b)))
+    a, b = np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
+    lengths = [float(np.linalg.norm(centroids[i] - centroids[j])) for i, j in zip(a.tolist(), b.tolist())]
+    return reduce(Multigraph.from_arrays(len(node_members), a, b, lengths, positions=centroids))
+
+
+@st.composite
+def clouds_with_copies(draw):
+    """Points on a coarse grid (so coordinates tie), some of them repeated."""
+    dim = draw(st.integers(1, 4))
+    base = draw(st.lists(st.lists(st.integers(-12, 12), min_size=dim, max_size=dim), min_size=2, max_size=70))
+    copies = draw(st.lists(st.integers(0, len(base) - 1), max_size=30))
+    scale = draw(st.sampled_from([0.25, 1.0, 1e3]))
+    return PointCloud(scale * np.array(base + [base[i] for i in copies], dtype=float))
+
+
+@given(clouds_with_copies(), st.integers(1, 8), st.sampled_from([0.0, 0.2, 0.35, 0.6]))
+@settings(max_examples=200, deadline=None)
+def test_sparse_nerve_matches_pairwise_nerve(cloud, n_intervals, overlap):
+    params = MapperParams(n_intervals=n_intervals, overlap=overlap)
+    assert graph_to_json(mapper_graph(cloud, params)) == graph_to_json(dict_nerve_mapper(cloud, params))

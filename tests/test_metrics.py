@@ -23,7 +23,6 @@ from screeb import (
 )
 from screeb import graph as graphmod
 from screeb import metrics
-from screeb.errors import UnitMismatchError
 from screeb.metrics import _assignment_cost, _node_signatures, edit_cost
 
 from conftest import random_multigraph
@@ -32,14 +31,14 @@ from conftest import random_multigraph
 # -- independent oracles --------------------------------------------------------
 
 
-def sweep_diagram_oracle(g, normalize):
+def sweep_diagram_oracle(g):
     """Brute-force threshold sweep: add the entries shortest first (ties by
     endpoints) and recompute (b0, b1) of the prefix subgraph after each; an
     entry's b0 drop counts its H0 deaths and its b1 jump its H1 births, one
-    per copy."""
+    per copy, each divided by the longest length."""
     if not g.edges:
         return [], g.n_vertices, []
-    scale = max(e.length for e in g.edges) if normalize else 1.0
+    scale = max(e.length for e in g.edges)
     if scale <= 0:
         scale = 1.0
     deaths, births = [], []
@@ -158,29 +157,29 @@ def assignment_cost_oracle(g1, g2):
 def random_diagram(rng, max_bars=6):
     deaths = np.sort(rng.uniform(0.05, 1.0, size=int(rng.integers(0, max_bars + 1))))
     births = np.sort(rng.uniform(0.0, 0.95, size=int(rng.integers(0, 3))))
-    return PersistenceDiagram(deaths, int(rng.integers(1, 4)), births, True)
+    return PersistenceDiagram(deaths, int(rng.integers(1, 4)), births)
 
 
 # -- edge_length_diagram ---------------------------------------------------------
 
 
 def test_diagram_triangle_by_hand():
-    g = Multigraph(3, (Edge(0, 1, 1.0), Edge(1, 2, 2.0), Edge(0, 2, 3.0)))
-    d = edge_length_diagram(g, normalize=False)
-    assert d.h0_deaths.tolist() == [1.0, 2.0]
+    g = Multigraph(3, (Edge(0, 1, 1.0), Edge(1, 2, 2.0), Edge(0, 2, 4.0)))
+    d = edge_length_diagram(g)  # lengths divided by the longest, 4
+    assert d.h0_deaths.tolist() == [0.25, 0.5]
     assert d.h0_essential == 1
-    assert d.h1_births.tolist() == [3.0]
+    assert d.h1_births.tolist() == [1.0]
 
 
 def test_diagram_single_vertex():
-    d = edge_length_diagram(Multigraph(1, ()), normalize=False)
+    d = edge_length_diagram(Multigraph(1, ()))
     assert d.h0_deaths.size == 0 and d.h1_births.size == 0
     assert d.h0_essential == 1
 
 
 def test_diagram_normalized_path():
     g = Multigraph(5, tuple(Edge(i, i + 1, 1.0) for i in range(4)))
-    d = edge_length_diagram(g, normalize=True)
+    d = edge_length_diagram(g)
     assert d.h0_deaths.tolist() == [1.0, 1.0, 1.0, 1.0]
     assert d.h0_essential == 1
     assert d.h1_births.size == 0
@@ -189,7 +188,7 @@ def test_diagram_normalized_path():
 def test_diagram_counts_match_betti(rng):
     for _ in range(50):
         g = random_multigraph(rng, max_vertices=20, max_edges=30)
-        d = edge_length_diagram(g, normalize=True)
+        d = edge_length_diagram(g)
         b = betti(g)
         assert d.h0_essential == b.b0
         assert len(d.h1_births) == b.b1
@@ -203,12 +202,11 @@ def test_diagram_matches_sweep_oracle(rng):
             lengths = [0.0, -0.0, 1.0, 2.5]
             edges = [Edge(e.u, e.v, lengths[rng.integers(4)], int(rng.integers(1, 1001))) for e in g.edges]
             g = Multigraph(g.n_vertices, tuple(edges))
-        for normalize in (True, False):
-            d = edge_length_diagram(g, normalize=normalize)
-            deaths, b0, births = sweep_diagram_oracle(g, normalize=normalize)
-            assert d.h0_deaths.tolist() == deaths  # the same float divisions: exactly equal
-            assert d.h0_essential == b0
-            assert d.h1_births.tolist() == births
+        d = edge_length_diagram(g)
+        deaths, b0, births = sweep_diagram_oracle(g)
+        assert d.h0_deaths.tolist() == deaths  # the same float divisions: exactly equal
+        assert d.h0_essential == b0
+        assert d.h1_births.tolist() == births
 
 
 def test_diagram_one_entry_of_many_copies():
@@ -223,7 +221,7 @@ def test_diagram_deaths_are_forest_weights(rng):
     # same tie rule; oracle is an independent Prim-style construction.
     for _ in range(60):
         g = random_multigraph(rng, max_vertices=25, max_edges=35)
-        d = edge_length_diagram(g, normalize=False)
+        d = edge_length_diagram(g)
         instances = sorted(
             (e.length, e.u, e.v) for e in g.edges for _ in range(e.multiplicity) if e.u != e.v
         )
@@ -241,40 +239,34 @@ def test_diagram_deaths_are_forest_weights(rng):
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
                 forest.append(length)
-        assert np.allclose(np.sort(d.h0_deaths), np.sort(forest))
+        scale = max((e.length for e in g.edges), default=0.0) or 1.0
+        assert np.allclose(np.sort(d.h0_deaths), np.sort(forest) / scale)
 
 
 # -- wasserstein ---------------------------------------------------------------
 
 
 def test_wasserstein_identity():
-    d = PersistenceDiagram(np.array([0.3, 0.8]), 1, np.array([0.5]), True)
+    d = PersistenceDiagram(np.array([0.3, 0.8]), 1, np.array([0.5]))
     assert wasserstein_distance(d, d) == 0.0
 
 
 def test_wasserstein_single_bar_to_empty():
-    d1 = PersistenceDiagram(np.array([0.8]), 1, np.array([]), True)
-    d2 = PersistenceDiagram(np.array([]), 1, np.array([]), True)
+    d1 = PersistenceDiagram(np.array([0.8]), 1, np.array([]))
+    d2 = PersistenceDiagram(np.array([]), 1, np.array([]))
     assert wasserstein_distance(d1, d2) == pytest.approx(0.4)
 
 
 def test_wasserstein_two_bars_versus_one():
-    d1 = PersistenceDiagram(np.array([0.2, 0.9]), 1, np.array([]), True)
-    d2 = PersistenceDiagram(np.array([0.85]), 1, np.array([]), True)
+    d1 = PersistenceDiagram(np.array([0.2, 0.9]), 1, np.array([]))
+    d2 = PersistenceDiagram(np.array([0.85]), 1, np.array([]))
     assert wasserstein_distance(d1, d2) == pytest.approx(0.15)
 
 
 def test_wasserstein_essential_mismatch():
-    d1 = PersistenceDiagram(np.array([]), 3, np.array([]), True)
-    d2 = PersistenceDiagram(np.array([]), 1, np.array([]), True)
+    d1 = PersistenceDiagram(np.array([]), 3, np.array([]))
+    d2 = PersistenceDiagram(np.array([]), 1, np.array([]))
     assert wasserstein_distance(d1, d2) == pytest.approx(1.0)
-
-
-def test_wasserstein_unit_mismatch():
-    d1 = PersistenceDiagram(np.array([0.5]), 1, np.array([]), True)
-    d2 = PersistenceDiagram(np.array([0.5]), 1, np.array([]), False)
-    with pytest.raises(UnitMismatchError):
-        wasserstein_distance(d1, d2)
 
 
 def test_wasserstein_matches_brute_force(rng):
@@ -465,7 +457,7 @@ def test_compare_reduces_inputs():
 
 
 def test_breakdown_terms_sum():
-    d1 = PersistenceDiagram(np.array([0.2, 0.9]), 2, np.array([0.3]), True)
-    d2 = PersistenceDiagram(np.array([0.5]), 1, np.array([]), True)
+    d1 = PersistenceDiagram(np.array([0.2, 0.9]), 2, np.array([0.3]))
+    d2 = PersistenceDiagram(np.array([0.5]), 1, np.array([]))
     parts = wasserstein_breakdown(d1, d2)
     assert parts["total"] == pytest.approx(parts["h0"] + parts["h1"] + parts["essential"])

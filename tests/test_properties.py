@@ -62,7 +62,7 @@ def diagrams(draw):
     deaths = sorted(draw(st.lists(st.floats(0.01, 1.0, allow_nan=False), max_size=5)))
     births = sorted(draw(st.lists(st.floats(0.0, 0.99, allow_nan=False), max_size=3)))
     essential = draw(st.integers(1, 4))
-    return PersistenceDiagram(np.array(deaths), essential, np.array(births), True)
+    return PersistenceDiagram(np.array(deaths), essential, np.array(births))
 
 
 @given(multigraphs())
@@ -88,7 +88,7 @@ def test_reduce_per_piece_matches_reduce_of_union(pieces):
 @given(multigraphs())
 @settings(max_examples=100, deadline=None)
 def test_diagram_counts(g):
-    d = edge_length_diagram(g, normalize=True)
+    d = edge_length_diagram(g)
     b = betti(g)
     assert d.h0_essential == b.b0
     assert len(d.h1_births) == b.b1

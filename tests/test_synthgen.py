@@ -2,6 +2,8 @@
 sampling, validation, and reproducibility."""
 
 import dataclasses
+import itertools
+import json
 import math
 
 import numpy as np
@@ -18,12 +20,12 @@ from screeb import (
     embed_graph,
     generate_sample,
     sample_point_cloud,
-    sample_topology,
     sample_topology_meta,
     validate,
 )
 from screeb import graph as graphmod
 from screeb.errors import ConfigError, GenerationReject, InvalidDataError
+from screeb.harness import cmd_generate
 from screeb.synthgen import (
     DifficultyCoords,
     _biconnected_blocks,
@@ -115,13 +117,26 @@ def test_config_round_trip():
         GeneratorConfig.from_dict({"bogus_field": 1})
 
 
+def test_config_to_dict_is_the_manifest_config(tmp_path):
+    # A non-default config with integer dim_probs keys: to_dict gives what
+    # the benchmark manifest holds, ranges as lists and keys as strings.
+    cfg = GeneratorConfig(dim_probs={2: 0.25, 5: 0.75}, noise_ratio_range=(0.05, 0.1), max_nodes=40, feature_scale=2)
+    doc = cfg.to_dict()
+    assert doc["dim_probs"] == {"2": 0.25, "5": 0.75} and doc["noise_ratio_range"] == [0.05, 0.1]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert cmd_generate(str(config), 1, 5, str(tmp_path / "bench")) == 0
+    assert json.loads((tmp_path / "bench" / "manifest.json").read_text())["config"] == doc
+    assert GeneratorConfig.from_dict(doc) == cfg
+
+
 def test_splitmix_subseeds_distinct():
     seeds = {sample_subseed(42, i) for i in range(1000)}
     assert len(seeds) == 1000
     assert splitmix64(0) != splitmix64(1)
 
 
-# -- sample_topology ------------------------------------------------------------
+# -- sample_topology_meta --------------------------------------------------------
 
 
 def test_topology_singleton_and_cycle_shapes(rng):
@@ -166,7 +181,7 @@ def test_topology_b1_span_and_class_presence(rng):
 def test_topology_respects_caps(rng):
     cfg = GeneratorConfig()
     for _ in range(200):
-        g = sample_topology(cfg, rng)
+        g = sample_topology_meta(cfg, rng)[0]
         assert g.n_vertices <= cfg.max_nodes
         assert g.edge_count() <= cfg.max_edges
         assert all(d <= cfg.degree_cap for d in g.degrees())
@@ -226,7 +241,7 @@ def test_embed_clearance(rng):
     embedded_count = 0
     for seed in range(14):
         local = np.random.default_rng(seed)
-        g = sample_topology(cfg, local)
+        g = sample_topology_meta(cfg, local)[0]
         dim = 2 if seed % 2 == 0 else 3
         try:
             pos = embed_graph(g, dim, cfg, local)
@@ -300,8 +315,8 @@ def test_noise_capped_by_clearance(rng):
     for seed in range(15):
         local = np.random.default_rng(seed + 100)
         try:
-            g = embedded(sample_topology(cfg, local), cfg, local)
-            _, geom = sample_point_cloud(g, cfg, local)
+            g = embedded(sample_topology_meta(cfg, local)[0], cfg, local)
+            _, geom = sample_point_cloud(g, cfg, local, draw_difficulty(cfg, local))
         except GenerationReject:
             continue
         checked += 1
@@ -345,7 +360,7 @@ def test_validate_rejects_overlapping_tubes(rng):
     assert not verdict.ok and verdict.reason == "tube-overlap"
 
 
-# -- generate_benchmark -------------------------------------------------------------
+# -- generate_sample -------------------------------------------------------------
 
 
 def test_generate_deterministic():
@@ -585,8 +600,7 @@ def test_chain_decomposition_of_a_block_is_one_cycle_then_open_ears(drawn):
     # The layout and ``_cycle_loops`` place only the first chain as a cycle.
     _, g, _ = drawn
     adj = _simple_adjacency(g, list(range(g.n_vertices)))
-    _, core_vertices, core_edges = _strip_leaves(adj)
-    for block in _biconnected_blocks(core_vertices, adj, core_edges):
+    for block in _biconnected_blocks(_strip_leaves(adj)[1]):
         if len(block) < 2:
             continue
         for anchor in sorted({u for u, _, _ in block} | {v for _, v, _ in block}):
@@ -599,6 +613,60 @@ def test_chain_decomposition_of_a_block_is_one_cycle_then_open_ears(drawn):
                 assert not held & set(chain[1:-1])
                 held.update(chain)
             assert sum(len(chain) - 1 for chain in chains) == len(block)
+
+
+def simple_cycles(edges):
+    """Every simple cycle of the graph ``{edge id: (u, v)}`` as a frozenset of
+    edge ids, found by walking every simple path from one end of each edge
+    back to its other end."""
+    adj = {}
+    for e, (u, v) in edges.items():
+        adj.setdefault(u, []).append((v, e))
+        adj.setdefault(v, []).append((u, e))
+    cycles = set()
+    for e, (a, b) in edges.items():
+        if a == b:
+            cycles.add(frozenset([e]))
+            continue
+        paths = [(b, {b}, [e])]
+        while paths:
+            x, visited, used = paths.pop()
+            for y, f in adj[x]:
+                if y == a and f not in used:
+                    cycles.add(frozenset(used + [f]))
+                elif y not in visited and y != a:
+                    paths.append((y, visited | {y}, used + [f]))
+    return cycles
+
+
+def test_biconnected_blocks_join_edges_exactly_when_they_share_a_simple_cycle():
+    cfg = GeneratorConfig()
+    checked = 0
+    for seed in range(60):
+        try:
+            g = sample_topology_meta(cfg, np.random.default_rng(seed))[0]
+        except GenerationReject:
+            continue
+        for comp in connected_components(g):
+            twigs, core = _strip_leaves(_simple_adjacency(g, comp))
+            core_edges = {e: (int(g.u[e]), int(g.v[e])) for nbrs in core.values() for _, e in nbrs}
+            if len(core_edges) > 40:
+                continue  # the path search grows fast with the loops
+            assert set(core_edges).isdisjoint(e for _, _, e in twigs)
+            blocks = _biconnected_blocks(core)
+            block_of = {}
+            for i, block in enumerate(blocks):
+                assert [e for _, _, e in block] == sorted(e for _, _, e in block)
+                for u, v, e in block:
+                    assert {u, v} == set(core_edges[e]) and e not in block_of
+                    block_of[e] = i
+            assert block_of.keys() == core_edges.keys()
+            cycles = simple_cycles(core_edges)
+            for e, f in itertools.combinations(sorted(core_edges), 2):
+                shared = any(e in c and f in c for c in cycles)
+                assert (block_of[e] == block_of[f]) == shared, (seed, e, f)
+            checked += bool(cycles)
+    assert checked >= 30
 
 
 def listwise_place_arc(a, z, n_interior, side_dir, jitter, rng):
