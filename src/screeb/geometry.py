@@ -158,8 +158,9 @@ class NeighborGraph:
         sorted by (u, v), from the own lists. A pair listed by both endpoints
         keeps the distance from the smaller endpoint's list, the first listed."""
         n, v = self.n, self.own_indices
-        u = np.repeat(np.arange(n), np.diff(self.own_indptr))
-        keys, first = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v), n)
+        key = np.repeat(np.arange(n), np.diff(self.own_indptr))  # u, then min(u, v) * n + max(u, v) in place,
+        keys, first = _sorted_unique(np.add(np.minimum(key, v) * n, np.maximum(key, v, out=key), out=key), n)
+        del key  # before the edge arrays: on condense's k = 80 graphs each n * k array raises the peak memory
         return np.column_stack(np.divmod(keys, n)), self.own_distances[first]
 
 
@@ -170,12 +171,21 @@ def _check_ids(lo: int, hi: int, n: int) -> None:
         raise InvalidDataError(f"vertex id {lo if lo < 0 else hi} is outside 0..{n - 1} of a {n}-vertex graph")
 
 
-def _csr(n: int, u, v, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only CSR arrays (indptr, v, d) of flat entries grouped by ascending ``u``."""
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=n))])
-    for a in (indptr, v, d):
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
         a.setflags(write=False)
-    return indptr, v, d
+    return arrays
+
+
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows ``rows`` of a square CSR structure in order, each column relabelled to its place in
+    ``rows`` (-1 if none): (indptr, indices, where in the source each gathered entry lies)."""
+    counts = np.diff(indptr)[rows]
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    at = np.repeat(indptr[rows] - ptr[:-1], counts) + np.arange(ptr[-1])
+    relabel = np.full(len(indptr) - 1, -1, dtype=indices.dtype)
+    relabel[rows] = np.arange(len(rows))
+    return ptr, relabel[indices[at]], at
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,12 +200,20 @@ class AffinityMatrix:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    def permuted(self, order: np.ndarray) -> "AffinityMatrix":
+        """The affinities of the points in ``order``, a permutation, by one row gather."""
+        w = self.matrix
+        ptr, cols, at = _gather_rows(w.indptr, w.indices, order)
+        return AffinityMatrix(sp.csr_matrix((w.data[at], cols, ptr), shape=w.shape), self.bandwidths[order])
+
     @cached_property
     def operator(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """``(M = D^-1/2 W D^-1/2, degrees)``. On a component's rows, M is its own normalised block."""
         degrees = np.asarray(self.matrix.sum(axis=1)).ravel()
-        inv_sqrt = sp.diags(1.0 / np.sqrt(degrees))
-        return (inv_sqrt @ self.matrix @ inv_sqrt).tocsr(), degrees
+        inv_sqrt, m = 1.0 / np.sqrt(degrees), self.matrix.copy()
+        m.data = np.repeat(inv_sqrt, np.diff(m.indptr)) * m.data * inv_sqrt[m.indices]  # (inv_i * w_ij) * inv_j
+        m.eliminate_zeros()  # and no stored zeros: what the products diag @ W @ diag gave
+        return m, degrees
 
 
 def _symmetric_spectrum(m: sp.csr_matrix, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,14 +236,15 @@ def _symmetric_spectrum(m: sp.csr_matrix, rank: int) -> tuple[np.ndarray, np.nda
     pivoting (3.5M against 7.1M L + U entries on a noisy circle at n = 32 000).
     Against that default the pairs move at rounding level only; ``reeb_graph``
     reads only the filter's order and ties."""
-    n, k = m.shape[0], rank + 1
-    c = 1.0 - 2.0 * m.diagonal().min()
+    n, k, diagonal = m.shape[0], rank + 1, m.diagonal()
+    c = 1.0 - 2.0 * diagonal.min()
     uncertifiable = n <= _DENSE_FALLBACK_LIMIT and np.sqrt(max(m.data @ m.data - 1.0, 0.0)) < c - _ROUNDING_MARGIN
     if k < n - 1 and not uncertifiable:
         sigma = 1.0 + 1e-6
         try:
-            lu = splu((m - sigma * sp.eye(n)).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
+            shifted = m.tocsc(copy=True)  # (m - sigma I).tocsc() for an m with its diagonal and no stored zeros
+            shifted.setdiag(diagonal - sigma)
+            lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             shift_invert = LinearOperator((n, n), matvec=lu.solve, dtype=float)
             vals, vecs = eigsh(m, k=k, sigma=sigma, which="LM", v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=shift_invert)
         except RuntimeError as exc:  # ArpackNoConvergence, or SuperLU's "exactly singular"
@@ -260,7 +279,7 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
     is_self = ids == np.arange(n)[:, None]
     drop = np.where(is_self.any(axis=1), is_self.argmax(axis=1), k)
     keep = np.arange(k + 1) != drop[:, None]
-    return NeighborGraph(n, *_csr(n, np.repeat(np.arange(n), k), ids[keep], dists[keep]))
+    return NeighborGraph(n, *_frozen(np.arange(0, n * k + 1, k), ids[keep], dists[keep]))
 
 
 def _smallest_positive_distance(points: np.ndarray) -> float:
@@ -307,20 +326,25 @@ def adaptive_affinity(cloud: PointCloud, nbrs: NeighborGraph, k_bw: int) -> Affi
         sigmas = np.where(sigmas > 0, sigmas, clamp)
 
     edges, edge_d = nbrs.undirected_edges()
-    u, v, diag = edges[:, 0], edges[:, 1], np.arange(n)
+    u, v = edges.T
     w = np.exp(-(edge_d**2) / (sigmas[u] * sigmas[v]))
-    matrix = sp.csr_matrix(
-        (np.concatenate([np.ones(n), w, w]), (np.concatenate([diag, u, v]), np.concatenate([diag, v, u]))),
-        shape=(n, n),
-    )
-    # Duplicate (i, i) entries cannot arise: the diagonal is added once and
-    # undirected_edges never reports u == v.
+    # Canonical rows from the sorted edges: column i of the upper triangle, the unit diagonal, row i.
+    upper = sp.csr_matrix((w, v, np.searchsorted(u, np.arange(n + 1))), shape=(n, n))
+    del edges, edge_d, u, v  # upper holds the rest; the edge arrays would raise the peak below
+    lower = upper.tocsc()
+    counts = np.column_stack([np.diff(lower.indptr), np.ones(n, dtype=int), np.diff(upper.indptr)])
+    part = np.repeat(np.tile(np.arange(3, dtype=np.int8), n), counts.ravel())
+    indices, data = np.empty(part.size, dtype=upper.indices.dtype), np.empty(part.size)
+    for p, (ids, values) in enumerate([(lower.indices, lower.data), (np.arange(n), 1.0), (upper.indices, upper.data)]):
+        indices[part == p], data[part == p] = ids, values
+    matrix = sp.csr_matrix((data, indices, lower.indptr + upper.indptr + np.arange(n + 1)), shape=(n, n))
     sigmas.setflags(write=False)
     return AffinityMatrix(matrix, sigmas)
 
 
 def transition_matrix(affinity: AffinityMatrix) -> sp.csr_matrix:
-    """Row-normalize an affinity matrix into the transition matrix ``P = D^-1 W``."""
+    """Row-normalize an affinity matrix into ``P = D^-1 W`` by a sparse product: it lists each row in descending
+    column order, and ``P @ X`` sums in that order (a gather doing the same was about 2x slower at k = 80)."""
     w = affinity.matrix
     degrees = np.asarray(w.sum(axis=1)).ravel()
     if np.any(degrees <= 0):
@@ -389,9 +413,7 @@ def condense(cloud: PointCloud, k_smooth: int, t: int, k_bw: Optional[int] = Non
         return cloud
     k_smooth = min(k_smooth, cloud.n - 1)
     k_bw = k_smooth if k_bw is None else min(k_bw, cloud.n - 1)
-    nbrs = knn_graph(cloud, k_smooth)
-    affinity = adaptive_affinity(cloud, nbrs, k_bw)
-    p = transition_matrix(affinity)
+    p = transition_matrix(adaptive_affinity(cloud, knn_graph(cloud, k_smooth), k_bw))  # frees the graph and W
     x = cloud.points
     for _ in range(t):
         x = p @ x
@@ -430,11 +452,6 @@ def induced_neighbor_subgraph(nbrs: NeighborGraph, vertices: np.ndarray) -> Neig
     vertices = np.asarray(vertices, dtype=int)
     if vertices.size:
         _check_ids(vertices.min(), vertices.max(), nbrs.n)
-    ptr, relabel = nbrs.own_indptr, np.full(nbrs.n, -1)
-    relabel[vertices] = np.arange(len(vertices))
-    # Gather the rows of ``vertices`` in order: row r's entries start at ptr[vertices[r]].
-    counts = np.diff(ptr)[vertices]
-    at = np.repeat(ptr[vertices] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    u, v = np.repeat(np.arange(len(vertices)), counts), relabel[nbrs.own_indices[at]]
-    keep = v >= 0
-    return NeighborGraph(len(vertices), *_csr(len(vertices), u[keep], v[keep], nbrs.own_distances[at][keep]))
+    ptr, v, at = _gather_rows(nbrs.own_indptr, nbrs.own_indices, vertices)
+    keep = v >= 0  # a column outside ``vertices`` reads -1
+    return NeighborGraph(len(vertices), *_frozen(np.r_[0, keep].cumsum()[ptr], v[keep], nbrs.own_distances[at[keep]]))

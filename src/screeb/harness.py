@@ -136,7 +136,8 @@ def read_json(path, what: str = "config file", **required: tuple[type, type]) ->
         items = value.values() if isinstance(value, dict) else value
         if not isinstance(value, kind) or not all(isinstance(x, item) for x in items):
             names = {list: "array", dict: "object", str: "string", object: "value"}
-            raise ConfigError(f"{what} {path} must hold {key!r} as a JSON {names[kind]} of {names[item]}s")
+            of = f" of {names[item]}s" if kind in (list, dict) else ""
+            raise ConfigError(f"{what} {path} must hold {key!r} as a JSON {names[kind]}{of}")
     return doc
 
 
@@ -372,7 +373,7 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
         for m, d in methods.items()
     }
     requested = {
-        sid: read_json(Path(bench_dir) / sid / "meta.json", "sample metadata").get("requested", {})
+        sid: read_json(Path(bench_dir) / sid / "meta.json", "sample metadata", requested=(dict, object))["requested"]
         for sid in manifest["sample_ids"]
     }
     out = Path(out_dir)
@@ -401,12 +402,12 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
                     recovered = load_graph(graph_path)
                     if latent is None:
                         latent = load_graph(Path(bench_dir) / sid / "graph.json")
+                    comparison = compare(recovered, latent)  # refuses more edge copies than a diagram takes
                 except (ValueError, OSError, KeyError) as exc:
                     excluded[method] += 1
                     result_doc["status"] = "error"
                     result_doc["error"] = f"malformed graph.json: {exc}"
                 else:
-                    comparison = compare(recovered, latent)
                     result_doc.update(comparison.to_dict())
                     result_doc["status"] = "ok"
                     result_doc["diagram"] = comparison.diagram_s.to_dict()
@@ -449,13 +450,17 @@ def cmd_report(results_dir: str, out_path: Optional[str] = None) -> int:
         table = eval_doc["table"]
         for mdirname in eval_doc["methods"].values():
             for rpath in sorted((results_root / mdirname).glob("*/results.json")):
-                rows.append(read_json(rpath, "result"))
+                rows.append(read_json(rpath, "result", sample_id=(str, str), method=(str, str)))
+                if not isinstance(rows[-1].get("requested", {}), dict):
+                    raise ConfigError(f"result {rpath} must hold 'requested' as a JSON object")
     if not rows:
         print("no results")
         return 1
-    methods = sorted({r["method"] for r in rows})
+    methods, scores = sorted({r["method"] for r in rows}), ("wasserstein_similarity", "ged", "excluded")
+    if not all(isinstance(table.get(m, {}).get(k), (int, float)) for m in methods for k in scores):
+        raise ConfigError(f"evaluation summary {eval_path} must hold a table row of numbers for each of {methods}")
     print("metric".ljust(28) + "".join(m.rjust(18) for m in methods))
-    for metric in ("wasserstein_similarity", "ged"):
+    for metric in scores[:2]:
         cells = ["n/a" if np.isnan(table[m][metric]) else f"{table[m][metric]:.4f}" for m in methods]
         print(metric.ljust(28) + "".join(c.rjust(18) for c in cells))
     print("excluded".ljust(28) + "".join(str(int(table[m]["excluded"])).rjust(18) for m in methods))

@@ -15,7 +15,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import graph as graphmod
+from .errors import InvalidDataError
 from .graph import Multigraph
+
+MAX_DIAGRAM_BARS = 1 << 22  # edge copies a diagram takes, each at most one H1 birth (32 MiB of them)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +65,10 @@ def edge_length_diagram(g: Multigraph) -> PersistenceDiagram:
     component or a self-loop records an essential H1 birth. Every vertex is
     born at 0 and one H0 bar per component is essential. Lengths are divided
     by the maximum edge length, unless it is 0; an edgeless graph yields an
-    empty diagram with ``h0_essential = |V|``.
+    empty diagram with ``h0_essential = |V|``. More than ``MAX_DIAGRAM_BARS`` edge copies raise ``InvalidDataError``.
     """
+    if (copies := int(g.multiplicity.sum())) > MAX_DIAGRAM_BARS:
+        raise InvalidDataError(f"{copies} edge copies: a diagram takes at most {MAX_DIAGRAM_BARS}")
     if not g.u.size:
         return PersistenceDiagram(np.zeros(0), g.n_vertices, np.zeros(0))
     scale = float(g.length.max()) or 1.0

@@ -33,7 +33,6 @@ from scipy.sparse.csgraph import connected_components
 from . import graph as graphmod
 from .errors import DegenerateInputError, InvalidDataError
 from .geometry import (
-    AffinityMatrix,
     NeighborGraph,
     PointCloud,
     _run_starts,
@@ -255,9 +254,9 @@ def _sweep(
         j = np.arange(skip[-1] + span[-1])
         row = np.repeat(base[lower[active] - v0] + shift, span) + j
         col = np.repeat(base[upper[active] - v0] + shift, span) + j
-        indptr = np.zeros(n_keys + 1, dtype=int)
+        indptr = np.zeros(n_keys + 1, dtype=np.int32)  # int32, as connected_components copies to
         np.cumsum(np.bincount(row, minlength=n_keys), out=indptr[1:])
-        indices = np.empty(j.size, dtype=int)
+        indices = np.empty(j.size, dtype=np.int32)
         indices[indptr[row] + np.repeat(slot[active], span)] = col
         level_sets = csr_matrix((np.ones(j.size), indices, indptr), shape=(n_keys, n_keys))
         n_comp, labels = connected_components(level_sets, directed=False)
@@ -327,8 +326,7 @@ def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:
     # keeps its entries in order. No own list leaves its component: each listed
     # pair has a stored affinity, an explicit zero if it underflowed.
     order, sizes = np.concatenate(comps), np.array([len(c) for c in comps])
-    affinity = AffinityMatrix(affinity.matrix[order][:, order], affinity.bandwidths[order])
-    nbrs, points = induced_neighbor_subgraph(nbrs, order), cloud.points[order]
+    affinity, nbrs, points = affinity.permuted(order), induced_neighbor_subgraph(nbrs, order), cloud.points[order]
     # Equal points take their first copy's filter value in their component, not the solver's rounding of it.
     keyed = np.column_stack([np.repeat(np.arange(len(comps)), sizes), points])
     first, copy = np.unique(keyed, axis=0, return_index=True, return_inverse=True)[1:]

@@ -327,6 +327,97 @@ def test_affinity_components_many_tiny_components(rng):
     assert all(a.tolist() == b.tolist() for a, b in zip(got, want))
 
 
+def exactness_clouds(rng):
+    """Clouds whose affinities include explicit zeros: clusters of 6 to 12 points
+    100 apart, so a k = 15 list reaches across a gap where, at a bandwidth rank
+    inside the cluster, exp underflows; some with copied points."""
+    for copies in (0, 0, 5, 20):
+        pts = separated_clusters(rng, rng.integers(6, 13, size=6))
+        pts = np.vstack([pts, pts[rng.integers(0, len(pts), size=copies)]])
+        yield PointCloud(pts[rng.permutation(len(pts))])
+
+
+def coo_affinity(aff, nbrs):
+    """W built as the COO concatenation of the diagonal and both triangles, summed into CSR by scipy."""
+    n, (edges, edge_d) = aff.n, nbrs.undirected_edges()
+    u, v, diag = edges[:, 0], edges[:, 1], np.arange(n)
+    w = np.exp(-(edge_d**2) / (aff.bandwidths[u] * aff.bandwidths[v]))
+    rows, cols = np.concatenate([diag, u, v]), np.concatenate([diag, v, u])
+    return sp.csr_matrix((np.concatenate([np.ones(n), w, w]), (rows, cols)), shape=(n, n))
+
+
+def assert_same_csr(got, want):
+    # Same format, index dtypes, entry order and data bits, explicit zeros included.
+    assert got.format == want.format and got.shape == want.shape
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_affinity_rows_match_coo_reference_bit_for_bit(rng):
+    zeros = 0
+    for cloud in exactness_clouds(rng):
+        for k, k_bw in ((15, 15), (15, 4), (3, 2)):
+            nbrs = knn_graph(cloud, k)
+            aff = adaptive_affinity(cloud, nbrs, k_bw)
+            want = coo_affinity(aff, nbrs)
+            assert want.indices.dtype == np.int32
+            assert_same_csr(aff.matrix, want)
+            zeros += int(np.sum(want.data == 0))
+    assert zeros > 0  # the explicit zeros were exercised
+
+
+def test_operator_matches_diagonal_products_bit_for_bit(rng):
+    dropped = 0
+    for cloud in exactness_clouds(rng):
+        aff = adaptive_affinity(cloud, knn_graph(cloud, 15), 4)
+        m, degrees = aff.operator
+        assert degrees.tobytes() == np.asarray(aff.matrix.sum(axis=1)).ravel().tobytes()
+        inv_sqrt = sp.diags(1.0 / np.sqrt(degrees))
+        assert_same_csr(m, (inv_sqrt @ aff.matrix @ inv_sqrt).tocsr())
+        dropped += aff.matrix.nnz - m.nnz
+    assert dropped > 0  # the products drop W's zeros, and so does the operator
+
+
+def test_shifted_factor_input_matches_subtracted_identity(rng, monkeypatch):
+    factored, sigma, splu = [], 1.0 + 1e-6, geometry.splu
+
+    def recording_splu(a, **kwargs):
+        factored.append(a.copy())
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(geometry, "splu", recording_splu)
+    for cloud in exactness_clouds(rng):
+        aff = adaptive_affinity(cloud, knn_graph(cloud, 15), 4)
+        for comp in affinity_components(aff):
+            if len(comp) < 4:
+                continue
+            m = aff.operator[0][comp][:, comp]
+            before = len(factored)
+            _symmetric_spectrum(m, 1)
+            if len(factored) > before:
+                assert_same_csr(factored[-1], (m - sigma * sp.eye(len(comp))).tocsc())
+    assert factored  # the shift-invert path ran
+
+
+def test_condense_peak_memory_stays_under_recorded_bound():
+    # A noisy 3-D loop of 4000 points at k = 80 and bandwidth rank 32, as a
+    # tower level condenses. Recorded with numpy 2.4.6 and scipy 1.17.1: peak
+    # 16.2 MB of traced allocations, against 28.2 MB when W was summed from
+    # COO triplets and scaled by two sparse products.
+    import tracemalloc
+
+    rng = np.random.default_rng(4000)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 4000)
+    cloud = PointCloud(np.c_[np.cos(theta), np.sin(theta), np.zeros(4000)] + rng.normal(0.0, 0.05, (4000, 3)))
+    tracemalloc.start()
+    try:
+        condense(cloud, 80, 1, k_bw=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18.0e6, f"condense peaked at {peak / 1e6:.1f} MB"
+
+
 # -- transition_matrix ----------------------------------------------------------
 
 

@@ -393,7 +393,10 @@ def test_evaluate_deterministic_csv(small_bench, small_run, tmp_path):
 
 
 def test_evaluate_malformed_graph_excluded(small_bench, small_run, tmp_path):
-    for i, text in enumerate(["{not json", '{"vertices": [null, null], "edges": [[0, 1, null, 1]]}']):
+    # The last graph is well formed, but has more edge copies than compare's diagrams take.
+    texts = ["{not json", '{"vertices": [null, null], "edges": [[0, 1, null, 1]]}']
+    texts.append('{"vertices": [null, null], "edges": [[0, 1, 1.0, 9007199254740992]]}')
+    for i, text in enumerate(texts):
         broken_run = tmp_path / f"broken{i}"
         shutil.copytree(small_run, broken_run)
         bad = broken_run / "mapper" / "00000" / "graph.json"
@@ -407,6 +410,7 @@ def test_evaluate_malformed_graph_excluded(small_bench, small_run, tmp_path):
         assert excl["screeb"] == "0"
         doc = json.loads((out / "mapper" / "00000" / "results.json").read_text())
         assert doc["status"] == "error" and doc["error"].startswith("malformed graph.json: ")
+    assert doc["error"].endswith("9007199254740992 edge copies: a diagram takes at most 4194304")
 
 
 # -- report ----------------------------------------------------------------------
@@ -585,12 +589,44 @@ def test_cli_evaluate_refuses_truncated_sample_metadata(small_bench, small_run, 
         load_sample(bench / "00001")
 
 
+@pytest.mark.parametrize("requested", ["5", '"high"', None])
+def test_cli_evaluate_refuses_sample_metadata_without_requested_object(
+    small_bench, small_run, tmp_path, capsys, requested
+):
+    # bench report reads the requested block of every scored sample; evaluate checks it first.
+    bench = tmp_path / "bench"
+    shutil.copytree(small_bench, bench)
+    meta = bench / "00001" / "meta.json"
+    doc = json.loads(meta.read_text())
+    if requested is None:
+        del doc["requested"]
+    else:
+        doc["requested"] = json.loads(requested)
+    meta.write_text(json.dumps(doc))
+    results = tmp_path / "results"
+    assert cli_main(["evaluate", "--bench", str(bench), "--run", str(small_run), "--out", str(results)]) == 1
+    message = f"error: sample metadata {meta} must hold 'requested' as a JSON object of values\n"
+    assert capsys.readouterr().err == message
+    assert not results.exists()
+
+
 @pytest.mark.parametrize(
     "name, text, message",
     [
         ("evaluate.json", '{"table": ', "evaluation summary {} is not valid JSON"),
         ("evaluate.json", "{}", "evaluation summary {} must hold 'methods' as a JSON object of strings"),
         ("screeb/00002/results.json", '{"sample_id": ', "result {} is not valid JSON"),
+        ("screeb/00002/results.json", '{"sample_id": "00002"}', "result {} must hold 'method' as a JSON string\n"),
+        (
+            "screeb/00002/results.json",
+            '{"sample_id": "00002", "method": "screeb", "requested": 5}',
+            "result {} must hold 'requested' as a JSON object\n",
+        ),
+        (
+            "evaluate.json",
+            '{"methods": {"screeb": "screeb", "mapper": "mapper"}, "table": {"screeb": {}}}',
+            "evaluation summary {} must hold a table row of numbers for each of ['mapper', 'screeb']\n",
+        ),
     ],
 )
 def test_cli_report_refuses_bad_results(small_bench, small_run, tmp_path, capsys, name, text, message):

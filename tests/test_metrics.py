@@ -23,6 +23,7 @@ from screeb import (
 )
 from screeb import graph as graphmod
 from screeb import metrics
+from screeb.errors import InvalidDataError
 from screeb.metrics import _assignment_cost, _node_signatures, edit_cost
 
 from conftest import random_multigraph
@@ -214,6 +215,23 @@ def test_diagram_one_entry_of_many_copies():
     assert d.h0_deaths.tolist() == [1.0] and d.h0_essential == 2
     assert d.h1_births.shape == (2 * 10**6 - 1,)
     assert (d.h1_births[: 10**6] == 0.5).all() and (d.h1_births[10**6 :] == 1.0).all()
+
+
+def test_diagram_refuses_more_copies_than_it_takes_before_allocating():
+    import tracemalloc
+
+    huge = Multigraph.from_arrays(2, np.array([0]), np.array([1]), np.array([1.0]), np.array([1 << 53]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidDataError, match=f"{1 << 53} edge copies"):
+            compare(huge, huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # refused before one birth per copy was allocated
+    over = Multigraph(2, (Edge(0, 1, 1.0, metrics.MAX_DIAGRAM_BARS - 1), Edge(1, 1, 2.0, 2)))
+    with pytest.raises(InvalidDataError, match=f"at most {metrics.MAX_DIAGRAM_BARS}"):
+        edge_length_diagram(over)
 
 
 def test_diagram_deaths_are_forest_weights(rng):
