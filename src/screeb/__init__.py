@@ -6,7 +6,6 @@ topology, and scores recovered graphs with topology-aware metrics.
 """
 
 from .geometry import (
-    AffinityMatrix,
     NeighborGraph,
     PointCloud,
     adaptive_affinity,
@@ -56,7 +55,6 @@ from .synthgen import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMatrix",
     "BettiPair",
     "ComparisonResult",
     "DifficultyCoords",

@@ -15,8 +15,8 @@ the symmetric conjugate ``M = D^-1/2 W D^-1/2`` by one shift-invert
 magnitude once the smallest exceeds ``c = 1 - 2/d_max``: ``W + cD`` is
 diagonally dominant (``W`` is non-negative with unit diagonal), so M has no
 eigenvalue below ``-c``. Otherwise a dense ``eigh`` decides, at once if the
-bound ``sqrt(||M||_F^2 - 1)`` on the other eigenvalues is below ``c``. M is
-normalised once per matrix; a component given as a range of rows slices it.
+bound ``sqrt(||M||_F^2 - 1)`` on the other eigenvalues is below ``c``. Each
+component's M is normalised from its own block of W, with the degrees of W's full rows.
 Iterating ``X <- P^t X`` with a fresh matrix each round is diffusion condensation.
 
 The shift-invert factor is one SuperLU LU in symmetric mode; see ``_symmetric_spectrum``.
@@ -188,34 +188,6 @@ def _gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> t
     return ptr, relabel[indices[at]], at
 
 
-@dataclass(frozen=True, eq=False)
-class AffinityMatrix:
-    """Symmetric sparse affinity matrix with unit diagonal and the per-point
-    bandwidths used to build it."""
-
-    matrix: sp.csr_matrix
-    bandwidths: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def permuted(self, order: np.ndarray) -> "AffinityMatrix":
-        """The affinities of the points in ``order``, a permutation, by one row gather."""
-        w = self.matrix
-        ptr, cols, at = _gather_rows(w.indptr, w.indices, order)
-        return AffinityMatrix(sp.csr_matrix((w.data[at], cols, ptr), shape=w.shape), self.bandwidths[order])
-
-    @cached_property
-    def operator(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        """``(M = D^-1/2 W D^-1/2, degrees)``. On a component's rows, M is its own normalised block."""
-        degrees = np.asarray(self.matrix.sum(axis=1)).ravel()
-        inv_sqrt, m = 1.0 / np.sqrt(degrees), self.matrix.copy()
-        m.data = np.repeat(inv_sqrt, np.diff(m.indptr)) * m.data * inv_sqrt[m.indices]  # (inv_i * w_ij) * inv_j
-        m.eliminate_zeros()  # and no stored zeros: what the products diag @ W @ diag gave
-        return m, degrees
-
-
 def _symmetric_spectrum(m: sp.csr_matrix, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Top ``rank + 1`` eigenpairs by magnitude of ``M = D^-1/2 W D^-1/2``
     (``W`` symmetric, non-negative, unit diagonal): one shift-invert ``eigsh``
@@ -299,14 +271,14 @@ def _smallest_positive_distance(points: np.ndarray) -> float:
     return 0.0 if not np.isfinite(best) else best
 
 
-def adaptive_affinity(cloud: PointCloud, nbrs: NeighborGraph, k_bw: int) -> AffinityMatrix:
-    """Adaptive Gaussian affinities on the kNN support.
+def adaptive_affinity(cloud: PointCloud, nbrs: NeighborGraph, k_bw: int) -> sp.csr_matrix:
+    """Adaptive Gaussian affinities W on the kNN support.
 
     ``sigma_i`` is the ``k_bw``-th distance in point i's own list, which in a
     kNN graph is the distance to its ``k_bw``-th nearest neighbor; zero
     bandwidths (duplicate points) are clamped to the smallest positive
-    pairwise distance. The matrix carries an explicit unit diagonal and is
-    exactly symmetric.
+    pairwise distance. W carries an explicit unit diagonal, keeps affinities
+    that underflow as explicit zeros, and is exactly symmetric.
     """
     n = cloud.n
     if nbrs.n != n:
@@ -337,62 +309,61 @@ def adaptive_affinity(cloud: PointCloud, nbrs: NeighborGraph, k_bw: int) -> Affi
     indices, data = np.empty(part.size, dtype=upper.indices.dtype), np.empty(part.size)
     for p, (ids, values) in enumerate([(lower.indices, lower.data), (np.arange(n), 1.0), (upper.indices, upper.data)]):
         indices[part == p], data[part == p] = ids, values
-    matrix = sp.csr_matrix((data, indices, lower.indptr + upper.indptr + np.arange(n + 1)), shape=(n, n))
-    sigmas.setflags(write=False)
-    return AffinityMatrix(matrix, sigmas)
+    return sp.csr_matrix((data, indices, lower.indptr + upper.indptr + np.arange(n + 1)), shape=(n, n))
 
 
-def transition_matrix(affinity: AffinityMatrix) -> sp.csr_matrix:
+def transition_matrix(affinity: sp.csr_matrix) -> sp.csr_matrix:
     """Row-normalize an affinity matrix into ``P = D^-1 W`` by a sparse product: it lists each row in descending
     column order, and ``P @ X`` sums in that order (a gather doing the same was about 2x slower at k = 80)."""
-    w = affinity.matrix
-    degrees = np.asarray(w.sum(axis=1)).ravel()
+    degrees = np.asarray(affinity.sum(axis=1)).ravel()
     if np.any(degrees <= 0):
         raise IsolatedPointError("affinity matrix has a zero-degree row")
-    return (sp.diags(1.0 / degrees) @ w).tocsr()
+    return (sp.diags(1.0 / degrees) @ affinity).tocsr()
 
 
-def affinity_components(affinity: AffinityMatrix) -> list[np.ndarray]:
-    """Connected components of the affinity graph, ordered by smallest id."""
-    _, labels = _cs_components(affinity.matrix, directed=False)
+def affinity_components(affinity: sp.csr_matrix) -> list[np.ndarray]:
+    """Connected components of the affinity graph (stored zeros included), ordered by smallest id."""
+    _, labels = _cs_components(affinity, directed=False)
     out = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     out.sort(key=lambda idx: idx[0])
     return out
 
 
-def fiedler_filter(affinity: AffinityMatrix, component: np.ndarray) -> np.ndarray:
+def fiedler_filter(affinity: sp.csr_matrix, component: np.ndarray) -> np.ndarray:
     """Fiedler filter values on a connected component.
 
     Returns the right eigenvector of the transition matrix restricted to the
     component (a component of ``affinity_components`` has no other entries) with
     second-largest eigenvalue magnitude, sign-fixed so the entry of largest
     absolute value is positive. A single-vertex component gets the constant
-    filter 0. A range of ids is sliced from ``affinity.operator``. An id
-    outside the affinity's rows raises ``InvalidDataError``.
+    filter 0. The component's block of W is normalised to M with the degrees
+    of its full rows. An id outside the affinity's rows raises ``InvalidDataError``.
     """
     component = np.asarray(component, dtype=int)
     a = component[0] if component.size else 0
     ranged = np.array_equal(component, np.arange(a, a + component.size))
     # A range (the empty one too) is checked by its ends.
     lo, hi = (a, a + component.size - 1) if ranged else (component.min(), component.max())
-    _check_ids(lo, hi, affinity.n)
+    _check_ids(lo, hi, affinity.shape[0])
     if component.size == 1:
         return np.zeros(1)
-    m, degrees = affinity.operator
-    if ranged:
-        rows = slice(a, a + component.size)
-        sub_w, sub_m = affinity.matrix[rows, rows], m[rows, rows]
+    if ranged:  # one 2-D slice; the rows' entries are read where W holds them
+        b = a + component.size
+        m, ptr, data = affinity[a:b, a:b], affinity.indptr[a : b + 1], affinity.data
     else:
-        rows = component
-        sub_w, sub_m = affinity.matrix[rows][:, rows], m[rows][:, rows]
-    n_comp, _ = _cs_components(sub_w, directed=False)
+        full = affinity[component]
+        m, ptr, data = full[:, component], full.indptr, full.data
+    n_comp, _ = _cs_components(m, directed=False)
     if n_comp != 1:
         raise InvalidDataError(
             "fiedler_filter requires a connected component "
             f"(got {n_comp} pieces); split components upstream"
         )
-    _, vecs = _symmetric_spectrum(sub_m, 1)
-    phi = vecs[:, 1] / np.sqrt(degrees[rows])
+    degrees = np.add.reduceat(data[: ptr[-1]], ptr[:-1])  # W's full rows, summed as sum(axis=1) sums them
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    m.data = np.repeat(inv_sqrt, np.diff(m.indptr)) * m.data * inv_sqrt[m.indices]  # (inv_i * w_ij) * inv_j
+    m.eliminate_zeros()  # and no stored zeros: what the products diag @ W @ diag give
+    phi = _symmetric_spectrum(m, 1)[1][:, 1] / np.sqrt(degrees)
     return -phi if phi[np.argmax(np.abs(phi))] < 0 else phi
 
 

@@ -376,13 +376,19 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
         sid: read_json(Path(bench_dir) / sid / "meta.json", "sample metadata", requested=(dict, object))["requested"]
         for sid in manifest["sample_ids"]
     }
+    latents = {}
+    for sid in manifest["sample_ids"]:
+        path = Path(bench_dir) / sid / "graph.json"
+        try:
+            latents[sid] = load_graph(path)
+        except (ValueError, OSError, KeyError) as exc:  # a missing or malformed latent graph
+            raise ConfigError(f"latent graph {path}: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sims: dict[str, list[float]] = {m: [] for m in methods}
     geds: dict[str, list[float]] = {m: [] for m in methods}
     excluded = dict.fromkeys(methods, 0)
     for sid in manifest["sample_ids"]:
-        latent = None  # read once per sample, by its first scored method
         for method, mdirname in methods.items():
             status = run_statuses[method].get(sid, {"status": "missing"})
             sample_out = out / mdirname / sid
@@ -399,10 +405,7 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
                 result_doc["error"] = status.get("error")
             else:
                 try:
-                    recovered = load_graph(graph_path)
-                    if latent is None:
-                        latent = load_graph(Path(bench_dir) / sid / "graph.json")
-                    comparison = compare(recovered, latent)  # refuses more edge copies than a diagram takes
+                    comparison = compare(load_graph(graph_path), latents[sid])  # refuses more edge copies than a diagram takes
                 except (ValueError, OSError, KeyError) as exc:
                     excluded[method] += 1
                     result_doc["status"] = "error"

@@ -39,12 +39,13 @@ class MapperParams:
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (0.0 <= self.overlap < 1.0):
             raise ValueError("overlap fraction must lie in [0, 1)")
-        if self.n_intervals < 1:
-            raise ValueError("intervals per lens dimension must be >= 1")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be positive")
+        eps = self.eps_factor
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 < eps < np.inf:
+            raise ValueError(f"eps_factor must be a finite positive number, not {eps!r}")
 
     def resolve_d_lens(self, n: int, ambient_dim: int) -> int:
         if self.d_lens is not None:

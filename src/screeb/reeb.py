@@ -35,6 +35,7 @@ from .errors import DegenerateInputError, InvalidDataError
 from .geometry import (
     NeighborGraph,
     PointCloud,
+    _gather_rows,
     _run_starts,
     adaptive_affinity,
     affinity_components,
@@ -313,7 +314,7 @@ def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:
 
     Builds the kNN graph and its affinities, and permutes points, affinities
     and own lists once so that each connected component is a range of rows.
-    Each range's Fiedler filter comes from its slice of the one operator;
+    Each range's Fiedler filter comes from its block of the affinities;
     one ``reeb_graph`` sweep over every range, with the ranges as its pieces,
     and one reduction then give the disjoint union of the reduced pieces.
     """
@@ -326,7 +327,9 @@ def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:
     # keeps its entries in order. No own list leaves its component: each listed
     # pair has a stored affinity, an explicit zero if it underflowed.
     order, sizes = np.concatenate(comps), np.array([len(c) for c in comps])
-    affinity, nbrs, points = affinity.permuted(order), induced_neighbor_subgraph(nbrs, order), cloud.points[order]
+    ptr, cols, at = _gather_rows(affinity.indptr, affinity.indices, order)
+    affinity = csr_matrix((affinity.data[at], cols, ptr), shape=affinity.shape)
+    nbrs, points = induced_neighbor_subgraph(nbrs, order), cloud.points[order]
     # Equal points take their first copy's filter value in their component, not the solver's rounding of it.
     keyed = np.column_stack([np.repeat(np.arange(len(comps)), sizes), points])
     first, copy = np.unique(keyed, axis=0, return_index=True, return_inverse=True)[1:]

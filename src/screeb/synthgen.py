@@ -40,7 +40,7 @@ def splitmix64(x: int) -> int:
 
 
 def _is_number(x, kind=numbers.Real) -> bool:
-    return isinstance(x, kind) and not isinstance(x, bool)
+    return isinstance(x, kind) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def sample_subseed(seed: int, index: int) -> int:
@@ -98,7 +98,7 @@ class GeneratorConfig:
     def __post_init__(self):
         # Each value must have its field's annotated type: an int field takes
         # an integer, a float field any number, a range two of them, a dict
-        # numeric values. A bool is no number here.
+        # numeric values. A bool is no number here, nor is NaN or an infinity.
         for f in fields(self):
             value, kind = getattr(self, f.name), f.type
             number = numbers.Integral if "int" in kind else numbers.Real
@@ -109,7 +109,7 @@ class GeneratorConfig:
             else:
                 ok = _is_number(value, number)
             if not ok:
-                raise ConfigError(f"{f.name} must be {'a dict of numbers' if kind == 'dict' else kind}, not {value!r}")
+                raise ConfigError(f"{f.name} must be {'a dict of numbers' if kind == 'dict' else kind}, finite, not {value!r}")
             if kind.startswith("tuple"):
                 if value[0] > value[1]:
                     raise ConfigError(f"{f.name} must be a nonempty (lo, hi) range")
@@ -125,6 +125,13 @@ class GeneratorConfig:
         object.__setattr__(self, "dim_probs", {int(k): float(v) for k, v in self.dim_probs.items()})
         if not (0.0 <= self.component_prob <= 1.0):
             raise ConfigError("component_prob must lie in [0, 1]")
+        if self.safety_multiplier <= 0:
+            raise ConfigError("safety_multiplier must be positive: the noise scale divides by it")
+        cycles = {"multi_cycle": 2, "hybrid": 1}  # the fewest cycles each class draws, if it has a probability
+        if any(self.class_probs[c] > 0 and self.max_cycles_per_component < m for c, m in cycles.items()):
+            raise ConfigError("max_cycles_per_component must be >= 2 for multi_cycle and >= 1 for hybrid samples")
+        if self.cycle_length_range[0] < 3 and any(self.class_probs[c] > 0 for c in ("single_cycle", *cycles)):
+            raise ConfigError("cycle_length_range must start at 3 or more: a shorter cycle is no simple graph")
 
     def to_dict(self) -> dict:
         """The config as JSON holds it: ranges as lists, dict keys as strings."""

@@ -225,7 +225,7 @@ def own_block_filter(affinity, comp):
     restriction and one ``D^-1/2 W D^-1/2`` per component."""
     if len(comp) == 1:
         return np.zeros(1)
-    w = affinity.matrix[comp][:, comp].tocsr()
+    w = affinity[comp][:, comp].tocsr()
     degrees = np.asarray(w.sum(axis=1)).ravel()
     inv_sqrt = sp.diags(1.0 / np.sqrt(degrees))
     _, vecs = _symmetric_spectrum((inv_sqrt @ w @ inv_sqrt).tocsr(), 1)

@@ -13,7 +13,6 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
 from screeb import (
-    AffinityMatrix,
     GeneratorConfig,
     PointCloud,
     adaptive_affinity,
@@ -50,7 +49,15 @@ def uniform_affinity(adjacency):
     """Affinity matrix with unit weights on the given 0/1 adjacency."""
     w = np.asarray(adjacency, dtype=float)
     np.fill_diagonal(w, 1.0)
-    return AffinityMatrix(sp.csr_matrix(w), np.ones(len(w)))
+    return sp.csr_matrix(w)
+
+
+def pdist_bandwidths(pts, k_bw):
+    """sigma_i as the (k_bw + 1)-th smallest entry of row i of the distance
+    matrix, self included; zeros clamped to the smallest positive distance."""
+    dmat = squareform(pdist(pts))
+    raw = np.sort(dmat, axis=1)[:, k_bw]
+    return np.where(raw > 0, raw, dmat[dmat > 0].min()), dmat
 
 
 # -- PointCloud ----------------------------------------------------------------
@@ -258,16 +265,17 @@ def test_row_dots_match_linalg_norm_bitwise(rng, dim):
 def test_affinity_two_points_exp_minus_one():
     cloud = PointCloud(np.array([[0.0], [2.0]]))
     aff = adaptive_affinity(cloud, knn_graph(cloud, 1), 1)
-    assert aff.matrix[0, 1] == pytest.approx(np.exp(-1), abs=1e-12)
-    assert aff.bandwidths.tolist() == [2.0, 2.0]
+    assert aff[0, 1] == aff[1, 0] == np.exp(-4.0 / (2.0 * 2.0))  # both bandwidths are 2
+    assert aff[0, 1] == pytest.approx(np.exp(-1), abs=1e-12)
 
 
 def test_affinity_duplicate_points_weight_one():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     cloud = PointCloud(pts)
     aff = adaptive_affinity(cloud, knn_graph(cloud, 2), 1)
-    assert aff.matrix[0, 1] == pytest.approx(1.0)
-    assert np.all(aff.bandwidths > 0)  # clamped to smallest positive distance
+    assert aff[0, 1] == pytest.approx(1.0)
+    # The copies' zero bandwidths are clamped to the smallest positive distance, 1.
+    assert aff[0, 2] == aff[1, 2] == np.exp(-1.0 / (1.0 * 1.0))
 
 
 def test_affinity_all_identical_rejected():
@@ -281,28 +289,30 @@ def test_affinity_invariants(rng):
         pts = rng.normal(size=(40, 3))
         cloud = PointCloud(pts)
         aff = adaptive_affinity(cloud, knn_graph(cloud, 6), 6)
-        w = aff.matrix.toarray()
+        w = aff.toarray()
         assert np.allclose(w, w.T, atol=1e-12)
         assert w.min() >= 0 and w.max() <= 1 + 1e-15
         assert np.all(np.diag(w) == 1.0)
 
 
 def test_affinity_bandwidths_match_pdist_rank(rng):
-    # sigma_i is the (k_bw + 1)-th smallest entry of row i of the distance
-    # matrix, self included, read from the kNN graph's own lists; zeros are
-    # clamped to the smallest positive distance. The duplicated cloud repeats
+    # Every stored w_ij off the diagonal is exp(-d_ij^2 / (sigma_i sigma_j)),
+    # with sigma_i read from the kNN graph's own lists at the pdist rank (see
+    # ``pdist_bandwidths``), and the diagonal is 1. The duplicated cloud repeats
     # each point 8 > k + 1 times, so a point can be missing from its own row;
     # the grid ties distances exactly.
     normal = rng.normal(size=(60, 3))
     duplicated = np.repeat(rng.normal(size=(12, 3)), 8, axis=0)[rng.permutation(96)]
     grid = np.indices((7, 6)).reshape(2, -1).T.astype(float)
     for pts in (normal, duplicated, grid):
-        dmat = squareform(pdist(pts))
         for k, k_bw in ((6, 6), (6, 2), (12, 1), (12, 10)):
             cloud = PointCloud(pts)
-            aff = adaptive_affinity(cloud, knn_graph(cloud, k), k_bw)
-            raw = np.sort(dmat, axis=1)[:, k_bw]
-            assert aff.bandwidths.tolist() == np.where(raw > 0, raw, dmat[dmat > 0].min()).tolist()
+            w = adaptive_affinity(cloud, knn_graph(cloud, k), k_bw).tocoo()
+            sigmas, dmat = pdist_bandwidths(pts, k_bw)
+            off, i, j = w.row != w.col, w.row, w.col
+            want = np.exp(-(dmat[i, j] ** 2) / (sigmas[i] * sigmas[j]))
+            assert w.data[off].tolist() == want[off].tolist() and np.all(w.data[~off] == 1.0)
+            assert np.array_equal(np.sort(i[~off]), np.arange(cloud.n))
 
 
 def test_affinity_rejects_k_bw_beyond_own_lists(rng):
@@ -319,8 +329,8 @@ def test_affinity_components_many_tiny_components(rng):
     n = 3000
     pairs = rng.permutation(n)[: 2 * (n // 5)].reshape(-1, 2)  # 600 pairs, 1800 singletons
     adj = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    aff = AffinityMatrix((adj + adj.T + sp.identity(n)).tocsr(), np.ones(n))
-    _, labels = connected_components(aff.matrix, directed=False)
+    aff = (adj + adj.T + sp.identity(n)).tocsr()
+    _, labels = connected_components(aff, directed=False)
     want = sorted((np.flatnonzero(labels == c) for c in range(labels.max() + 1)), key=lambda idx: idx[0])
     got = affinity_components(aff)
     assert len(got) == len(want) == n - len(pairs)
@@ -337,11 +347,11 @@ def exactness_clouds(rng):
         yield PointCloud(pts[rng.permutation(len(pts))])
 
 
-def coo_affinity(aff, nbrs):
+def coo_affinity(cloud, nbrs, k_bw):
     """W built as the COO concatenation of the diagonal and both triangles, summed into CSR by scipy."""
-    n, (edges, edge_d) = aff.n, nbrs.undirected_edges()
-    u, v, diag = edges[:, 0], edges[:, 1], np.arange(n)
-    w = np.exp(-(edge_d**2) / (aff.bandwidths[u] * aff.bandwidths[v]))
+    n, (edges, edge_d) = cloud.n, nbrs.undirected_edges()
+    u, v, diag, sigmas = edges[:, 0], edges[:, 1], np.arange(n), pdist_bandwidths(cloud.points, k_bw)[0]
+    w = np.exp(-(edge_d**2) / (sigmas[u] * sigmas[v]))
     rows, cols = np.concatenate([diag, u, v]), np.concatenate([diag, v, u])
     return sp.csr_matrix((np.concatenate([np.ones(n), w, w]), (rows, cols)), shape=(n, n))
 
@@ -358,24 +368,44 @@ def test_affinity_rows_match_coo_reference_bit_for_bit(rng):
     for cloud in exactness_clouds(rng):
         for k, k_bw in ((15, 15), (15, 4), (3, 2)):
             nbrs = knn_graph(cloud, k)
-            aff = adaptive_affinity(cloud, nbrs, k_bw)
-            want = coo_affinity(aff, nbrs)
+            want = coo_affinity(cloud, nbrs, k_bw)
             assert want.indices.dtype == np.int32
-            assert_same_csr(aff.matrix, want)
+            assert_same_csr(adaptive_affinity(cloud, nbrs, k_bw), want)
             zeros += int(np.sum(want.data == 0))
     assert zeros > 0  # the explicit zeros were exercised
 
 
-def test_operator_matches_diagonal_products_bit_for_bit(rng):
-    dropped = 0
+def block_operator(w, ids):
+    """``M = D^-1/2 W_block D^-1/2`` for the rows and columns ``ids`` of W, with
+    the degrees of W's full rows, by two sparse products."""
+    inv_sqrt = sp.diags(1.0 / np.sqrt(np.asarray(w.sum(axis=1)).ravel()[ids]))
+    return (inv_sqrt @ w[ids][:, ids] @ inv_sqrt).tocsr()
+
+
+def spectrum_inputs(monkeypatch):
+    """The matrices ``fiedler_filter`` hands to ``_symmetric_spectrum``, as it hands them."""
+    handed, spectrum = [], geometry._symmetric_spectrum
+    monkeypatch.setattr(geometry, "_symmetric_spectrum", lambda m, rank: handed.append(m.copy()) or spectrum(m, rank))
+    return handed
+
+
+def test_operator_matches_diagonal_products_bit_for_bit(rng, monkeypatch):
+    # Each component's M, from W's rows and from the permuted W's range of rows.
+    handed, dropped = spectrum_inputs(monkeypatch), 0
     for cloud in exactness_clouds(rng):
-        aff = adaptive_affinity(cloud, knn_graph(cloud, 15), 4)
-        m, degrees = aff.operator
-        assert degrees.tobytes() == np.asarray(aff.matrix.sum(axis=1)).ravel().tobytes()
-        inv_sqrt = sp.diags(1.0 / np.sqrt(degrees))
-        assert_same_csr(m, (inv_sqrt @ aff.matrix @ inv_sqrt).tocsr())
-        dropped += aff.matrix.nnz - m.nnz
-    assert dropped > 0  # the products drop W's zeros, and so does the operator
+        w = adaptive_affinity(cloud, knn_graph(cloud, 15), 4)
+        comps = [c for c in affinity_components(w) if len(c) > 1]
+        order = np.concatenate(comps)
+        ranged, start = w[order][:, order], 0
+        for comp in comps:
+            fiedler_filter(w, comp)
+            fiedler_filter(ranged, np.arange(start, start + len(comp)))
+            start += len(comp)
+            want = block_operator(w, comp)
+            assert_same_csr(handed[-2], want)
+            assert_same_csr(handed[-1], want)
+            dropped += w[comp][:, comp].nnz - want.nnz
+    assert dropped > 0  # the products drop W's zeros, and so does fiedler_filter
 
 
 def test_shifted_factor_input_matches_subtracted_identity(rng, monkeypatch):
@@ -391,7 +421,7 @@ def test_shifted_factor_input_matches_subtracted_identity(rng, monkeypatch):
         for comp in affinity_components(aff):
             if len(comp) < 4:
                 continue
-            m = aff.operator[0][comp][:, comp]
+            m = block_operator(aff, comp)
             before = len(factored)
             _symmetric_spectrum(m, 1)
             if len(factored) > before:
@@ -433,7 +463,7 @@ def test_operator_identity_from_isolated_loops():
 
 def test_transition_matrix_rejects_zero_degree_row():
     with pytest.raises(IsolatedPointError):
-        transition_matrix(AffinityMatrix(sp.csr_matrix((2, 2)), np.ones(2)))
+        transition_matrix(sp.csr_matrix((2, 2)))
 
 
 def test_operator_rows_and_spectrum_oracle(rng):
@@ -441,7 +471,7 @@ def test_operator_rows_and_spectrum_oracle(rng):
         w = rng.uniform(0.1, 1.0, size=(10, 10))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 1.0)
-        p = transition_matrix(AffinityMatrix(sp.csr_matrix(w), np.ones(10)))
+        p = transition_matrix(sp.csr_matrix(w))
         rows = np.asarray(p.sum(axis=1)).ravel()
         assert np.allclose(rows, 1.0, atol=1e-10)
         # dense eigensolver oracle on P itself
@@ -470,7 +500,7 @@ def test_fiedler_monotone_on_path():
 def test_fiedler_complete_graph_orthogonal_to_stationary():
     aff = uniform_affinity(np.ones((6, 6)) - np.eye(6))
     f = fiedler_filter(aff, np.arange(6))
-    degrees = np.asarray(aff.matrix.sum(axis=1)).ravel()
+    degrees = np.asarray(aff.sum(axis=1)).ravel()
     assert abs(np.dot(degrees, f)) < 1e-8
 
 
@@ -601,7 +631,7 @@ def test_fiedler_filter_order_matches_dense_on_large_circle(rng, monkeypatch):
     cloud = PointCloud(np.c_[np.cos(theta), np.sin(theta)] + rng.normal(0, 0.05, (1000, 2)))
     aff = adaptive_affinity(cloud, knn_graph(cloud, 15), 15)
     comp = np.arange(cloud.n)
-    m, d = _normalized(aff.matrix.toarray())
+    m, d = _normalized(aff.toarray())
     assert _dense_pairs(m, 2)[0][1] > 1 - 2 / d.max()  # the certificate accepts the sparse pairs
     f = fiedler_filter(aff, comp)
     monkeypatch.setattr(geometry, "eigsh", _no_convergence)
@@ -668,26 +698,49 @@ def _shuffled_pieces(rng):
     pts = separated_clusters(rng, (40, 9, 4, 4, 25))
     cloud = PointCloud(np.vstack([pts, pts[:6], pts[45:47]]))
     aff = adaptive_affinity(cloud, knn_graph(cloud, 3), 3)
-    w = sp.block_diag([aff.matrix, [[1.0, 0.25], [0.25, 1.0]], [[1.0]]], format="csr")
+    w = sp.block_diag([aff, [[1.0, 0.25], [0.25, 1.0]], [[1.0]]], format="csr")
     p = rng.permutation(w.shape[0])
-    return AffinityMatrix(w[p][:, p].tocsr(), np.ones(w.shape[0]))
+    return w[p][:, p].tocsr()
 
 
 def test_range_sliced_filters_match_own_block_filters(rng):
     # Permuted into component order, each component is a range of rows. Its
-    # filter, sliced from the one operator, has the bytes of the filter
+    # filter, normalised from that range's block, has the bytes of the filter
     # normalised on the component's own block and of fiedler_filter on the
     # unpermuted components.
     aff = _shuffled_pieces(rng)
     comps = affinity_components(aff)
     assert sorted(map(len, comps))[:2] == [1, 2]
     order = np.concatenate(comps)
-    ranged = AffinityMatrix(aff.matrix[order][:, order], aff.bandwidths[order])
+    ranged = aff[order][:, order]
     start = 0
     for comp in comps:
         f = fiedler_filter(ranged, np.arange(start, start + len(comp)))
         start += len(comp)
         assert f.tobytes() == own_block_filter(aff, comp).tobytes() == fiedler_filter(aff, comp).tobytes()
+
+
+def test_filter_of_ids_short_of_a_component_uses_full_row_degrees(rng, monkeypatch):
+    # A run of an unshuffled circle's points is connected but not a component.
+    # Its filter is that of the transition matrix restricted to the run: its
+    # block of W normalised with the degrees of W's full rows, which differ
+    # from the block's own near the run's ends.
+    theta = np.sort(rng.uniform(0, 2 * np.pi, 300))
+    cloud = PointCloud(np.c_[np.cos(theta), np.sin(theta)] + rng.normal(0, 0.02, (300, 2)))
+    w = adaptive_affinity(cloud, knn_graph(cloud, 10), 10)
+    degrees = np.asarray(w.sum(axis=1)).ravel()
+    handed = spectrum_inputs(monkeypatch)
+    for ids in (np.arange(40, 160), rng.permutation(np.arange(100, 180))):
+        f = fiedler_filter(w, ids)
+        assert not np.array_equal(np.asarray(w[ids][:, ids].sum(axis=1)).ravel(), degrees[ids])
+        assert_same_csr(handed[-1], block_operator(w, ids))
+        _, vecs = _symmetric_spectrum(block_operator(w, ids), 1)
+        phi = vecs[:, 1] / np.sqrt(degrees[ids])
+        assert f.tobytes() == (-phi if phi[np.argmax(np.abs(phi))] < 0 else phi).tobytes()
+        assert f.tobytes() != own_block_filter(w, ids).tobytes()
+        vals, vecs = np.linalg.eig(transition_matrix(w).toarray()[np.ix_(ids, ids)])
+        oracle = np.real(vecs[:, np.argsort(-np.abs(vals))[1]])
+        assert abs(np.dot(f, oracle)) / (np.linalg.norm(f) * np.linalg.norm(oracle)) > 1 - 1e-6
 
 
 def _certificate_fails(m):
@@ -715,7 +768,7 @@ def test_frobenius_pretest_skips_only_failing_certificates(rng, monkeypatch):
             f = fiedler_filter(aff, comp)
             if len(solves) == before:
                 skipped += 1
-                assert _certificate_fails(aff.operator[0][comp][:, comp])
+                assert _certificate_fails(block_operator(aff, comp))
             else:
                 kept += 1
             with monkeypatch.context() as off:

@@ -516,6 +516,11 @@ def test_cli_run_refuses_config_section_that_is_not_an_object(small_bench, tmp_p
         ({"screebtower": {"levels": True}}, "config section 'screebtower': levels must be an integer, not True"),
         ({"mapper": {"n_intervals": 2.5}}, "config section 'mapper': n_intervals must be an integer, not 2.5"),
         ({"mapper": {"overlap": 1.5}}, "config section 'mapper': overlap fraction must lie in [0, 1)"),
+        ({"mapper": {"eps_factor": 0}}, "config section 'mapper': eps_factor must be a finite positive number, not 0"),
+        ({"mapper": {"eps_factor": float("nan")}}, "config section 'mapper': eps_factor must be a finite positive"),
+        ({"mapper": {"eps_factor": "1.5"}}, "config section 'mapper': eps_factor must be a finite positive"),
+        ({"mapper": {"d_lens": 0}}, "config section 'mapper': d_lens must be >= 1"),
+        ({"mapper": {"d_lens": -1}}, "config section 'mapper': d_lens must be >= 1"),
     ],
 )
 def test_cli_run_refuses_bad_config_section_up_front(small_bench, tmp_path, capsys, doc, message):
@@ -589,6 +594,24 @@ def test_cli_evaluate_refuses_truncated_sample_metadata(small_bench, small_run, 
         load_sample(bench / "00001")
 
 
+@pytest.mark.parametrize("text", [None, '{"vertices": [null], "edges": [[0, 0]]}'])
+def test_cli_evaluate_refuses_missing_or_malformed_latent_graph(small_bench, small_run, tmp_path, capsys, text):
+    # Every latent graph.json is read before the results directory is made; a
+    # missing one was charged to each method as a malformed recovered graph.
+    bench = tmp_path / "bench"
+    shutil.copytree(small_bench, bench)
+    latent = bench / "00001" / "graph.json"
+    if text is None:
+        latent.unlink()
+    else:
+        latent.write_text(text)
+    results = tmp_path / "results"
+    assert cli_main(["evaluate", "--bench", str(bench), "--run", str(small_run), "--out", str(results)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: latent graph {latent}: ") and err.count("\n") == 1
+    assert not results.exists()
+
+
 @pytest.mark.parametrize("requested", ["5", '"high"', None])
 def test_cli_evaluate_refuses_sample_metadata_without_requested_object(
     small_bench, small_run, tmp_path, capsys, requested
@@ -651,6 +674,19 @@ def test_cli_run_refuses_tower_level_outside_the_tower_up_front(small_bench, tmp
     RunConfig(str(small_bench), ("screeb", "mapper"), str(run), level=7)  # no tower, no level to check
 
 
+def assert_module_generate_refuses(tmp_path, doc, field):
+    """Through the module entry point: one error line naming the field, exit 1, no traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    src = str(Path(screeb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    args = ["generate", "--n", "1", "--seed", "5", "--out", str(tmp_path / "b"), "--config", str(cfg)]
+    proc = subprocess.run([sys.executable, "-m", "screeb.cli", *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {field}") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -662,16 +698,21 @@ def test_cli_run_refuses_tower_level_outside_the_tower_up_front(small_bench, tmp
     ],
 )
 def test_cli_generate_refuses_wrongly_typed_config_field(tmp_path, doc, field):
-    # Through the module entry point: one error line naming the field, exit 1, no traceback.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    src = str(Path(screeb.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    args = ["generate", "--n", "1", "--seed", "5", "--out", str(tmp_path / "b"), "--config", str(cfg)]
-    proc = subprocess.run([sys.executable, "-m", "screeb.cli", *args], capture_output=True, text=True, env=env)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: {field}") and "Traceback" not in proc.stderr
-    assert not (tmp_path / "b").exists()
+    assert_module_generate_refuses(tmp_path, doc, field)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"safety_multiplier": 0}, "safety_multiplier"),
+        ({"noise_ratio_range": [float("nan"), float("nan")]}, "noise_ratio_range"),
+        ({"max_cycles_per_component": 1}, "max_cycles_per_component"),
+        ({"cycle_length_range": [1, 2]}, "cycle_length_range"),
+    ],
+)
+def test_cli_generate_refuses_config_a_draw_would_fail_on(tmp_path, doc, field):
+    # Each crashed bench generate with a traceback before it was refused.
+    assert_module_generate_refuses(tmp_path, doc, field)
 
 
 def test_cli_subprocess_entry(tmp_path):

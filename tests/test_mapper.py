@@ -73,6 +73,21 @@ def test_params_validation():
     assert MapperParams(n_intervals=np.int64(4)).n_intervals == 4
 
 
+@pytest.mark.parametrize("value", [0, 0.0, -1.5, float("nan"), float("inf"), "1.5", True, None])
+def test_params_refuse_eps_factor_that_is_no_finite_positive_number(value):
+    # 0 clustered at radius 1.0, NaN gave an empty graph, "1.5" raised TypeError on every cloud.
+    with pytest.raises(ValueError, match="eps_factor must be a finite positive number"):
+        MapperParams(eps_factor=value)
+    assert MapperParams(eps_factor=np.float64(0.5)).eps_factor == 0.5 and MapperParams(eps_factor=2).eps_factor == 2
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_params_refuse_d_lens_below_one(value):
+    with pytest.raises(ValueError, match="d_lens must be >= 1"):
+        MapperParams(d_lens=value)
+    assert MapperParams(d_lens=1).resolve_d_lens(100, 5) == 1
+
+
 def test_mapper_rejects_single_point():
     with pytest.raises(DegenerateInputError):
         mapper_graph(PointCloud(np.zeros((1, 2))))

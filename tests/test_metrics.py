@@ -287,6 +287,20 @@ def test_wasserstein_essential_mismatch():
     assert wasserstein_distance(d1, d2) == pytest.approx(1.0)
 
 
+def test_matching_with_an_empty_side_pays_each_diagonal_cost(rng, monkeypatch):
+    # The augmented assignment alone covers empty sides: every point is left
+    # unmatched and the cost has the bits of the diagonal costs summed in order.
+    solved = []
+    monkeypatch.setattr(metrics, "linear_sum_assignment", lambda c: solved.append(c.shape) or linear_sum_assignment(c))
+    for trial in range(200):
+        na, nb = (0, int(rng.integers(0, 40))) if trial % 2 else (int(rng.integers(0, 40)), 0)
+        da, db = rng.exponential(size=na) * 10.0 ** rng.uniform(-3, 3), rng.exponential(size=nb)
+        a, b = np.column_stack([np.zeros(na), da]), np.column_stack([np.zeros(nb), db])
+        got = metrics._matching_distance(a, b, da / 2.0, db / 2.0)
+        assert got == float(np.sum(da / 2.0) + np.sum(db / 2.0)) and solved[-1] == (na + nb, na + nb)
+    assert len(solved) == 200
+
+
 def test_wasserstein_matches_brute_force(rng):
     for _ in range(200):
         d1 = random_diagram(rng, max_bars=4)

@@ -592,7 +592,7 @@ def test_knn_pairs_stay_inside_affinity_components(rng):
         comps = affinity_components(aff)
         labels = np.repeat(np.arange(len(comps)), list(map(len, comps)))[np.argsort(np.concatenate(comps))]
         owner = np.repeat(np.arange(cloud.n), np.diff(nbrs.own_indptr))
-        assert len(comps) == pieces and np.any(aff.matrix.data == 0) == underflows
+        assert len(comps) == pieces and np.any(aff.data == 0) == underflows
         assert np.array_equal(labels[owner], labels[nbrs.own_indices])
 
 

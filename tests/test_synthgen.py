@@ -109,6 +109,35 @@ def test_config_refuses_values_of_the_wrong_type():
     assert cfg.cycle_length_range == (4, 6) and cfg.feature_scale == 2 and cfg.dim_probs == {3: 1.0}
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"safety_multiplier": 0}, "safety_multiplier"),
+        ({"safety_multiplier": -2.0}, "safety_multiplier"),
+        ({"noise_ratio_range": [float("nan"), float("nan")]}, "noise_ratio_range"),
+        ({"feature_scale": float("inf")}, "feature_scale"),
+        ({"class_probs": {**GeneratorConfig().class_probs, "tree": float("nan")}}, "class_probs"),
+        ({"max_cycles_per_component": 1}, "max_cycles_per_component"),
+        ({"cycle_length_range": [1, 2]}, "cycle_length_range"),
+    ],
+)
+def test_config_refuses_values_a_draw_would_fail_on(doc, field):
+    # Each raised on the first sample that drew it: ZeroDivisionError, numpy
+    # OverflowError, non-finite points, "low >= high", or a non-simple cycle.
+    with pytest.raises(ConfigError, match=field):
+        GeneratorConfig.from_dict(doc)
+
+
+def test_config_keeps_values_no_draw_reads():
+    # One cycle per component is drawable when multi_cycle never is, and short
+    # cycles are when no class draws a cycle.
+    probs = dict.fromkeys(GeneratorConfig().class_probs, 0.0)
+    one_cycle = GeneratorConfig(class_probs={**probs, "single_cycle": 0.5, "hybrid": 0.5}, max_cycles_per_component=1)
+    no_cycle = GeneratorConfig(class_probs={**probs, "tree": 1.0}, cycle_length_range=(1, 2))
+    for cfg in (one_cycle, no_cycle):
+        assert generate_sample(cfg, 3, 0).cloud.n > 0
+
+
 def test_config_round_trip():
     cfg = GeneratorConfig()
     doc = cfg.to_dict()
