@@ -39,7 +39,7 @@ from .errors import ConfigError
 from .geometry import PointCloud, load_points_csv, save_points_csv
 from .graph import Multigraph, graph_to_json, load_graph, save_graph
 from .mapper import MapperParams, mapper_graph
-from .metrics import compare
+from .metrics import check_diagram_size, compare
 from .reeb import ReebParams, screeb, screeb_tower
 from .synthgen import GeneratorConfig, SyntheticSample, generate_sample
 
@@ -380,8 +380,8 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
     for sid in manifest["sample_ids"]:
         path = Path(bench_dir) / sid / "graph.json"
         try:
-            latents[sid] = load_graph(path)
-        except (ValueError, OSError, KeyError) as exc:  # a missing or malformed latent graph
+            latents[sid] = check_diagram_size(load_graph(path))
+        except (ValueError, OSError, KeyError) as exc:  # a missing, malformed or oversized latent graph
             raise ConfigError(f"latent graph {path}: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

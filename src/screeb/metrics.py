@@ -57,6 +57,13 @@ class PersistenceDiagram:
         }
 
 
+def check_diagram_size(g: Multigraph) -> Multigraph:
+    """``g`` itself, or ``InvalidDataError`` when it has more than ``MAX_DIAGRAM_BARS`` edge copies."""
+    if (copies := int(g.multiplicity.sum())) > MAX_DIAGRAM_BARS:
+        raise InvalidDataError(f"{copies} edge copies: a diagram takes at most {MAX_DIAGRAM_BARS}")
+    return g
+
+
 def edge_length_diagram(g: Multigraph) -> PersistenceDiagram:
     """Persistence of the edge-length filtration via a Kruskal sweep.
 
@@ -67,8 +74,7 @@ def edge_length_diagram(g: Multigraph) -> PersistenceDiagram:
     by the maximum edge length, unless it is 0; an edgeless graph yields an
     empty diagram with ``h0_essential = |V|``. More than ``MAX_DIAGRAM_BARS`` edge copies raise ``InvalidDataError``.
     """
-    if (copies := int(g.multiplicity.sum())) > MAX_DIAGRAM_BARS:
-        raise InvalidDataError(f"{copies} edge copies: a diagram takes at most {MAX_DIAGRAM_BARS}")
+    check_diagram_size(g)
     if not g.u.size:
         return PersistenceDiagram(np.zeros(0), g.n_vertices, np.zeros(0))
     scale = float(g.length.max()) or 1.0

@@ -418,21 +418,20 @@ def _strip_leaves(adj: dict[int, list[tuple[int, int]]]) -> tuple[list, dict[int
     return twigs, core
 
 
-def _biconnected_blocks(core_adj: dict[int, list[tuple[int, int]]]) -> list[list[tuple[int, int, int]]]:
-    """Biconnected components of a core (``_strip_leaves``) as lists of
-    (u, v, edge_id), sorted by edge id."""
-    edge_ends = {e: (v, w) for v, nbrs in core_adj.items() for w, e in nbrs}
+def _biconnected_blocks(core_adj: dict[int, list[tuple[int, int]]]) -> list[dict[int, list[tuple[int, int]]]]:
+    """Biconnected components of a core (``_strip_leaves``), each as the
+    core's adjacency restricted to the block's edges, keyed by sorted vertex."""
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     parent_edge: dict[int, int] = {}
-    blocks: list[list[int]] = []
+    blocks: list[dict[int, list[tuple[int, int]]]] = []
     counter = 0
     for root in sorted(core_adj):
         if root in disc:
             continue
         disc[root] = low[root] = counter
         counter += 1
-        estack: list[int] = []
+        estack: list[tuple[int, int, int]] = []
         dfs = [(root, iter(core_adj[root]))]
         while dfs:
             v, it = dfs[-1]
@@ -441,7 +440,7 @@ def _biconnected_blocks(core_adj: dict[int, list[tuple[int, int]]]) -> list[list
                 if eid == parent_edge.get(v):
                     continue
                 if w not in disc:
-                    estack.append(eid)
+                    estack.append((v, w, eid))
                     parent_edge[w] = eid
                     disc[w] = low[w] = counter
                     counter += 1
@@ -449,7 +448,7 @@ def _biconnected_blocks(core_adj: dict[int, list[tuple[int, int]]]) -> list[list
                     advanced = True
                     break
                 elif disc[w] < disc[v]:
-                    estack.append(eid)
+                    estack.append((v, w, eid))
                     low[v] = min(low[v], disc[w])
             if not advanced:
                 dfs.pop()
@@ -457,34 +456,27 @@ def _biconnected_blocks(core_adj: dict[int, list[tuple[int, int]]]) -> list[list
                     u = dfs[-1][0]
                     low[u] = min(low[u], low[v])
                     if low[v] >= disc[u]:
-                        block = []
+                        verts, edges = set(), set()
                         while True:
-                            eid = estack.pop()
-                            block.append(eid)
+                            a, b, eid = estack.pop()
+                            verts.update((a, b))
+                            edges.add(eid)
                             if eid == parent_edge[v]:
                                 break
-                        blocks.append(block)
-    return [[(*edge_ends[e], e) for e in sorted(block)] for block in blocks]
+                        blocks.append({x: [(w, e) for w, e in core_adj[x] if e in edges] for x in sorted(verts)})
+    return blocks
 
 
-def _chain_decomposition(
-    block: list[tuple[int, int, int]], anchor: int
-) -> list[list[int]]:
-    """Ear decomposition of a 2-connected block as vertex chains.
+def _chain_decomposition(adj: dict[int, list[tuple[int, int]]], anchor: int) -> list[list[int]]:
+    """Ear decomposition of a 2-connected block, given as its adjacency, as
+    vertex chains.
 
     The first chain is a cycle through ``anchor``; every later chain is a
     path whose endpoints already appear in earlier chains (Schmidt, "A simple
     test on 2-vertex- and 2-edge-connectivity", IPL 2013).
     """
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for u, v, e in block:
-        adj.setdefault(u, []).append((v, e))
-        adj.setdefault(v, []).append((u, e))
-    for v in adj:
-        adj[v].sort()
     disc: dict[int, int] = {anchor: 0}
     parent: dict[int, int] = {}
-    parent_edge: dict[int, int] = {}
     order = [anchor]
     counter = 1
     dfs = [(anchor, iter(adj[anchor]))]
@@ -496,20 +488,17 @@ def _chain_decomposition(
         for w, eid in it:
             if eid in seen_edges:
                 continue
+            seen_edges.add(eid)
             if w not in disc:
-                seen_edges.add(eid)
                 disc[w] = counter
                 counter += 1
                 parent[w] = v
-                parent_edge[w] = eid
                 order.append(w)
                 dfs.append((w, iter(adj[w])))
                 advanced = True
                 break
-            else:
-                seen_edges.add(eid)
-                upper, lower = (v, w) if disc[v] < disc[w] else (w, v)
-                back_edges[upper].append(lower)
+            upper, lower = (v, w) if disc[v] < disc[w] else (w, v)
+            back_edges[upper].append(lower)
         if not advanced:
             dfs.pop()
     marked: set[int] = set()
@@ -527,26 +516,44 @@ def _chain_decomposition(
     return chains
 
 
+def _component_plan(g: Multigraph, comp: list[int]):
+    """The structure of one component that its layout and its hole caps read:
+    ``(adj, twigs, blocks)`` with ``adj`` and ``twigs`` as in ``_strip_leaves``
+    and the core's blocks in placement order as ``(anchor, block adjacency,
+    chains)``, chains ``None`` for a bridge (a block of one edge).
+
+    Blocks go in order of their sorted vertex lists; each step takes the first
+    one that holds an already planned vertex, anchored at its smallest such
+    vertex; the first block is anchored at its smallest vertex.
+    """
+    adj = _simple_adjacency(g, comp)
+    twigs, core = _strip_leaves(adj)
+    pending = sorted(_biconnected_blocks(core), key=list) if core else []
+    held: set[int] = set()
+    blocks = []
+    while pending:
+        block, anchor = next(((b, v) for b in pending for v in b if not held or v in held), (None, None))
+        if block is None:
+            raise GenerationReject("embedding-disconnected-core")
+        pending.remove(block)
+        held.update(block)
+        bridge = sum(map(len, block.values())) == 2
+        blocks.append((anchor, block, None if bridge else _chain_decomposition(block, anchor)))
+    return adj, twigs, blocks
+
+
 def _cycle_loops(g: Multigraph) -> list[list[int]]:
-    """One vertex loop per independent cycle (used for hole-size caps)."""
+    """One vertex loop per independent cycle of each block, read from the
+    blocks' ear decompositions in ``_component_plan`` (used for hole-size
+    caps): the first chain closes itself, and each later ear is closed by a
+    shortest path in its block that avoids the ear's interior."""
     loops: list[list[int]] = []
     for comp in graphmod.connected_components(g):
-        adj = _simple_adjacency(g, comp)
-        _, core = _strip_leaves(adj)
-        for block in _biconnected_blocks(core):
-            if len(block) == 1:
+        for _anchor, block, chains in _component_plan(g, comp)[2]:
+            if chains is None:
                 continue
-            anchor = min(min(u, v) for u, v, _ in block)
-            chains = _chain_decomposition(block, anchor)
-            block_adj: dict[int, list[int]] = {}
-            for u, v, _e in block:
-                block_adj.setdefault(u, []).append(v)
-                block_adj.setdefault(v, []).append(u)
-            for ci, chain in enumerate(chains):
-                if ci == 0:
-                    loops.append(chain[:-1])  # closed: first vertex repeats last
-                    continue
-                # Close the open ear with a shortest path avoiding its interior.
+            loops.append(chains[0][:-1])  # closed: first vertex repeats last
+            for chain in chains[1:]:
                 a, z = chain[0], chain[-1]
                 interior = set(chain[1:-1])
                 prev: dict[int, Optional[int]] = {a: None}
@@ -555,7 +562,7 @@ def _cycle_loops(g: Multigraph) -> list[list[int]]:
                     x = queue.pop(0)
                     if x == z:
                         break
-                    for y in sorted(block_adj[x]):
+                    for y, _e in block[x]:
                         if y not in prev and y not in interior:
                             prev[y] = x
                             queue.append(y)
@@ -731,13 +738,11 @@ def _place_arc(a: np.ndarray, z: np.ndarray, n_interior: int, side_dir: np.ndarr
     return [row + normal * (h * arch * (1.0 + rng.uniform(-jitter, jitter))) for row, arch in zip(base, shape)]
 
 
-def _layout_component_2d(
-    g: Multigraph, comp: list[int], cfg: GeneratorConfig, rng: np.random.Generator
-) -> dict[int, np.ndarray]:
+def _layout_component_2d(plan, cfg: GeneratorConfig, rng: np.random.Generator) -> dict[int, np.ndarray]:
+    """Draw one 2-D layout of a component over its ``_component_plan``."""
+    adj, twigs, blocks = plan
     jitter = rng.uniform(*cfg.edge_jitter_range)
     spread = rng.uniform(*cfg.branch_angle_spread_range)
-    adj = _simple_adjacency(g, comp)
-    twigs, core = _strip_leaves(adj)
     pos: dict[int, np.ndarray] = {}
     # Means are sums in placement order divided by the count: the bits of
     # ``np.mean`` over the same rows, without building an array per call.
@@ -759,61 +764,32 @@ def _layout_component_2d(
             return _unit(pos[anchor] - sum(placed_nbrs[1:], placed_nbrs[0]) / len(placed_nbrs), rng)
         return _unit(pos[anchor] - centroid(), rng)
 
-    if not core:
-        root = next(v for v in sorted(comp) if v not in {leaf for _, leaf, _ in twigs})
-        place(root, np.zeros(2))
-    else:
-        blocks = _biconnected_blocks(core)
-        block_verts = [sorted({u for u, v, _ in b} | {v for u, v, _ in b}) for b in blocks]
-        start = min(min(bv) for bv in block_verts)
-        # Blocks by vertex list; each step places the first one that holds
-        # ``start`` (first step) or an already placed vertex (later steps).
-        pending = sorted(range(len(blocks)), key=lambda i: block_verts[i])
-        while pending:
-            for chosen in pending:
-                if not pos and start in block_verts[chosen]:
-                    anchor = start
-                    break
-                anchor = next((v for v in block_verts[chosen] if v in pos), None)
-                if anchor is not None:
-                    break
-            else:
-                raise GenerationReject("embedding-disconnected-core")
-            pending.remove(chosen)
-            block = blocks[chosen]
-            if anchor not in pos:
-                place(anchor, np.zeros(2))
-            if len(block) == 1:
-                u, v, _e = block[0]
-                leaf = v if u == anchor else u
-                if leaf not in pos:
-                    angle = rng.uniform(-spread, spread)
-                    step = 1.0 * (1.0 + rng.uniform(-jitter, jitter))
-                    place(leaf, pos[anchor] + step * _rotate2(outward(anchor), angle))
-                continue
-            chains = _chain_decomposition(block, anchor)
-            for ci, chain in enumerate(chains):
-                if ci == 0:
-                    n_sides = len(chain) - 1
-                    out_dir = _rotate2(outward(anchor), rng.uniform(-spread, spread))
-                    ring = _place_polygon(pos[anchor], n_sides, out_dir, jitter, rng)
-                    for vert, p in zip(chain[1:-1], ring):
-                        place(vert, p)
-                else:
-                    # Later chains of a 2-connected block are open ears.
-                    a, z = chain[0], chain[-1]
-                    interior = chain[1:-1]
-                    if not interior:
-                        continue
-                    mid = 0.5 * (pos[a] + pos[z])
-                    side = _unit(mid - centroid(), rng)
-                    arc = _place_arc(pos[a], pos[z], len(interior), side, jitter, rng)
-                    for vert, p in zip(interior, arc):
-                        place(vert, p)
-    for anchor, leaf, _e in reversed(twigs):
+    def grow(anchor: int, leaf: int) -> None:
         angle = rng.uniform(-spread, spread)
         step = 1.0 * (1.0 + rng.uniform(-jitter, jitter))
         place(leaf, pos[anchor] + step * _rotate2(outward(anchor), angle))
+
+    if not blocks:  # a tree: its root is the one vertex no twig removes
+        place(twigs[-1][0] if twigs else next(iter(adj)), np.zeros(2))
+    for anchor, block, chains in blocks:
+        if not pos:
+            place(anchor, np.zeros(2))
+        if chains is None:
+            grow(anchor, next(v for v in block if v != anchor))
+            continue
+        out_dir = _rotate2(outward(anchor), rng.uniform(-spread, spread))
+        ring = _place_polygon(pos[anchor], len(chains[0]) - 1, out_dir, jitter, rng)
+        for vert, p in zip(chains[0][1:-1], ring):
+            place(vert, p)
+        # Later chains of a 2-connected block are open ears.
+        for a, *interior, z in chains[1:]:
+            if not interior:
+                continue
+            side = _unit(0.5 * (pos[a] + pos[z]) - centroid(), rng)
+            for vert, p in zip(interior, _place_arc(pos[a], pos[z], len(interior), side, jitter, rng)):
+                place(vert, p)
+    for anchor, leaf, _e in reversed(twigs):
+        grow(anchor, leaf)
     return pos
 
 
@@ -834,8 +810,8 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
     :class:`GenerationReject` when the segment-clearance constraint cannot
     be met within the iteration budget. Self-loops and parallel edges have
     no straight-segment embedding and are rejected. Each component's
-    relabelled graph and its clearance pairs are built once, before its
-    layout attempts.
+    relabelled graph, its clearance pairs and its ``_component_plan`` are
+    built once, before its layout attempts.
     """
     if dim not in (2, 3, 4, 5):
         raise ValueError("embedding dimension must be one of {2, 3, 4, 5}")
@@ -852,9 +828,10 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
         local_u, local_v = np.searchsorted(comp, (g.u[inside], g.v[inside]))  # components come sorted
         local = Multigraph.from_arrays(len(comp), local_u, local_v, np.ones(local_u.size))
         pairs = _clearance_pairs(local)
+        plan = _component_plan(g, comp)
         placed = None
         for _attempt in range(cfg.max_search_iterations):
-            pos2d = _layout_component_2d(g, comp, cfg, rng)
+            pos2d = _layout_component_2d(plan, cfg, rng)
             arr = np.zeros((len(comp), dim))
             arr[:, :2] = [pos2d[v] for v in comp]
             if dim > 2:
@@ -1047,38 +1024,29 @@ def sample_point_cloud(
         comp_of_vertex[comp] = ci
 
     pts: list[np.ndarray] = []  # (k, dim) blocks of points, in sampling order
-    parent_kinds: list[str] = []
-    parent_ids: list[int] = []
-    point_comps: list[int] = []
+    records: list[tuple[str, int, int]] = []  # per block: parent kind, parent id, component
     density_jitter = float(rng.uniform(*cfg.density_jitter_range))
+
+    def add(block: np.ndarray, kind: str, pid: int, v: int) -> None:
+        pts.append(block)
+        records.append((kind, pid, int(comp_of_vertex[v])))
 
     def add_edge_points(ei: int, count: int, include_endpoints: bool) -> None:
         a = positions[us[ei]]
         axis = positions[vs[ei]] - a
         seg_len = edge_lengths[ei]  # the norm of ``axis``
         axis_unit = axis / seg_len if seg_len > 1e-12 else np.zeros(dim)
-        comp_id = int(comp_of_vertex[us[ei]])
         if include_endpoints:
-            pts.append(positions[[us[ei], vs[ei]]])
-            parent_kinds.extend(["e"] * 2)
-            parent_ids.extend([ei] * 2)
-            point_comps.extend([comp_id] * 2)
+            add(positions[[us[ei], vs[ei]]], "e", ei, us[ei])
             count = max(count - 2, 0)
         if count <= 0:
             return
         ts = rng.uniform(size=count)
         offsets = _tube_offsets(rng, count, axis_unit, radius, dim)
-        pts.append(a + ts[:, None] * axis + offsets)
-        parent_kinds.extend(["e"] * count)
-        parent_ids.extend([ei] * count)
-        point_comps.extend([comp_id] * count)
+        add(a + ts[:, None] * axis + offsets, "e", ei, us[ei])
 
     def add_vertex_ball(v: int, count: int) -> None:
-        offs = _ball_dirs(rng, count, dim) * radius
-        pts.append(positions[v] + offs)
-        parent_kinds.extend(["v"] * count)
-        parent_ids.extend([int(v)] * count)
-        point_comps.extend([int(comp_of_vertex[v])] * count)
+        add(positions[v] + _ball_dirs(rng, count, dim) * radius, "v", v, v)
 
     for ei, length in enumerate(edge_lengths):
         dens = coords.density * (1.0 + rng.uniform(-density_jitter, density_jitter))
@@ -1086,12 +1054,12 @@ def sample_point_cloud(
         add_edge_points(ei, count, include_endpoints=True)
     for v in range(latent.n_vertices):
         if deg[v] >= 3:
-            add_vertex_ball(int(v), max(1, math.ceil(coords.density * radius)))
+            add_vertex_ball(v, max(1, math.ceil(coords.density * radius)))
         elif deg[v] == 0:
-            add_vertex_ball(int(v), max(cfg.min_points_per_component, math.ceil(coords.density * radius)))
+            add_vertex_ball(v, max(cfg.min_points_per_component, math.ceil(coords.density * radius)))
 
     # Top components up to the minimum point count.
-    counts = np.bincount(point_comps, minlength=len(comps))
+    counts = np.bincount([c for *_, c in records], weights=[len(block) for block in pts], minlength=len(comps))
     comp_edges: list[list[int]] = [[] for _ in comps]
     for ei, a in enumerate(us):
         comp_edges[comp_of_vertex[a]].append(ei)
@@ -1105,6 +1073,8 @@ def sample_point_cloud(
             counts[ci] += 1
 
     x = np.concatenate(pts)
+    sizes = [len(block) for block in pts]
+    parent_kinds, parent_ids, point_comps = (tuple(np.repeat(column, sizes).tolist()) for column in zip(*records))
     noise_scale = min(coords.noise_ratio * cfg.feature_scale, clearance / cfg.safety_multiplier)
     if noise_scale < 1e-3 * cfg.feature_scale:
         raise GenerationReject("noise-floor")
@@ -1116,9 +1086,9 @@ def sample_point_cloud(
         noise_scale=float(noise_scale),
         clearance=float(clearance),
         shrink=float(1.0 - factor),
-        parent_kinds=tuple(parent_kinds),
-        parent_ids=tuple(parent_ids),
-        point_components=tuple(point_comps),
+        parent_kinds=parent_kinds,
+        parent_ids=parent_ids,
+        point_components=point_comps,
     )
     return PointCloud(x), geometry
 
@@ -1159,24 +1129,17 @@ def validate(sample: SyntheticSample, cfg: GeneratorConfig) -> ValidationResult:
 
     # (a)/(c) component separation on the sampled points
     if n_components > 1:
-        m_across = math.inf
-        trees = []
+        # Each component against all other points, then within itself.
+        m_across, m_within = math.inf, 0.0
         for ci in range(n_components):
-            trees.append(cKDTree(points[point_comps == ci]))
-        for ci in range(n_components):
-            pts_i = points[point_comps == ci]
-            for cj in range(ci + 1, n_components):
-                d, _ = trees[cj].query(pts_i, k=1)
-                m_across = min(m_across, float(np.min(d)))
+            mine = point_comps == ci
+            d, _ = cKDTree(points[~mine]).query(points[mine], k=1)
+            m_across = min(m_across, float(np.min(d, initial=math.inf)))
+            if mine.sum() >= 2:
+                d, _ = cKDTree(points[mine]).query(points[mine], k=2)
+                m_within = max(m_within, float(np.max(d[:, 1])))
         if m_across < cfg.safety_multiplier * noise_scale:
             return ValidationResult(False, "component-separation")
-        m_within = 0.0
-        for ci in range(n_components):
-            pts_i = points[point_comps == ci]
-            if len(pts_i) < 2:
-                continue
-            d, _ = trees[ci].query(pts_i, k=2)
-            m_within = max(m_within, float(np.max(d[:, 1])))
         if m_within >= m_across:
             return ValidationResult(False, "component-count")
 

@@ -594,10 +594,18 @@ def test_cli_evaluate_refuses_truncated_sample_metadata(small_bench, small_run, 
         load_sample(bench / "00001")
 
 
-@pytest.mark.parametrize("text", [None, '{"vertices": [null], "edges": [[0, 0]]}'])
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,
+        '{"vertices": [null], "edges": [[0, 0]]}',
+        '{"vertices": [null, null], "edges": [[0, 1, 1.0, 9007199254740992]]}',
+    ],
+)
 def test_cli_evaluate_refuses_missing_or_malformed_latent_graph(small_bench, small_run, tmp_path, capsys, text):
     # Every latent graph.json is read before the results directory is made; a
-    # missing one was charged to each method as a malformed recovered graph.
+    # missing one, or one with more edge copies than a diagram takes, was
+    # charged to each method as a malformed recovered graph.
     bench = tmp_path / "bench"
     shutil.copytree(small_bench, bench)
     latent = bench / "00001" / "graph.json"

@@ -24,6 +24,7 @@ from screeb import (
     validate,
 )
 from screeb import graph as graphmod
+from screeb import synthgen
 from screeb.errors import ConfigError, GenerationReject, InvalidDataError
 from screeb.harness import cmd_generate
 from screeb.synthgen import (
@@ -630,9 +631,10 @@ def test_chain_decomposition_of_a_block_is_one_cycle_then_open_ears(drawn):
     _, g, _ = drawn
     adj = _simple_adjacency(g, list(range(g.n_vertices)))
     for block in _biconnected_blocks(_strip_leaves(adj)[1]):
-        if len(block) < 2:
+        n_edges = sum(map(len, block.values())) // 2
+        if n_edges < 2:
             continue
-        for anchor in sorted({u for u, _, _ in block} | {v for _, v, _ in block}):
+        for anchor in block:
             chains = _chain_decomposition(block, anchor)
             assert chains[0][0] == chains[0][-1] == anchor
             held = set(chains[0])
@@ -641,7 +643,7 @@ def test_chain_decomposition_of_a_block_is_one_cycle_then_open_ears(drawn):
                 assert chain[0] in held and chain[-1] in held
                 assert not held & set(chain[1:-1])
                 held.update(chain)
-            assert sum(len(chain) - 1 for chain in chains) == len(block)
+            assert sum(len(chain) - 1 for chain in chains) == n_edges
 
 
 def simple_cycles(edges):
@@ -685,10 +687,12 @@ def test_biconnected_blocks_join_edges_exactly_when_they_share_a_simple_cycle():
             blocks = _biconnected_blocks(core)
             block_of = {}
             for i, block in enumerate(blocks):
-                assert [e for _, _, e in block] == sorted(e for _, _, e in block)
-                for u, v, e in block:
-                    assert {u, v} == set(core_edges[e]) and e not in block_of
-                    block_of[e] = i
+                assert list(block) == sorted(block)
+                for u, nbrs in block.items():
+                    assert nbrs == sorted(nbrs) and set(nbrs) <= set(core[u])
+                    for v, e in nbrs:
+                        assert {u, v} == set(core_edges[e]) and (u, e) in block[v]
+                        assert block_of.setdefault(e, i) == i
             assert block_of.keys() == core_edges.keys()
             cycles = simple_cycles(core_edges)
             for e, f in itertools.combinations(sorted(core_edges), 2):
@@ -696,6 +700,96 @@ def test_biconnected_blocks_join_edges_exactly_when_they_share_a_simple_cycle():
                 assert (block_of[e] == block_of[f]) == shared, (seed, e, f)
             checked += bool(cycles)
     assert checked >= 30
+
+
+def min_anchor_cycle_loops(g):
+    """The hole-cap loops with every block anchored at its smallest vertex,
+    in the order the blocks are found: the rule ``_cycle_loops`` kept apart
+    from the layout's before both read one plan."""
+    loops = []
+    for comp in connected_components(g):
+        for block in _biconnected_blocks(_strip_leaves(_simple_adjacency(g, comp))[1]):
+            if sum(map(len, block.values())) == 2:
+                continue
+            chains = _chain_decomposition(block, min(block))
+            loops.append(chains[0][:-1])
+            for chain in chains[1:]:
+                a, z = chain[0], chain[-1]
+                interior = set(chain[1:-1])
+                prev = {a: None}
+                queue = [a]
+                while queue:
+                    x = queue.pop(0)
+                    if x == z:
+                        break
+                    for y in sorted(w for w, _ in block[x]):
+                        if y not in prev and y not in interior:
+                            prev[y] = x
+                            queue.append(y)
+                path = [z]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                loops.append(chain + path[1:-1])
+    return loops
+
+
+def test_cycle_loops_match_min_anchor_loops_on_drawn_topologies():
+    # The generator's topologies anchor every cycle block at its smallest
+    # vertex, so the plan's loops are the min-anchor ones up to block order.
+    cfg = GeneratorConfig()
+    checked = 0
+    for seed in range(3000):
+        try:
+            g = sample_topology_meta(cfg, np.random.default_rng(seed))[0]
+        except GenerationReject:
+            continue
+        loops = _cycle_loops(g)
+        assert sorted(map(tuple, loops)) == sorted(map(tuple, min_anchor_cycle_loops(g))), seed
+        checked += bool(loops)
+    assert checked >= 2000
+
+
+def test_cycle_loops_count_the_independent_cycles_of_any_simple_graph():
+    # Off the generator's topologies a block may be anchored elsewhere and
+    # pick other loops, but always one per independent cycle.
+    rng = np.random.default_rng(5)
+    for _ in range(3000):
+        n = int(rng.integers(1, 13))
+        ends = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        pairs = {(int(min(a, b)), int(max(a, b))) for a, b in ends if a != b}
+        g = Multigraph(n, tuple(Edge(u, v, 1.0) for u, v in sorted(pairs)))
+        assert len(_cycle_loops(g)) == len(min_anchor_cycle_loops(g)) == betti(g).b1
+
+
+def test_cycle_loops_of_parallel_entries_is_one_loop():
+    # A block is a bridge by its one edge, not by its two vertices.
+    g = Multigraph(2, (Edge(0, 1, 1.0), Edge(0, 1, 2.0)), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert _cycle_loops(g) == [[0, 1]]
+
+
+def test_embed_graph_finds_each_components_blocks_once_over_all_attempts(monkeypatch):
+    cfg = GeneratorConfig()
+    calls = {"_biconnected_blocks": 0, "_layout_component_2d": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(synthgen, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(synthgen, name, counted)
+    retried = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        try:
+            g = sample_topology_meta(cfg, rng)[0]
+            calls.update(dict.fromkeys(calls, 0))
+            embed_graph(g, 2, cfg, rng)
+        except GenerationReject:
+            continue
+        comps = connected_components(g)
+        if calls["_layout_component_2d"] > len(comps):
+            retried += 1
+            assert calls["_biconnected_blocks"] == sum(np.isin(g.u, comp).sum() >= len(comp) for comp in comps), seed
+    assert retried >= 5
 
 
 def listwise_place_arc(a, z, n_interior, side_dir, jitter, rng):
@@ -773,3 +867,44 @@ def test_validate_noise_confusion_matches_loop_reference(ci_samples):
             assert got.reason == ("noise-confusion" if want else None), (s.metadata.get("sample_id"), gamma)
             rejected += want
     assert rejected >= 10  # 13 of the 40 samples have a foreign edge to reject on
+
+
+def pairwise_component_gaps(points, comps):
+    """(smallest cross-component distance, largest within-component
+    nearest-neighbour distance), one tree per component queried against
+    every later one."""
+    from scipy.spatial import cKDTree
+
+    parts = [points[comps == ci] for ci in range(comps.max() + 1)]
+    trees = [cKDTree(part) for part in parts]
+    across = min(float(trees[j].query(parts[i], k=1)[0].min()) for i, j in itertools.combinations(range(len(parts)), 2))
+    nearest = [float(tree.query(part, k=2)[0][:, 1].max()) for tree, part in zip(trees, parts) if len(part) > 1]
+    within = max(nearest, default=0.0)
+    return across, within
+
+
+def test_validate_component_checks_match_pairwise_reference(ci_samples):
+    # Checks (a) and (c) at noise scales on either side of the separation
+    # bound, on each sample as drawn and with one point moved to another
+    # component's label, which (c) must reject.
+    cfg, samples = ci_samples
+    seen = set()
+    for s in samples:
+        comps = np.asarray(s.metadata["point_components"])
+        if comps.max() == 0:
+            continue
+        for moved in (False, True):
+            meta = json.loads(json.dumps(s.metadata))
+            if moved:
+                meta["point_components"][0] = (comps[0] + 1) % (comps.max() + 1)
+            across, within = pairwise_component_gaps(s.cloud.points, np.asarray(meta["point_components"]))
+            bound = across / cfg.safety_multiplier
+            for noise in (0.0, np.nextafter(bound, -math.inf), bound, np.nextafter(bound, math.inf)):
+                meta["realized"]["noise_scale"] = float(noise)
+                got = validate(synthgen.SyntheticSample(s.cloud, s.graph, s.reduced_graph, meta), cfg).reason
+                want = None if within < across else "component-count"
+                if across < cfg.safety_multiplier * noise:
+                    want = "component-separation"
+                assert got == want, (moved, noise)
+                seen.add(got)
+    assert seen == {None, "component-separation", "component-count"}
