@@ -10,7 +10,11 @@ crossings, so ``reeb_graph`` works through several slice blocks (no CI
 sample reaches a second one). ``tests/golden/union_digests.json`` pins
 ``screeb`` and every ``screeb_tower`` level on the first ``UNION_SAMPLES``
 CI samples side by side in ``UNION_DIM`` dimensions, rotated and shuffled,
-so one call recovers many separated components. The portable tier
+so one call recovers many separated components.
+``tests/golden/generator_digests.json`` pins what ``bench generate``
+writes for the first ``GENERATOR_SAMPLES`` samples of the default config
+at ``GENERATOR_SEED``: 105, 62, 23 and 10 of them in dimensions 2 to 5, and
+41 with more than one component, well beyond the CI samples. The portable tier
 (Betti numbers, vertex and edge counts, and sorted edge lengths to a
 relative and absolute 1e-9, of every graph) is compared everywhere, so a
 solver change that moves a graph under another LAPACK build still shows.
@@ -44,12 +48,13 @@ import pytest
 import scipy
 
 from screeb import GeneratorConfig, PointCloud, betti, generate_sample, graph_to_json, load_graph, screeb, screeb_tower
-from screeb.harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cmd_run
+from screeb.harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cmd_run, sample_id, write_sample
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "ci_digests.json"
 CIRCLE_GOLDEN = GOLDEN.parent / "circle_digest.json"
 HARNESS_GOLDEN = GOLDEN.parent / "harness_digests.json"
 UNION_GOLDEN = GOLDEN.parent / "union_digests.json"
+GENERATOR_GOLDEN = GOLDEN.parent / "generator_digests.json"
 CI_SEED = 20260422
 CIRCLE_N = 2000
 N_SAMPLES = 40
@@ -58,6 +63,8 @@ METHODS = ("screeb", "screebtower", "mapper")
 UNION_SAMPLES = 10
 UNION_DIM = 5
 UNION_GAP = 10.0
+GENERATOR_SEED = 1
+GENERATOR_SAMPLES = 200
 
 
 def _sha256(path: Path) -> str:
@@ -190,6 +197,26 @@ def union_digests() -> dict:
     }
 
 
+def generator_digests(root: Path) -> dict:
+    """The ``points.csv``, ``graph.json`` and ``meta.json`` that
+    :func:`write_sample` makes in ``root`` of each of the first
+    ``GENERATOR_SAMPLES`` samples of the default config at ``GENERATOR_SEED``."""
+    cfg, files = GeneratorConfig(), {}
+    for i in range(GENERATOR_SAMPLES):
+        sid = sample_id(i)
+        write_sample(root / sid, generate_sample(cfg, GENERATOR_SEED, i), sid)
+        files[f"{sid}/points.csv"] = {"sha256": _sha256(root / sid / "points.csv")}
+        files[f"{sid}/meta.json"] = {"sha256": _sha256(root / sid / "meta.json")}
+        files[f"{sid}/graph.json"] = _graph_entry(root / sid / "graph.json")
+    return {
+        "seed": GENERATOR_SEED,
+        "n_samples": GENERATOR_SAMPLES,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "files": files,
+    }
+
+
 def _sha256s(doc: dict) -> dict[str, str]:
     """Every sha256 of a golden document, by file name."""
     if "files" in doc:
@@ -254,6 +281,10 @@ def test_many_component_union_golden_digests():
     _assert_files_match(got, golden)
 
 
+def test_generator_golden_digests(tmp_path):
+    _assert_files_match(generator_digests(tmp_path), json.loads(GENERATOR_GOLDEN.read_text()))
+
+
 def main(argv=None) -> int:
     """Print every digest that differs from the golden files (exit 1 if any);
     with ``--rewrite``, overwrite the golden files instead."""
@@ -267,6 +298,7 @@ def main(argv=None) -> int:
         root = Path(tmp)
         stdout = ci_pipeline(root)
         docs = {GOLDEN: ci_digests(root), HARNESS_GOLDEN: harness_digests(root, stdout), CIRCLE_GOLDEN: circle_digest()}
+        docs[GENERATOR_GOLDEN] = generator_digests(root / "generator")
     docs[UNION_GOLDEN] = union_digests()
     differ = 0
     for path, doc in docs.items():
