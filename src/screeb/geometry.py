@@ -164,11 +164,17 @@ class NeighborGraph:
         return np.column_stack(np.divmod(keys, n)), self.own_distances[first]
 
 
-def _check_ids(lo: int, hi: int, n: int) -> None:
-    """Refuse vertex ids, given by the smallest and the largest, outside ``0..n-1``
-    (numpy would wrap a negative one)."""
+def _vertex_ids(ids, n: int) -> np.ndarray:
+    """``ids`` as an int array of vertex ids in ``0..n-1``. A nonempty array of
+    another dtype is refused (a cast would truncate 0.5 to 0), and so is an
+    id outside (numpy would wrap a negative one)."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise InvalidDataError(f"vertex ids must be integers, not {ids.dtype}")
+    lo, hi = (ids.min(), ids.max()) if ids.size else (0, -1)
     if lo < 0 or hi >= n:
         raise InvalidDataError(f"vertex id {lo if lo < 0 else hi} is outside 0..{n - 1} of a {n}-vertex graph")
+    return ids.astype(int, copy=False)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -337,17 +343,14 @@ def fiedler_filter(affinity: sp.csr_matrix, component: np.ndarray) -> np.ndarray
     second-largest eigenvalue magnitude, sign-fixed so the entry of largest
     absolute value is positive. A single-vertex component gets the constant
     filter 0. The component's block of W is normalised to M with the degrees
-    of its full rows. An id outside the affinity's rows raises ``InvalidDataError``.
+    of its full rows. An id that is no integer, or lies outside the
+    affinity's rows, raises ``InvalidDataError``.
     """
-    component = np.asarray(component, dtype=int)
-    a = component[0] if component.size else 0
-    ranged = np.array_equal(component, np.arange(a, a + component.size))
-    # A range (the empty one too) is checked by its ends.
-    lo, hi = (a, a + component.size - 1) if ranged else (component.min(), component.max())
-    _check_ids(lo, hi, affinity.shape[0])
+    component = _vertex_ids(component, affinity.shape[0])
     if component.size == 1:
         return np.zeros(1)
-    if ranged:  # one 2-D slice; the rows' entries are read where W holds them
+    a = component[0] if component.size else 0
+    if np.array_equal(component, np.arange(a, a + component.size)):  # one 2-D slice; rows read where W holds them
         b = a + component.size
         m, ptr, data = affinity[a:b, a:b], affinity.indptr[a : b + 1], affinity.data
     else:
@@ -419,10 +422,8 @@ def load_points_csv(path) -> PointCloud:
 def induced_neighbor_subgraph(nbrs: NeighborGraph, vertices: np.ndarray) -> NeighborGraph:
     """Restrict a neighbor graph to ``vertices``, reindexed 0..len-1: row r
     keeps the entries of ``vertices[r]``'s own list inside ``vertices``, in order.
-    An id outside ``0..nbrs.n-1`` raises ``InvalidDataError``."""
-    vertices = np.asarray(vertices, dtype=int)
-    if vertices.size:
-        _check_ids(vertices.min(), vertices.max(), nbrs.n)
+    An id that is no integer, or lies outside ``0..nbrs.n-1``, raises ``InvalidDataError``."""
+    vertices = _vertex_ids(vertices, nbrs.n)
     ptr, v, at = _gather_rows(nbrs.own_indptr, nbrs.own_indices, vertices)
     keep = v >= 0  # a column outside ``vertices`` reads -1
     return NeighborGraph(len(vertices), *_frozen(np.r_[0, keep].cumsum()[ptr], v[keep], nbrs.own_distances[at[keep]]))

@@ -312,10 +312,11 @@ def graph_to_json(g: Multigraph) -> str:
     return '{"vertices": [' + ", ".join(vert_strs) + '], "edges": [' + ", ".join(edge_strs) + "]}"
 
 
-def _is_number(x) -> bool:
-    """A JSON number a float64 can hold: JSON integers are unbounded, and
-    one past ``sys.float_info.max`` overflows on conversion."""
-    return isinstance(x, float) or isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+def _is_number(x, kind=(int, float)) -> bool:
+    """The package's one check of an outside number: a ``kind`` but no bool,
+    inside float64's range (no NaN, infinity or overlarge integer). Unlike
+    ``math.isfinite(10**400)``, the comparison cannot raise ``OverflowError``."""
+    return isinstance(x, kind) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _edge_from_json(i: int, entry, n: int) -> tuple[int, int, float, int]:
@@ -325,7 +326,7 @@ def _edge_from_json(i: int, entry, n: int) -> tuple[int, int, float, int]:
     if isinstance(entry, list) and len(entry) == 4 and all(map(_is_number, entry)):
         u, v, length, mult = entry
         if all(abs(x) <= MAX_MULTIPLICITY and float(x).is_integer() for x in (u, v, mult)):
-            if 0 <= min(u, v) and max(u, v) < n and math.isfinite(length) and length >= 0 and mult >= 1:
+            if 0 <= min(u, v) and max(u, v) < n and length >= 0 and mult >= 1:
                 return int(u), int(v), float(length), int(mult)
     raise ValueError(
         f"edge {i}: {entry!r} is not [u, v, length, multiplicity] with integer ids in 0..{n - 1}, "

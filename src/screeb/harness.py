@@ -24,6 +24,7 @@ than the run took.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import shutil
 import time
@@ -37,7 +38,7 @@ import numpy as np
 from . import graph as graphmod
 from .errors import ConfigError
 from .geometry import PointCloud, load_points_csv, save_points_csv
-from .graph import Multigraph, graph_to_json, load_graph, save_graph
+from .graph import Multigraph, _is_number, graph_to_json, load_graph, save_graph
 from .mapper import MapperParams, mapper_graph
 from .metrics import check_diagram_size, compare
 from .reeb import ReebParams, screeb, screeb_tower
@@ -67,8 +68,11 @@ class RunConfig:
                 raise ConfigError(f"config section {m!r} names no method; expected one of {KNOWN_METHODS}")
             if not isinstance(section, dict):
                 raise ConfigError(f"config section {m!r} must be a JSON object, not {type(section).__name__}")
-            _method_params(m, section)
-        tower = _method_params("screebtower", self.overrides.get("screebtower", {}))
+        # Each known method's checked params: a derived attribute, no field, handed to every sample.
+        object.__setattr__(self, "params", {m: _method_params(m, self.overrides.get(m, {})) for m in KNOWN_METHODS})
+        if self.level is not None and not _is_number(self.level, numbers.Integral):
+            raise ConfigError(f"tower level must be an integer, not {self.level!r}")
+        tower = self.params["screebtower"]
         if "screebtower" in self.methods and self.level is not None and not 0 <= self.level <= tower.levels:
             raise ConfigError(f"tower level {self.level} outside 0..{tower.levels}")
         _worker_count(self.workers, "workers")
@@ -92,7 +96,9 @@ def _map(fn, tasks: list, workers: int) -> list:
 
 
 def _worker_count(workers: int, source: str) -> int:
-    """``workers``, the process count given by ``source``; below 1 it is a ``ConfigError``."""
+    """``workers``, the process count given by ``source``; all but an integer >= 1 is a ``ConfigError``."""
+    if not _is_number(workers, numbers.Integral):
+        raise ConfigError(f"{source} must be an integer, not {workers!r}")
     if workers < 1:
         raise ConfigError(f"{source} must be >= 1, got {workers}")
     return workers
@@ -168,8 +174,7 @@ def load_sample(sample_dir: Path) -> SyntheticSample:
 
 
 def _generate_one(args) -> str:
-    cfg_doc, seed, index, out_dir = args
-    cfg = GeneratorConfig.from_dict(cfg_doc)
+    cfg, seed, index, out_dir = args
     sample = generate_sample(cfg, seed, index)
     sid = sample_id(index)
     write_sample(Path(out_dir) / sid, sample, sid)
@@ -185,8 +190,8 @@ def cmd_generate(
     workers: Optional[int] = None,
 ) -> int:
     """Generate a benchmark directory; returns a process exit code."""
-    if n < 1:
-        raise ConfigError("sample count must be >= 1")
+    if not (_is_number(n, numbers.Integral) and n >= 1):
+        raise ConfigError(f"sample count must be an integer >= 1, not {n!r}")
     workers = _worker_count(default_workers() if workers is None else workers, "workers")
     cfg = GeneratorConfig()
     if config_path:
@@ -209,7 +214,7 @@ def cmd_generate(
         except OSError as exc:
             raise ConfigError(f"--force could not clear output directory {out}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
-    ids = sorted(_map(_generate_one, [(cfg.to_dict(), seed, i, str(out)) for i in range(n)], workers))
+    ids = sorted(_map(_generate_one, [(cfg, seed, i, str(out)) for i in range(n)], workers))
     manifest = {
         "format_version": FORMAT_VERSION,
         "seed": int(seed),
@@ -267,11 +272,10 @@ class _SharedWork:
 
 
 def _run_method_on_cloud(
-    method: str, cloud: PointCloud, overrides: dict, level: Optional[int], shared: _SharedWork
+    method: str, cloud: PointCloud, params, level: Optional[int], shared: _SharedWork
 ) -> tuple[Multigraph, dict, list[tuple[str, Multigraph]]]:
-    """Runs one of ``KNOWN_METHODS``; returns (scored graph, status fields,
-    extra per-level outputs)."""
-    params = _method_params(method, overrides.get(method, {}))
+    """Runs one of ``KNOWN_METHODS`` with its ``params``; returns (scored
+    graph, status fields, extra per-level outputs)."""
     if method == "mapper":
         return mapper_graph(cloud, params), {}, []
     # The tower's level 0 is screeb's graph, so parameters that differ only
@@ -286,7 +290,7 @@ def _run_method_on_cloud(
 
 
 def _run_method(
-    method: str, sample_dir: Path, out: Path, overrides: dict, level: Optional[int], shared: _SharedWork
+    method: str, sample_dir: Path, out: Path, params, level: Optional[int], shared: _SharedWork
 ) -> dict:
     """Writes one method's outputs for one sample into ``out``; returns its status."""
     if method.startswith("external:"):
@@ -297,7 +301,7 @@ def _run_method(
         save_graph(g, out / "graph.json")
         return {"status": "ok"}
     cloud = shared.get("points.csv", lambda: load_points_csv(sample_dir / "points.csv"))
-    g, fields_, extras = _run_method_on_cloud(method, cloud, overrides, level, shared)
+    g, fields_, extras = _run_method_on_cloud(method, cloud, params, level, shared)
     for fname, extra_graph in extras:
         save_graph(extra_graph, out / fname)
     if extras:
@@ -313,7 +317,7 @@ def _run_method(
 
 def _run_sample(args) -> tuple[str, dict[str, dict]]:
     """Runs every method on one sample; returns the sample id and each method's status."""
-    sample_dir, outs, overrides, level = args
+    sample_dir, outs, params, level = args
     shared = _SharedWork()
     statuses: dict[str, dict] = {}
     for method, out_dir in outs:
@@ -322,7 +326,7 @@ def _run_sample(args) -> tuple[str, dict[str, dict]]:
         shared.charged_ms = 0.0
         start = time.perf_counter()
         try:
-            status = _run_method(method, Path(sample_dir), out, overrides, level, shared)
+            status = _run_method(method, Path(sample_dir), out, params.get(method), level, shared)
         except Exception as exc:  # failures recorded, batch continues
             status = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
         status["timing_ms"] = (time.perf_counter() - start) * 1000.0 + shared.charged_ms
@@ -343,7 +347,7 @@ def cmd_run(cfg: RunConfig) -> int:
     }
     mdirs = {m: run_root / method_dirname(m) for m in cfg.methods}
     tasks = [
-        (str(Path(cfg.bench_dir) / sid), [(m, str(mdirs[m] / sid)) for m in cfg.methods], cfg.overrides, cfg.level)
+        (str(Path(cfg.bench_dir) / sid), [(m, str(mdirs[m] / sid)) for m in cfg.methods], cfg.params, cfg.level)
         for sid in ids
     ]
     by_sample = dict(_map(_run_sample, tasks, cfg.workers))

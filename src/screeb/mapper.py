@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 from . import graph as graphmod
 from .errors import DegenerateInputError
 from .geometry import PointCloud, straight_graph
-from .graph import Multigraph
+from .graph import Multigraph, _is_number
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,14 @@ class MapperParams:
     def __post_init__(self):
         for name in ("n_intervals", "min_samples", "d_lens"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            if value is not None and not _is_number(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not (0.0 <= self.overlap < 1.0):
-            raise ValueError("overlap fraction must lie in [0, 1)")
-        eps = self.eps_factor
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 < eps < np.inf:
-            raise ValueError(f"eps_factor must be a finite positive number, not {eps!r}")
+        if not (_is_number(self.overlap, numbers.Real) and 0.0 <= self.overlap < 1.0):
+            raise ValueError(f"overlap fraction must lie in [0, 1), not {self.overlap!r}")
+        if not (_is_number(self.eps_factor, numbers.Real) and self.eps_factor > 0):
+            raise ValueError(f"eps_factor must be a finite positive number, not {self.eps_factor!r}")
 
     def resolve_d_lens(self, n: int, ambient_dim: int) -> int:
         if self.d_lens is not None:

@@ -45,7 +45,7 @@ from .geometry import (
     knn_graph,
     straight_graph,
 )
-from .graph import Multigraph
+from .graph import Multigraph, _is_number
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class ReebParams:
     def __post_init__(self):
         for name in ("k", "levels", "k_smooth", "t", "k_bw"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            if value is not None and not _is_number(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.k < 2:
             raise ValueError("k must be >= 2")

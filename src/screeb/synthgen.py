@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 from . import graph as graphmod
 from .errors import ConfigError, GenerationError, GenerationReject, InvalidDataError
 from .geometry import PointCloud, row_dots, straight_graph
-from .graph import Multigraph
+from .graph import Multigraph, _is_number
 
 _MASK64 = (1 << 64) - 1
 
@@ -37,10 +37,6 @@ def splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def _is_number(x, kind=numbers.Real) -> bool:
-    return isinstance(x, kind) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def sample_subseed(seed: int, index: int) -> int:
@@ -103,7 +99,7 @@ class GeneratorConfig:
             value, kind = getattr(self, f.name), f.type
             number = numbers.Integral if "int" in kind else numbers.Real
             if kind == "dict":
-                ok = isinstance(value, dict) and all(map(_is_number, value.values()))
+                ok = isinstance(value, dict) and all(_is_number(x, number) for x in value.values())
             elif kind.startswith("tuple"):
                 ok = isinstance(value, (tuple, list)) and len(value) == 2 and all(_is_number(x, number) for x in value)
             else:
@@ -532,9 +528,8 @@ def _component_plan(g: Multigraph, comp: list[int]):
     held: set[int] = set()
     blocks = []
     while pending:
-        block, anchor = next(((b, v) for b in pending for v in b if not held or v in held), (None, None))
-        if block is None:
-            raise GenerationReject("embedding-disconnected-core")
+        # A connected component's core stays connected, so some block touches the planned ones.
+        block, anchor = next((b, v) for b in pending for v in b if not held or v in held)
         pending.remove(block)
         held.update(block)
         bridge = sum(map(len, block.values())) == 2
@@ -753,9 +748,7 @@ def _layout_component_2d(plan, cfg: GeneratorConfig, rng: np.random.Generator) -
         total = total + p if pos else p
         pos[v] = p
 
-    def centroid() -> np.ndarray:
-        if not pos:
-            return np.zeros(2)
+    def centroid() -> np.ndarray:  # read only once the first vertex is placed
         return total / len(pos)
 
     def outward(anchor: int) -> np.ndarray:
@@ -879,9 +872,8 @@ def embed_graph(g: Multigraph, dim: int, cfg: GeneratorConfig, rng: np.random.Ge
             moved = arr + (center_all + direction * dist)
             return float(np.min(_segment_distances(moved[mine[:, 0]], moved[mine[:, 1]], theirs[:, 0], theirs[:, 1])))
 
+        # Within r_new and r_all of their centers, new and placed points are gap + max_edge_len apart at hi.
         hi = r_all + r_new + gap + max_edge_len
-        while min_dist_at(hi) < gap:
-            hi *= 1.5
         _, hi = _bisect(
             lambda dist: min_dist_at(dist) >= gap, 0.0, hi, cfg.max_search_iterations, cfg.search_tolerance * gap
         )
@@ -1063,13 +1055,10 @@ def sample_point_cloud(
     comp_edges: list[list[int]] = [[] for _ in comps]
     for ei, a in enumerate(us):
         comp_edges[comp_of_vertex[a]].append(ei)
-    for ci in range(len(comps)):
+    for ci in range(len(comps)):  # an edgeless component's ball already holds the minimum
         while counts[ci] < cfg.min_points_per_component:
-            if comp_edges[ci]:
-                ei = comp_edges[ci][int(rng.integers(0, len(comp_edges[ci])))]
-                add_edge_points(ei, 1, include_endpoints=False)
-            else:
-                add_vertex_ball(comps[ci][0], 1)
+            ei = comp_edges[ci][int(rng.integers(0, len(comp_edges[ci])))]
+            add_edge_points(ei, 1, include_endpoints=False)
             counts[ci] += 1
 
     x = np.concatenate(pts)

@@ -521,6 +521,10 @@ def test_cli_run_refuses_config_section_that_is_not_an_object(small_bench, tmp_p
         ({"mapper": {"eps_factor": "1.5"}}, "config section 'mapper': eps_factor must be a finite positive"),
         ({"mapper": {"d_lens": 0}}, "config section 'mapper': d_lens must be >= 1"),
         ({"mapper": {"d_lens": -1}}, "config section 'mapper': d_lens must be >= 1"),
+        # Past float64: every Mapper sample failed with OverflowError and the run exited 2.
+        ({"mapper": {"eps_factor": 10**400}}, "config section 'mapper': eps_factor must be a finite positive"),
+        ({"mapper": {"n_intervals": 10**400}}, "config section 'mapper': n_intervals must be an integer, not 1000"),
+        ({"mapper": {"overlap": False}}, "config section 'mapper': overlap fraction must lie in [0, 1), not False"),
     ],
 )
 def test_cli_run_refuses_bad_config_section_up_front(small_bench, tmp_path, capsys, doc, message):
@@ -682,6 +686,23 @@ def test_cli_run_refuses_tower_level_outside_the_tower_up_front(small_bench, tmp
     RunConfig(str(small_bench), ("screeb", "mapper"), str(run), level=7)  # no tower, no level to check
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d: RunConfig(d, ("screebtower",), d, level=1.5), "tower level must be an integer, not 1.5"),
+        (lambda d: RunConfig(d, ("screebtower",), d, level=True), "tower level must be an integer, not True"),
+        (lambda d: RunConfig(d, ("mapper",), d, workers=1.5), "workers must be an integer, not 1.5"),
+        (lambda d: cmd_generate(None, 2.5, 5, d), "sample count must be an integer >= 1, not 2.5"),
+    ],
+)
+def test_api_refuses_counts_and_levels_that_are_no_integer(tmp_path, call, message):
+    # Each passed its range check: level 1.5 failed every tower sample with TypeError, level True
+    # ran and wrote "tower_level": true, and workers 1.5 and n 2.5 raised a bare TypeError.
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        call(str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 def assert_module_generate_refuses(tmp_path, doc, field):
     """Through the module entry point: one error line naming the field, exit 1, no traceback."""
     cfg = tmp_path / "cfg.json"
@@ -692,6 +713,7 @@ def assert_module_generate_refuses(tmp_path, doc, field):
     proc = subprocess.run([sys.executable, "-m", "screeb.cli", *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {field}") and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
     assert not (tmp_path / "b").exists()
 
 
@@ -716,6 +738,7 @@ def test_cli_generate_refuses_wrongly_typed_config_field(tmp_path, doc, field):
         ({"noise_ratio_range": [float("nan"), float("nan")]}, "noise_ratio_range"),
         ({"max_cycles_per_component": 1}, "max_cycles_per_component"),
         ({"cycle_length_range": [1, 2]}, "cycle_length_range"),
+        ({"max_nodes": 10**400}, "max_nodes"),  # past float64: an OverflowError
     ],
 )
 def test_cli_generate_refuses_config_a_draw_would_fail_on(tmp_path, doc, field):

@@ -61,8 +61,9 @@ def brute_force_dbscan(points, eps, min_samples):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        MapperParams(overlap=1.0)
+    for overlap in (1.0, False, "0.3", float("nan")):
+        with pytest.raises(ValueError, match="overlap fraction must lie in"):
+            MapperParams(overlap=overlap)
     with pytest.raises(ValueError):
         MapperParams(n_intervals=0)
     assert MapperParams().resolve_d_lens(100, 5) == 2

@@ -172,3 +172,17 @@ def test_out_of_range_ids_and_sizes_name_the_size():
     for call in calls:
         with pytest.raises(errors.InvalidDataError, match="30"):
             call()
+
+
+@pytest.mark.parametrize("ids", [[0.5, 1.5], np.array([0.0, 1.0]), [True, False]])
+def test_vertex_ids_that_are_no_integers_are_refused(ids):
+    # A cast to int truncated them: fiedler_filter(W, [0.5, 1.5]) solved on [0, 1].
+    _, nbrs, affinity, _ = _thirty_points()
+    with pytest.raises(errors.InvalidDataError, match="vertex ids must be integers"):
+        fiedler_filter(affinity, ids)
+    with pytest.raises(errors.InvalidDataError, match="vertex ids must be integers"):
+        induced_neighbor_subgraph(nbrs, ids)
+    # An empty id list has no dtype to hold against it.
+    assert induced_neighbor_subgraph(nbrs, []).n == 0
+    with pytest.raises(errors.InvalidDataError, match="got 0 pieces"):
+        fiedler_filter(affinity, [])

@@ -749,16 +749,36 @@ def test_cycle_loops_match_min_anchor_loops_on_drawn_topologies():
     assert checked >= 2000
 
 
-def test_cycle_loops_count_the_independent_cycles_of_any_simple_graph():
-    # Off the generator's topologies a block may be anchored elsewhere and
-    # pick other loops, but always one per independent cycle.
+def random_simple_graphs(count):
+    """``count`` random simple graphs of 1 to 12 vertices, the same ones on every call."""
     rng = np.random.default_rng(5)
-    for _ in range(3000):
+    for _ in range(count):
         n = int(rng.integers(1, 13))
         ends = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
         pairs = {(int(min(a, b)), int(max(a, b))) for a, b in ends if a != b}
-        g = Multigraph(n, tuple(Edge(u, v, 1.0) for u, v in sorted(pairs)))
+        yield Multigraph(n, tuple(Edge(u, v, 1.0) for u, v in sorted(pairs)))
+
+
+def test_cycle_loops_count_the_independent_cycles_of_any_simple_graph():
+    # Off the generator's topologies a block may be anchored elsewhere and
+    # pick other loops, but always one per independent cycle.
+    for g in random_simple_graphs(3000):
         assert len(_cycle_loops(g)) == len(min_anchor_cycle_loops(g)) == betti(g).b1
+
+
+def test_component_plan_places_every_block_once_next_to_the_planned_ones():
+    # Leaves stripped, a connected component's core stays connected, so each
+    # step of the plan finds a block that holds an already planned vertex.
+    for g in random_simple_graphs(3000):
+        for comp in connected_components(g):
+            adj, _twigs, blocks = synthgen._component_plan(g, comp)
+            core = _strip_leaves(adj)[1]
+            want = sorted(sorted(block.items()) for block in _biconnected_blocks(core)) if core else []
+            assert sorted(sorted(block.items()) for _, block, _ in blocks) == want
+            held = set()
+            for anchor, block, _chains in blocks:
+                assert anchor == min(block.keys() & held if held else block)
+                held.update(block)
 
 
 def test_cycle_loops_of_parallel_entries_is_one_loop():
