@@ -47,7 +47,17 @@ import numpy as np
 import pytest
 import scipy
 
-from screeb import GeneratorConfig, PointCloud, betti, generate_sample, graph_to_json, load_graph, screeb, screeb_tower
+from screeb import (
+    GeneratorConfig,
+    PointCloud,
+    betti,
+    generate_sample,
+    geometry,
+    graph_to_json,
+    load_graph,
+    screeb,
+    screeb_tower,
+)
 from screeb.harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cmd_run, sample_id, write_sample
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "ci_digests.json"
@@ -279,6 +289,27 @@ def test_many_component_union_golden_digests():
     got = union_digests()
     assert got["n"] == golden["n"]
     _assert_files_match(got, golden)
+
+
+def test_ci_graphs_hold_with_the_dense_eigensolver_alone(monkeypatch):
+    # ARPACK's pairs differ from the dense eigh's at rounding level, and
+    # reeb_graph reads only the filter's order and ties: with every solve dense,
+    # each screeb and screebtower graph of the CI samples keeps its digest.
+    solves = []
+
+    def no_arpack(*args, **kwargs):
+        solves.append(args[0].shape[0])
+        raise RuntimeError("ARPACK switched off")
+
+    monkeypatch.setattr(geometry, "eigsh", no_arpack)
+    cfg, golden, files = GeneratorConfig(), json.loads(GOLDEN.read_text()), {}
+    for i in range(N_SAMPLES):
+        tower = screeb_tower(generate_sample(cfg, CI_SEED, i).cloud)
+        for method, g in (("screeb", tower.graph(0)), ("screebtower", tower.graph(len(tower) - 1))):
+            files[f"{method}/{sample_id(i)}/graph.json"] = _graph_doc(g, f"{graph_to_json(g)}\n".encode())
+    assert solves, "no solve reached eigsh"
+    got = {"numpy": np.__version__, "scipy": scipy.__version__, "files": files}
+    _assert_files_match(got, golden | {"files": {name: golden["files"][name] for name in files}})
 
 
 def test_generator_golden_digests(tmp_path):
