@@ -31,7 +31,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -261,8 +260,12 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
 
 
 def _smallest_positive_distance(points: np.ndarray) -> float:
-    """Smallest positive pairwise distance, or 0.0 if all points coincide."""
+    """Smallest positive pairwise distance, or 0.0 if all points coincide. It is
+    searched among the distinct points, so copies do not push k up to their count."""
+    points = np.unique(points, axis=0)
     n = points.shape[0]
+    if n < 2:
+        return 0.0
     tree = cKDTree(points)
     best = np.inf
     k = min(n, 8)
@@ -370,24 +373,22 @@ def fiedler_filter(affinity: sp.csr_matrix, component: np.ndarray) -> np.ndarray
     return -phi if phi[np.argmax(np.abs(phi))] < 0 else phi
 
 
-def condense(cloud: PointCloud, k_smooth: int, t: int, k_bw: Optional[int] = None) -> PointCloud:
+def condense(cloud: PointCloud, k_smooth: int, t: int, k_bw: int) -> PointCloud:
     """One diffusion-condensation round: ``X <- P^t X`` with a fresh adaptive
     kNN transition matrix built on the input. ``t = 0`` returns the cloud
     unchanged.
 
-    ``k_bw`` sets the bandwidth neighbor rank for the adaptive kernel and
-    defaults to ``k_smooth`` (kernel reach matches the smoothing support);
-    callers whose local scale is narrower than the smoothing support may
-    pass a smaller one. It is read from the ``k_smooth`` lists, so a larger
-    one raises ``ValueError``.
+    ``k_smooth`` is the neighbor count of the kNN graph and ``k_bw`` the
+    bandwidth neighbor rank of its adaptive kernel; both are clamped to
+    ``n - 1``. ``k_bw`` is read from the ``k_smooth`` lists, so a larger one
+    raises ``ValueError``.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     if t == 0:
         return cloud
-    k_smooth = min(k_smooth, cloud.n - 1)
-    k_bw = k_smooth if k_bw is None else min(k_bw, cloud.n - 1)
-    p = transition_matrix(adaptive_affinity(cloud, knn_graph(cloud, k_smooth), k_bw))  # frees the graph and W
+    # knn_graph clamps k_smooth to n - 1 itself. P alone outlives this line: the graph and W are freed.
+    p = transition_matrix(adaptive_affinity(cloud, knn_graph(cloud, k_smooth), min(k_bw, cloud.n - 1)))
     x = cloud.points
     for _ in range(t):
         x = p @ x

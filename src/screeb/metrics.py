@@ -86,20 +86,21 @@ def edge_length_diagram(g: Multigraph) -> PersistenceDiagram:
     return PersistenceDiagram(values[joined], g.n_vertices - int(joined.sum()), births)
 
 
-def _matching_distance(points_a: np.ndarray, points_b: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray) -> float:
+def _matching_distance(a: np.ndarray, b: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray) -> float:
     """Exact order-1 optimal partial matching cost between two point sets.
 
-    ``points_*`` are (k, 2) diagram points, ``diag_*`` the cost of leaving
-    each point unmatched (its distance to the diagonal). Ground cost between
-    matched points is L-infinity. Solved exactly on the standard augmented
+    ``a`` and ``b`` hold one coordinate of each diagram point: H0 points lie
+    at (0, death) and H1 points at (birth, 1), so two points of one part
+    differ in that coordinate only, and their L-infinity ground cost is the
+    difference. ``diag_*`` is the cost of leaving each point unmatched (its
+    distance to the diagonal). Solved exactly on the standard augmented
     bipartite construction; with one side empty it leaves every point unmatched.
     """
-    na, nb = len(points_a), len(points_b)
+    na, nb = len(a), len(b)
     size = na + nb
     big = float(np.sum(diag_a) + np.sum(diag_b)) + 1.0
     cost = np.zeros((size, size))
-    cross = np.max(np.abs(points_a[:, None, :] - points_b[None, :, :]), axis=2)
-    cost[:na, :nb] = cross
+    cost[:na, :nb] = np.abs(a[:, None] - b)
     cost[:na, nb:] = big
     cost[:na, nb:][np.arange(na), np.arange(na)] = diag_a
     cost[na:, :nb] = big
@@ -116,12 +117,8 @@ def wasserstein_breakdown(d1: PersistenceDiagram, d2: PersistenceDiagram) -> dic
     (birth, 1), 1 being the longest edge, with unmatched cost (1 - birth)/2.
     A component-count mismatch adds 0.5 per missing essential H0 bar.
     """
-    a0 = np.column_stack([np.zeros(len(d1.h0_deaths)), d1.h0_deaths])
-    b0 = np.column_stack([np.zeros(len(d2.h0_deaths)), d2.h0_deaths])
-    h0 = _matching_distance(a0, b0, d1.h0_deaths / 2.0, d2.h0_deaths / 2.0)
-    a1 = np.column_stack([d1.h1_births, np.ones(len(d1.h1_births))])
-    b1 = np.column_stack([d2.h1_births, np.ones(len(d2.h1_births))])
-    h1 = _matching_distance(a1, b1, (1.0 - d1.h1_births) / 2.0, (1.0 - d2.h1_births) / 2.0)
+    h0 = _matching_distance(d1.h0_deaths, d2.h0_deaths, d1.h0_deaths / 2.0, d2.h0_deaths / 2.0)
+    h1 = _matching_distance(d1.h1_births, d2.h1_births, (1.0 - d1.h1_births) / 2.0, (1.0 - d2.h1_births) / 2.0)
     essential = 0.5 * abs(d1.h0_essential - d2.h0_essential)
     return {
         "h0": h0,

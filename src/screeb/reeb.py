@@ -54,9 +54,10 @@ class ReebParams:
 
     ``k`` is the kNN neighbor count, ``levels`` the number of condensation
     iterations (0 disables the tower), ``k_smooth`` the condensation
-    neighbor count (None means min(80, n - 1)), ``t`` the diffusion steps
-    per condensation iteration, and ``k_bw`` the condensation kernel
-    bandwidth rank, at most k_smooth (None means min(32, k_smooth)).
+    neighbor count (None means 80), ``t`` the diffusion steps per
+    condensation iteration, and ``k_bw`` the condensation kernel bandwidth
+    rank, at most k_smooth (None means min(32, k_smooth)). Both counts are
+    resolved here; ``condense`` clamps them to n - 1.
     """
 
     k: int = 15
@@ -74,24 +75,20 @@ class ReebParams:
             raise ValueError("k must be >= 2")
         if self.levels < 0:
             raise ValueError("levels must be >= 0")
-        if self.k_smooth is not None and self.k_smooth < 2:
-            raise ValueError("k_smooth must be >= 2")
         if self.t < 1:
             raise ValueError("t must be >= 1")
-        if self.k_bw is not None and self.k_bw < 1:
+        if self.k_smooth is None:
+            object.__setattr__(self, "k_smooth", 80)
+        if self.k_smooth < 2:
+            raise ValueError("k_smooth must be >= 2")
+        if self.k_bw is None:
+            # Below the smoothing support: the 80th-neighbor scale on dense tube samples
+            # bridges distinct nearby structures; rank 32 still smooths noise at the canonical scales.
+            object.__setattr__(self, "k_bw", min(32, self.k_smooth))
+        if self.k_bw < 1:
             raise ValueError("k_bw must be >= 1")
-        if self.k_bw is not None and self.k_bw > (80 if self.k_smooth is None else self.k_smooth):
-            raise ValueError("k_bw must not exceed k_smooth (80 if unset): bandwidths are read from its kNN lists")
-
-    def resolve_k_smooth(self, n: int) -> int:
-        return min(80 if self.k_smooth is None else self.k_smooth, n - 1)
-
-    def resolve_k_bw(self, n: int) -> int:
-        # Kernel bandwidth rank for condensation. The default caps it below
-        # the smoothing support: the 80th-neighbor scale on dense tube
-        # samples reaches across distinct nearby structures and bridges
-        # them, while rank 32 still smooths noise at the canonical scales.
-        return min(self.k_bw, n - 1) if self.k_bw is not None else min(32, self.resolve_k_smooth(n))
+        if self.k_bw > self.k_smooth:
+            raise ValueError(f"k_bw must not exceed k_smooth ({self.k_smooth}): bandwidths are read from its kNN lists")
 
 
 @dataclass(frozen=True)
@@ -352,9 +349,7 @@ def screeb_tower(
     """
     entries = [(0, cloud, screeb(cloud, params) if base is None else base)]
     current = cloud
-    k_smooth = params.resolve_k_smooth(cloud.n)
-    k_bw = params.resolve_k_bw(cloud.n)
     for level in range(1, params.levels + 1):
-        current = condense(current, k_smooth, params.t, k_bw=k_bw)
+        current = condense(current, params.k_smooth, params.t, params.k_bw)
         entries.append((level, current, screeb(current, params)))
     return ReebTower(tuple(entries))

@@ -123,6 +123,12 @@ class GeneratorConfig:
             raise ConfigError("component_prob must lie in [0, 1]")
         if self.safety_multiplier <= 0:
             raise ConfigError("safety_multiplier must be positive: the noise scale divides by it")
+        if self.feature_scale <= 0:
+            raise ConfigError("feature_scale must be positive: every length and the noise floor scale with it")
+        if self.max_rejects_per_sample < 0:
+            raise ConfigError("max_rejects_per_sample must be >= 0")
+        if self.max_search_iterations < 1:
+            raise ConfigError("max_search_iterations must be >= 1: with none, no layout is ever tried")
         cycles = {"multi_cycle": 2, "hybrid": 1}  # the fewest cycles each class draws, if it has a probability
         if any(self.class_probs[c] > 0 and self.max_cycles_per_component < m for c, m in cycles.items()):
             raise ConfigError("max_cycles_per_component must be >= 2 for multi_cycle and >= 1 for hybrid samples")

@@ -250,7 +250,8 @@ def test_criterion_8_condensation_contraction():
         d0 = pdist(cloud.points).max()
         x = cloud
         for _ in range(20):
-            x = condense(x, min(80, x.n - 1), 1)
+            k = min(80, x.n - 1)
+            x = condense(x, k, 1, k)
         ratio = pdist(x.points).max() / d0
         worst = max(worst, ratio)
         if ratio >= 0.1:

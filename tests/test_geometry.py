@@ -782,12 +782,12 @@ def test_frobenius_pretest_skips_only_failing_certificates(rng, monkeypatch):
 
 def test_condense_t0_identity(rng):
     cloud = PointCloud(rng.normal(size=(30, 2)))
-    assert condense(cloud, 5, 0) is cloud
+    assert condense(cloud, 5, 0, 5) is cloud
 
 
 def test_condense_preserves_row_count(rng):
     cloud = PointCloud(rng.normal(size=(50, 3)))
-    assert condense(cloud, 10, 2).n == 50
+    assert condense(cloud, 10, 2, 10).n == 50
 
 
 def test_condense_blob_contracts(rng):
@@ -795,7 +795,8 @@ def test_condense_blob_contracts(rng):
     d0 = pdist(cloud.points).max()
     x = cloud
     for _ in range(20):
-        x = condense(x, min(80, x.n - 1), 1)
+        k = min(80, x.n - 1)
+        x = condense(x, k, 1, k)
     assert pdist(x.points).max() < 0.1 * d0
 
 
@@ -803,9 +804,19 @@ def test_condense_separated_blobs_stay_separated(rng):
     a = disk_points(rng, 50, 0.5, (0.0, 0.0))
     b = disk_points(rng, 50, 0.5, (10.0, 0.0))
     cloud = PointCloud(np.vstack([a, b]))
-    out = condense(cloud, 20, 1)
+    out = condense(cloud, 20, 1, 20)
     assert out.points[:50, 0].max() < 5.0
     assert out.points[50:, 0].min() > 5.0
+
+
+def test_condense_clamps_both_counts_to_n_minus_one(rng):
+    cloud = PointCloud(rng.normal(size=(50, 3)))
+    want = condense(cloud, 49, 1, 49).points
+    for k_smooth, k_bw in ((80, 80), (80, 49), (49, 80)):
+        np.testing.assert_array_equal(condense(cloud, k_smooth, 1, k_bw).points, want)
+    np.testing.assert_array_equal(condense(cloud, 80, 1, 32).points, condense(cloud, 49, 1, 32).points)
+    with pytest.raises(ValueError, match="k_bw"):
+        condense(cloud, 10, 1, 11)  # bandwidths are read from the k_smooth lists
 
 
 def test_condense_diameter_never_increases(rng):
@@ -813,7 +824,7 @@ def test_condense_diameter_never_increases(rng):
     prev = pdist(cloud.points).max()
     x = cloud
     for _ in range(5):
-        x = condense(x, 20, 1)
+        x = condense(x, 20, 1, 20)
         cur = pdist(x.points).max()
         assert cur <= prev + 1e-12
         prev = cur

@@ -739,6 +739,9 @@ def test_cli_generate_refuses_wrongly_typed_config_field(tmp_path, doc, field):
         ({"max_cycles_per_component": 1}, "max_cycles_per_component"),
         ({"cycle_length_range": [1, 2]}, "cycle_length_range"),
         ({"max_nodes": 10**400}, "max_nodes"),  # past float64: an OverflowError
+        ({"feature_scale": -1.0}, "feature_scale"),
+        ({"max_rejects_per_sample": -1}, "max_rejects_per_sample"),
+        ({"max_search_iterations": 0}, "max_search_iterations"),
     ],
 )
 def test_cli_generate_refuses_config_a_draw_would_fail_on(tmp_path, doc, field):

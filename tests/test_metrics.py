@@ -295,8 +295,7 @@ def test_matching_with_an_empty_side_pays_each_diagonal_cost(rng, monkeypatch):
     for trial in range(200):
         na, nb = (0, int(rng.integers(0, 40))) if trial % 2 else (int(rng.integers(0, 40)), 0)
         da, db = rng.exponential(size=na) * 10.0 ** rng.uniform(-3, 3), rng.exponential(size=nb)
-        a, b = np.column_stack([np.zeros(na), da]), np.column_stack([np.zeros(nb), db])
-        got = metrics._matching_distance(a, b, da / 2.0, db / 2.0)
+        got = metrics._matching_distance(da, db, da / 2.0, db / 2.0)
         assert got == float(np.sum(da / 2.0) + np.sum(db / 2.0)) and solved[-1] == (na + nb, na + nb)
     assert len(solved) == 200
 

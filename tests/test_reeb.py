@@ -46,10 +46,11 @@ def test_params_validation():
     for k_smooth, k_bw in ((10, 11), (None, 81)):
         with pytest.raises(ValueError, match="k_bw must not exceed k_smooth"):
             ReebParams(k_smooth=k_smooth, k_bw=k_bw)
-    assert ReebParams().resolve_k_smooth(1000) == 80
-    assert ReebParams().resolve_k_smooth(50) == 49
-    assert ReebParams().resolve_k_bw(1000) == 32
-    assert ReebParams(k_bw=10).resolve_k_bw(1000) == 10
+    # Resolved once, when built; condense clamps both to n - 1 (test_geometry).
+    assert (ReebParams().k_smooth, ReebParams().k_bw) == (80, 32)
+    assert ReebParams(k_smooth=10).k_bw == 10 and ReebParams(k_smooth=40).k_bw == 32
+    assert ReebParams(k_bw=10).k_bw == 10
+    assert ReebParams(k_smooth=None, k_bw=None) == ReebParams(k_smooth=80, k_bw=32)  # a config section's nulls
     for field, value in (("k", 2.5), ("levels", True), ("k_smooth", 10.0), ("t", "1"), ("k_bw", False)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ReebParams(**{field: value})

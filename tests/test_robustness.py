@@ -122,7 +122,23 @@ def test_screeb_points_closer_than_distances_resolve():
         screeb(PointCloud(np.ones((6, 2))))
 
 
-ENTRY_POINTS = (screeb, screeb_tower, mapper_graph, lambda cloud: condense(cloud, 80, 1))
+def test_many_copies_of_one_point_keep_screeb_small():
+    # 4000 copies of one point plus 50 others. The bandwidth clamp's search for
+    # the smallest positive distance doubled its k up to n on the copies:
+    # 397 MB traced, where the distinct points need a few.
+    import tracemalloc
+
+    points = np.vstack([np.zeros((4000, 2)), np.random.default_rng(2).normal(size=(50, 2))])
+    tracemalloc.start()
+    try:
+        screeb(PointCloud(points))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"screeb peaked at {peak / 1e6:.1f} MB"
+
+
+ENTRY_POINTS = (screeb, screeb_tower, mapper_graph, lambda cloud: condense(cloud, 80, 1, 80))
 
 
 @pytest.mark.parametrize("scale", [1e154, 1e300])

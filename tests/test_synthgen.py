@@ -120,11 +120,17 @@ def test_config_refuses_values_of_the_wrong_type():
         ({"class_probs": {**GeneratorConfig().class_probs, "tree": float("nan")}}, "class_probs"),
         ({"max_cycles_per_component": 1}, "max_cycles_per_component"),
         ({"cycle_length_range": [1, 2]}, "cycle_length_range"),
+        ({"feature_scale": 0.0}, "feature_scale"),
+        ({"feature_scale": -1.0}, "feature_scale"),
+        ({"max_rejects_per_sample": -1}, "max_rejects_per_sample"),
+        ({"max_search_iterations": 0}, "max_search_iterations"),
     ],
 )
 def test_config_refuses_values_a_draw_would_fail_on(doc, field):
     # Each raised on the first sample that drew it: ZeroDivisionError, numpy
     # OverflowError, non-finite points, "low >= high", or a non-simple cycle.
+    # A feature_scale of 0 drew noiseless samples; -1, no search iteration or
+    # a negative reject budget failed every sample.
     with pytest.raises(ConfigError, match=field):
         GeneratorConfig.from_dict(doc)
 
