@@ -18,11 +18,11 @@ class IsolatedPointError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The Fiedler solve on a component of more than 4096 points, where no
-    dense fallback runs, failed: the shift-invert eigensolver did not
-    converge, its sparse LU was singular, or its pairs failed the magnitude
-    certificate. The message carries the solver's diagnostics. Why the LU
-    needs no pivoting: ``geometry._symmetric_spectrum``."""
+    """A Fiedler solve failed: LAPACK failed in a dense solve, or, on a
+    component of more than 4096 points where no dense fallback runs, the
+    shift-invert eigensolver did not converge, its sparse LU was singular, or
+    its pairs failed the magnitude certificate. The message carries the
+    solver's diagnostics. Why the LU needs no pivoting: ``geometry._symmetric_spectrum``."""
 
 
 class ConfigError(ValueError):

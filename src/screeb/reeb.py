@@ -327,12 +327,15 @@ def screeb(cloud: PointCloud, params: ReebParams = ReebParams()) -> Multigraph:
     ptr, cols, at = _gather_rows(affinity.indptr, affinity.indices, order)
     affinity = csr_matrix((affinity.data[at], cols, ptr), shape=affinity.shape)
     nbrs, points = induced_neighbor_subgraph(nbrs, order), cloud.points[order]
-    # Equal points take their first copy's filter value in their component, not the solver's rounding of it.
-    keyed = np.column_stack([np.repeat(np.arange(len(comps)), sizes), points])
-    first, copy = np.unique(keyed, axis=0, return_index=True, return_inverse=True)[1:]
     ends = np.cumsum(sizes)
     f = np.concatenate([fiedler_filter(affinity, np.arange(a, b)) for a, b in zip((ends - sizes).tolist(), ends.tolist())])
-    return graphmod.reduce(reeb_graph(nbrs, f[first[copy.ravel()]], PointCloud(points), piece_sizes=sizes))
+    # Equal points take their first copy's filter value in their component, not the solver's rounding of it.
+    # A copy sits at distance 0 on its twin's own list, so with no zero distance there is none to find.
+    if nbrs.own_distances.min() == 0:
+        keyed = np.column_stack([np.repeat(np.arange(len(comps)), sizes), points])
+        first, copy = np.unique(keyed, axis=0, return_index=True, return_inverse=True)[1:]
+        f = f[first[copy.ravel()]]
+    return graphmod.reduce(reeb_graph(nbrs, f, PointCloud(points), piece_sizes=sizes))
 
 
 def screeb_tower(

@@ -15,6 +15,7 @@ from scipy.spatial.distance import pdist, squareform
 from screeb import (
     GeneratorConfig,
     PointCloud,
+    ReebParams,
     adaptive_affinity,
     condense,
     fiedler_filter,
@@ -195,6 +196,27 @@ def test_neighbor_graph_matches_loop_reference(rng, monkeypatch):
             assert part_rows[new] == [(relabel[j], d) for j, d in own[old] if j in relabel]
     empty = induced_neighbor_subgraph(nbrs, [])
     assert empty.n == 0 and empty.own_indptr.tolist() == [0] and empty.undirected_edges()[0].shape == (0, 2)
+
+
+def test_knn_graph_fast_path_matches_the_self_hit_search(rng):
+    # When every row's first hit is its own point, column 0 is dropped by a
+    # slice; rows that copies displace keep the search. Either way the own lists
+    # are those of the search over every row, to the dtype and the byte.
+    def searched(pts, k):
+        dists, ids = cKDTree(pts).query(pts, k=k + 1)
+        is_self = ids == np.arange(len(pts))[:, None]
+        keep = np.arange(k + 1) != np.where(is_self.any(axis=1), is_self.argmax(axis=1), k)[:, None]
+        return ids[keep], dists[keep], bool(np.all(ids[:, 0] == np.arange(len(pts))))
+
+    base, fast = rng.normal(size=(200, 3)), []
+    for pts in (base, np.vstack([base, base[:10]]), np.repeat(base[:20], 6, axis=0)):
+        for k in (3, 15):
+            ids, dists, first_is_self = searched(pts, k)
+            nbrs = knn_graph(PointCloud(pts), k)
+            assert nbrs.own_indices.dtype == ids.dtype and nbrs.own_indices.tobytes() == ids.tobytes()
+            assert nbrs.own_distances.dtype == dists.dtype and nbrs.own_distances.tobytes() == dists.tobytes()
+            fast.append(first_is_self)
+    assert fast[:2] == [True, True] and not all(fast)  # both paths ran
 
 
 def test_sorted_unique_matches_np_unique_up_to_int64_bound(rng):
@@ -416,6 +438,7 @@ def test_shifted_factor_input_matches_subtracted_identity(rng, monkeypatch):
         return splu(a, **kwargs)
 
     monkeypatch.setattr(geometry, "splu", recording_splu)
+    monkeypatch.setattr(geometry, "_DENSE_PAIR_LIMIT", 0)  # small pieces reach the factor too
     for cloud in exactness_clouds(rng):
         aff = adaptive_affinity(cloud, knn_graph(cloud, 15), 4)
         for comp in affinity_components(aff):
@@ -615,13 +638,116 @@ def test_uncertified_shift_invert_falls_back_to_dense(monkeypatch):
     w = np.eye(n + 1)
     w[:n, :n] += 100.0 * (cycle + cycle.T)
     w[0, n] = w[n, 0] = 1.0
+    # The uncertified top-pair solve below _DENSE_PAIR_LIMIT goes dense the same way, with no eigsh.
     m, d = _normalized(w)
     calls = []
     monkeypatch.setattr(geometry, "eigsh", lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
-    vals, vecs = _symmetric_spectrum(m, 1)
     dense_vals, dense_vecs = _dense_pairs(m, 2)
-    assert calls and dense_vals[1] < -0.98
-    assert np.array_equal(vals, dense_vals) and np.array_equal(vecs, dense_vecs)
+    for limit in (0, geometry._DENSE_PAIR_LIMIT):
+        monkeypatch.setattr(geometry, "_DENSE_PAIR_LIMIT", limit)
+        vals, vecs = _symmetric_spectrum(m, 1)
+        assert calls == [1] and dense_vals[1] < -0.98
+        assert np.array_equal(vals, dense_vals) and np.array_equal(vecs, dense_vecs)
+
+
+def test_lapack_failure_raises_solver_error(rng, monkeypatch):
+    # A LAPACK failure of a dense solve (the full one, the top-pair one, or the
+    # fallback after a failed shift-invert) names the row count and LAPACK's message.
+    def internal_error(*args, **kwargs):
+        raise np.linalg.LinAlgError("Internal Error.")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", internal_error)
+    for n, solver_failure in ((3, None), (50, None), (500, _no_convergence)):
+        w = rng.uniform(0.1, 1.0, (n, n))
+        m, _ = _normalized(w + w.T + np.eye(n))
+        with monkeypatch.context() as patched:
+            if solver_failure:
+                patched.setattr(geometry, "eigsh", solver_failure)
+            with pytest.raises(SolverError, match=f"^{n}-row dense Fiedler solve: Internal Error"):
+                _symmetric_spectrum(m, 1)
+
+
+def _captured_pieces(monkeypatch, run):
+    """The (affinity, range) of every ``fiedler_filter`` call ``screeb`` makes in ``run()``."""
+    pieces, fiedler = [], reeb.fiedler_filter
+    with monkeypatch.context() as patched:
+        patched.setattr(reeb, "fiedler_filter", lambda aff, comp: pieces.append((aff, comp)) or fiedler(aff, comp))
+        run()
+    return pieces
+
+
+def test_top_pair_filters_order_ci_and_union_pieces_as_shift_invert(monkeypatch):
+    # On every piece of the union cloud and of the first ten CI towers at or
+    # under the limit, the top-pair filter has the shift-invert filter's order
+    # and ties, which is all reeb_graph reads.
+    from test_golden import union_cloud
+
+    runs = [lambda: screeb(union_cloud())]
+    runs += [lambda i=i: screeb_tower(generate_sample(GeneratorConfig(), CI_SEED, i).cloud) for i in range(10)]
+    solves = []
+    monkeypatch.setattr(geometry, "eigsh", lambda *a, **kw: solves.append(1) or eigsh(*a, **kw))
+    top_pair = 0
+    for run in runs:
+        for aff, comp in _captured_pieces(monkeypatch, run):
+            if not 3 < len(comp) <= geometry._DENSE_PAIR_LIMIT:
+                continue
+            before = len(solves)
+            f = fiedler_filter(aff, comp)
+            top_pair += len(solves) == before
+            with monkeypatch.context() as patched:
+                patched.setattr(geometry, "_DENSE_PAIR_LIMIT", 0)
+                g = fiedler_filter(aff, comp)
+            assert np.array_equal(np.argsort(f, kind="stable"), np.argsort(g, kind="stable"))
+            assert np.array_equal(np.unique(f, return_counts=True)[1], np.unique(g, return_counts=True)[1])
+    assert top_pair > 20
+
+
+def test_blobs_joined_by_underflowed_weights_keep_the_shift_invert_path(rng, monkeypatch):
+    # Two blobs 1e3 apart share kNN entries (k = 6 > 4 mates), but at bandwidth
+    # rank 2 their affinities underflow to stored zeros: one piece whose M splits
+    # in two, so 1 - lambda_2 is 0 to rounding. The top pair is certified but
+    # degenerate, and the piece goes to eigsh, with the bytes of limit 0.
+    cloud = PointCloud(np.vstack([rng.normal(size=(5, 2)), rng.normal(size=(5, 2)) + [1e3, 0.0]]))
+    aff = adaptive_affinity(cloud, knn_graph(cloud, 6), 2)
+    (comp,) = affinity_components(aff)
+    handed, solves = spectrum_inputs(monkeypatch), []
+    monkeypatch.setattr(geometry, "eigsh", lambda m, *a, **kw: solves.append(m.shape[0]) or eigsh(m, *a, **kw))
+    f = fiedler_filter(aff, comp)
+    vals = scipy.linalg.eigh(handed[-1].toarray(), subset_by_index=[8, 9], eigvals_only=True)
+    assert 1.0 - vals[0] < geometry._DEGENERATE_GAP and vals.min() > 1.0 - 2.0 * handed[-1].diagonal().min()
+    assert solves == [10]
+    monkeypatch.setattr(geometry, "_DENSE_PAIR_LIMIT", 0)
+    assert fiedler_filter(aff, comp).tobytes() == f.tobytes()
+
+
+def clustered_cloud(seed):
+    """5-39 Gaussian 3-D clusters of 2-79 points, 100 apart along axis 0, with
+    noise 0.05, 0.3 or 1.0 by seed, the first 10 points copied on every fourth
+    seed, shuffled."""
+    rng = np.random.default_rng(seed)
+    noise = (0.05, 0.3, 1.0)[seed % 3]
+    sizes = rng.integers(2, 80, size=int(rng.integers(5, 40)))
+    pts = np.vstack([rng.normal(0.0, noise, (s, 3)) + [100.0 * i, 0.0, 0.0] for i, s in enumerate(sizes)])
+    if seed % 4 == 0:
+        pts = np.vstack([pts, pts[:10]])
+    return PointCloud(pts[rng.permutation(len(pts))])
+
+
+def test_clustered_graphs_keep_their_bytes_without_the_top_pair_solve(monkeypatch):
+    # 40 clustered clouds (10 seeds at k = 3, 5, 8, 15): the graph bytes are
+    # those of every piece through shift-invert, and some degenerate piece
+    # under the limit reached eigsh.
+    small = []
+    eigsh_calls = lambda m, *a, **kw: small.append(m.shape[0] <= geometry._DENSE_PAIR_LIMIT) or eigsh(m, *a, **kw)
+    monkeypatch.setattr(geometry, "eigsh", eigsh_calls)
+    for seed in range(100, 110):
+        cloud = clustered_cloud(seed)
+        for k in (3, 5, 8, 15):
+            got = graph_to_json(screeb(cloud, ReebParams(k=k)))
+            with monkeypatch.context() as patched:
+                patched.setattr(geometry, "_DENSE_PAIR_LIMIT", 0)
+                assert got == graph_to_json(screeb(cloud, ReebParams(k=k)))
+    assert any(small)
 
 
 def test_fiedler_filter_order_matches_dense_on_large_circle(rng, monkeypatch):
@@ -667,7 +793,9 @@ def test_symmetric_factor_matches_default_factor_oracle(monkeypatch):
     # The symmetric-mode factor moves filter bits at rounding level only: every
     # filter has the oracle's order, ties and signs, every solve the same
     # certificate decision, on noisy circles and every piece of the first
-    # ten CI samples' towers.
+    # ten CI samples' towers. Every piece takes the shift-invert path.
+    monkeypatch.setattr(geometry, "_DENSE_PAIR_LIMIT", 0)
+
     def circle(n, seed):
         rng = np.random.default_rng((seed, n))
         theta = rng.uniform(0, 2 * np.pi, n)
@@ -741,40 +869,6 @@ def test_filter_of_ids_short_of_a_component_uses_full_row_degrees(rng, monkeypat
         vals, vecs = np.linalg.eig(transition_matrix(w).toarray()[np.ix_(ids, ids)])
         oracle = np.real(vecs[:, np.argsort(-np.abs(vals))[1]])
         assert abs(np.dot(f, oracle)) / (np.linalg.norm(f) * np.linalg.norm(oracle)) > 1 - 1e-6
-
-
-def _certificate_fails(m):
-    """The oracle: whether an always-run shift-invert solve fails the certificate."""
-    n = m.shape[0]
-    vals, _ = eigsh(m, k=2, sigma=1.0 + 1e-6, which="LM", v0=np.full(n, 1.0 / np.sqrt(n)))
-    return vals.min() <= 1.0 - 2.0 * m.diagonal().min()
-
-
-def test_frobenius_pretest_skips_only_failing_certificates(rng, monkeypatch):
-    # On random pieces, a solve the pre-test skips is one whose certificate
-    # fails, and the filter's bytes are those computed with the pre-test off.
-    solves = []
-    monkeypatch.setattr(geometry, "eigsh", lambda *a, **kw: solves.append(1) or eigsh(*a, **kw))
-    skipped = kept = 0
-    for trial in range(30):
-        # Clusters of k + 1 to 3k points: the near-complete pieces often fail.
-        k = int(rng.integers(2, 9))
-        cloud = PointCloud(separated_clusters(rng, rng.integers(k + 1, 3 * k, size=3), dim=int(rng.integers(1, 4))))
-        aff = adaptive_affinity(cloud, knn_graph(cloud, k), k)
-        for comp in affinity_components(aff):
-            if len(comp) < 4:  # dense eigh either way
-                continue
-            before = len(solves)
-            f = fiedler_filter(aff, comp)
-            if len(solves) == before:
-                skipped += 1
-                assert _certificate_fails(block_operator(aff, comp))
-            else:
-                kept += 1
-            with monkeypatch.context() as off:
-                off.setattr(geometry, "_ROUNDING_MARGIN", np.inf)
-                assert np.array_equal(fiedler_filter(aff, comp), f)
-    assert skipped > 0 and kept > 0
 
 
 # -- condense -----------------------------------------------------------------------

@@ -500,6 +500,30 @@ def test_screeb_ties_duplicate_points_filter_values(rng):
         assert graphmod.graph_to_json(screeb(cloud)) == want
 
 
+def test_screeb_copy_search_is_skipped_only_where_it_finds_nothing(rng, monkeypatch):
+    # With no zero distance on any own list a cloud has no copies: the filter
+    # handed to reeb_graph is the one the copy search gives, with and without copies.
+    filters, handed = [], []
+    fiedler, sweep = reeb_module.fiedler_filter, reeb_module.reeb_graph
+    monkeypatch.setattr(reeb_module, "fiedler_filter", lambda *a: filters.append(fiedler(*a)) or filters[-1])
+
+    def recording(nbrs, f, cloud, piece_sizes):
+        handed.append((f, cloud.points, piece_sizes))
+        return sweep(nbrs, f, cloud, piece_sizes=piece_sizes)
+
+    monkeypatch.setattr(reeb_module, "reeb_graph", recording)
+    pts = separated_clusters(rng, (60, 9, 5, 30))
+    for cloud_pts, copies in ((pts, False), (np.vstack([pts, pts[:10], pts[60:62]]), True)):
+        for k in (3, 8):
+            filters.clear()
+            screeb(PointCloud(cloud_pts[rng.permutation(len(cloud_pts))]), ReebParams(k=k))
+            f, points, sizes = handed[-1]
+            keyed = np.column_stack([np.repeat(np.arange(len(sizes)), sizes), points])
+            _, first, copy = np.unique(keyed, axis=0, return_index=True, return_inverse=True)
+            assert f.tobytes() == np.concatenate(filters)[first[copy.ravel()]].tobytes()
+            assert (len(first) < len(points)) == copies
+
+
 def test_screeb_segment(rng):
     g = screeb(segment_cloud(rng), ReebParams(levels=0))
     assert betti(g) == (1, 0)
