@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, GenerationError
-from .harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cmd_run, default_workers, read_json
+from .harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cmd_run, read_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +54,7 @@ def main(argv=None) -> int:
                 out_dir=args.out,
                 overrides=read_json(args.config) if args.config else {},
                 level=args.level,
-                workers=default_workers() if args.workers is None else args.workers,
+                workers=args.workers,
             )
             return cmd_run(cfg)
         if args.command == "evaluate":

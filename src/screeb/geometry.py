@@ -28,6 +28,7 @@ from them with array operations.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,7 +41,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateInputError, InvalidDataError, IsolatedPointError, SolverError
-from .graph import Multigraph
+from .graph import Multigraph, _is_number
 
 _DENSE_FALLBACK_LIMIT = 4096  # rows; above it a failed or uncertified Fiedler solve raises SolverError
 _DENSE_PAIR_LIMIT = 200  # rows; up to it one dense top-pair solve replaces shift-invert (see _symmetric_spectrum)
@@ -177,6 +178,13 @@ def _vertex_ids(ids, n: int) -> np.ndarray:
     return ids.astype(int, copy=False)
 
 
+def _counts(**counts) -> None:
+    """Refuse each named count that is no integer (a bool is none), as ``_vertex_ids`` refuses ids."""
+    for name, value in counts.items():
+        if not _is_number(value, numbers.Integral):
+            raise InvalidDataError(f"{name} must be an integer, not {value!r}")
+
+
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
@@ -257,6 +265,7 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
     ``k`` is clamped to ``n - 1``. Each vertex's own list holds its k nearest
     other points; the graph's edges are the union of these directed choices.
     """
+    _counts(k=k)
     n = cloud.n
     if n < 2:
         raise DegenerateInputError("kNN graph requires at least two points")
@@ -304,6 +313,7 @@ def adaptive_affinity(cloud: PointCloud, nbrs: NeighborGraph, k_bw: int) -> sp.c
     pairwise distance. W carries an explicit unit diagonal, keeps affinities
     that underflow as explicit zeros, and is exactly symmetric.
     """
+    _counts(k_bw=k_bw)
     n = cloud.n
     if nbrs.n != n:
         raise InvalidDataError("neighbor graph does not match the point cloud")
@@ -368,14 +378,12 @@ def fiedler_filter(affinity: sp.csr_matrix, component: np.ndarray) -> np.ndarray
     if component.size == 1:
         return np.zeros(1)
     a = int(component[0]) if component.size else 0
-    if np.array_equal(component, np.arange(a, a + component.size)):  # rows read where W holds them
-        b = a + component.size
-        ptr, data = affinity.indptr[a : b + 1], affinity.data
-        cols = affinity.indices[ptr[0] : ptr[-1]]
-        if cols.size and a <= cols.min() and cols.max() < b:  # a component's range: its rows are its block
-            m = sp.csr_matrix((data[ptr[0] : ptr[-1]].copy(), cols - a, ptr - ptr[0]), shape=(b - a, b - a))
-        else:
-            m = affinity[a:b, a:b]
+    b = a + component.size
+    ptr, data = affinity.indptr[a : b + 1], affinity.data
+    cols = affinity.indices[ptr[0] : ptr[-1]]
+    # A range whose entries stay inside it, as a component's do: its rows are its block, read where W holds them.
+    if np.array_equal(component, np.arange(a, b)) and cols.size and a <= cols.min() and cols.max() < b:
+        m = sp.csr_matrix((data[ptr[0] : ptr[-1]].copy(), cols - a, ptr - ptr[0]), shape=(b - a, b - a))
     else:
         full = affinity[component]
         m, ptr, data = full[:, component], full.indptr, full.data
@@ -401,8 +409,9 @@ def condense(cloud: PointCloud, k_smooth: int, t: int, k_bw: int) -> PointCloud:
     ``k_smooth`` is the neighbor count of the kNN graph and ``k_bw`` the
     bandwidth neighbor rank of its adaptive kernel; both are clamped to
     ``n - 1``. ``k_bw`` is read from the ``k_smooth`` lists, so a larger one
-    raises ``ValueError``.
+    raises ``ValueError``. A count that is no integer raises ``InvalidDataError``.
     """
+    _counts(k_smooth=k_smooth, t=t, k_bw=k_bw)
     if t < 0:
         raise ValueError("t must be non-negative")
     if t == 0:

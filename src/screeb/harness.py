@@ -35,7 +35,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import graph as graphmod
 from .errors import ConfigError
 from .geometry import PointCloud, load_points_csv, save_points_csv
 from .graph import Multigraph, _is_number, graph_to_json, load_graph, save_graph
@@ -55,7 +54,7 @@ class RunConfig:
     out_dir: str
     overrides: dict = field(default_factory=dict)
     level: Optional[int] = None  # tower level to score; None = last
-    workers: int = 1
+    workers: Optional[int] = None  # None: default_workers(), the BENCH_WORKERS rule
 
     def __post_init__(self):
         for m in self.methods:
@@ -75,7 +74,7 @@ class RunConfig:
         tower = self.params["screebtower"]
         if "screebtower" in self.methods and self.level is not None and not 0 <= self.level <= tower.levels:
             raise ConfigError(f"tower level {self.level} outside 0..{tower.levels}")
-        _worker_count(self.workers, "workers")
+        object.__setattr__(self, "workers", _worker_count(self.workers, "workers"))
 
 
 def _method_params(method: str, section: dict):
@@ -95,8 +94,11 @@ def _map(fn, tasks: list, workers: int) -> list:
     return [fn(t) for t in tasks]
 
 
-def _worker_count(workers: int, source: str) -> int:
-    """``workers``, the process count given by ``source``; all but an integer >= 1 is a ``ConfigError``."""
+def _worker_count(workers: Optional[int], source: str) -> int:
+    """``workers``, the process count given by ``source``, or ``default_workers()`` for None;
+    all but an integer >= 1 is a ``ConfigError``."""
+    if workers is None:
+        return default_workers()
     if not _is_number(workers, numbers.Integral):
         raise ConfigError(f"{source} must be an integer, not {workers!r}")
     if workers < 1:
@@ -159,18 +161,14 @@ def write_sample(sample_dir: Path, sample: SyntheticSample, sid: str) -> None:
     sample_dir.mkdir(parents=True, exist_ok=True)
     save_points_csv(sample.cloud, sample_dir / "points.csv")
     save_graph(sample.graph, sample_dir / "graph.json")
-    meta = dict(sample.metadata)
-    meta["sample_id"] = sid
-    meta["reduced_graph"] = json.loads(graph_to_json(sample.reduced_graph))
-    _write(sample_dir / "meta.json", meta)
+    reduced = json.loads(graph_to_json(sample.reduced_graph))
+    _write(sample_dir / "meta.json", {**sample.metadata, "sample_id": sid, "reduced_graph": reduced})
 
 
 def load_sample(sample_dir: Path) -> SyntheticSample:
-    cloud = load_points_csv(sample_dir / "points.csv")
-    graph = load_graph(sample_dir / "graph.json")
-    meta = read_json(sample_dir / "meta.json", "sample metadata", reduced_graph=(dict, object))
-    reduced = graphmod.graph_from_json(json.dumps(meta["reduced_graph"]))
-    return SyntheticSample(cloud=cloud, graph=graph, reduced_graph=reduced, metadata=meta)
+    """The sample that ``write_sample`` wrote; its reduced graph is derived from ``graph.json`` again."""
+    meta = read_json(sample_dir / "meta.json", "sample metadata")
+    return SyntheticSample(load_points_csv(sample_dir / "points.csv"), load_graph(sample_dir / "graph.json"), meta)
 
 
 def _generate_one(args) -> str:
@@ -192,7 +190,7 @@ def cmd_generate(
     """Generate a benchmark directory; returns a process exit code."""
     if not (_is_number(n, numbers.Integral) and n >= 1):
         raise ConfigError(f"sample count must be an integer >= 1, not {n!r}")
-    workers = _worker_count(default_workers() if workers is None else workers, "workers")
+    workers = _worker_count(workers, "workers")
     cfg = GeneratorConfig()
     if config_path:
         cfg = GeneratorConfig.from_dict(read_json(config_path))

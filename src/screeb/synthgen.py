@@ -157,23 +157,18 @@ class DifficultyCoords:
 
 
 @dataclass(frozen=True, eq=False)
-class RealizedGeometry:
-    graph: Multigraph  # latent graph with final (post-crowding) positions
-    tube_radius: float
-    noise_scale: float
-    clearance: float
-    shrink: float
-    parent_kinds: tuple[str, ...]  # 'e' (edge) or 'v' (vertex) per point
-    parent_ids: tuple[int, ...]
-    point_components: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class SyntheticSample:
+    """A generated sample: its cloud, its latent graph and the fields of its
+    ``meta.json``. ``reduced_graph`` is derived, not stored: ``graph.reduce``
+    of the latent graph, which caches it on that graph."""
+
     cloud: PointCloud
     graph: Multigraph
-    reduced_graph: Multigraph
     metadata: dict
+
+    @property
+    def reduced_graph(self) -> Multigraph:
+        return graphmod.reduce(self.graph)
 
 
 @dataclass(frozen=True)
@@ -949,8 +944,15 @@ def sample_point_cloud(
     cfg: GeneratorConfig,
     rng: np.random.Generator,
     coords: DifficultyCoords,
-) -> tuple[PointCloud, RealizedGeometry]:
+) -> tuple[PointCloud, Multigraph, dict]:
     """Sample a noisy point cloud from solid tubes around an embedded graph.
+
+    Returns ``(cloud, latent, record)``: ``latent`` is the graph at its final
+    (post-crowding) positions, in canonical order, and ``record`` holds the
+    ``meta.json`` blocks decided here as JSON-ready floats and lists:
+    ``realized`` (``tube_radius``, ``noise_scale``, ``clearance``, ``shrink``),
+    and per point ``parent_kinds`` ('e' for an edge, 'v' for a vertex),
+    ``parent_ids`` and ``point_components``.
 
     Chooses a tube radius inside the thickness budget (floored at the
     minimum radius ratio, capped by non-adjacent clearance and cycle-hole
@@ -1069,23 +1071,16 @@ def sample_point_cloud(
 
     x = np.concatenate(pts)
     sizes = [len(block) for block in pts]
-    parent_kinds, parent_ids, point_comps = (tuple(np.repeat(column, sizes).tolist()) for column in zip(*records))
     noise_scale = min(coords.noise_ratio * cfg.feature_scale, clearance / cfg.safety_multiplier)
     if noise_scale < 1e-3 * cfg.feature_scale:
         raise GenerationReject("noise-floor")
     x = x + rng.normal(scale=noise_scale, size=x.shape)
 
-    geometry = RealizedGeometry(
-        graph=latent,
-        tube_radius=float(radius),
-        noise_scale=float(noise_scale),
-        clearance=float(clearance),
-        shrink=float(1.0 - factor),
-        parent_kinds=parent_kinds,
-        parent_ids=parent_ids,
-        point_components=point_comps,
-    )
-    return PointCloud(x), geometry
+    realized = {"tube_radius": radius, "noise_scale": noise_scale, "clearance": clearance, "shrink": 1.0 - factor}
+    record = {"realized": {key: float(value) for key, value in realized.items()}}
+    for key, column in zip(("parent_kinds", "parent_ids", "point_components"), zip(*records)):
+        record[key] = np.repeat(column, sizes).tolist()
+    return PointCloud(x), latent, record
 
 
 # ---------------------------------------------------------------------------
@@ -1170,50 +1165,23 @@ def generate_sample(cfg: GeneratorConfig, seed: int, index: int) -> SyntheticSam
     sub = sample_subseed(seed, index)
     rng = np.random.Generator(np.random.PCG64(sub))
     rejects = 0
-    last_coords: Optional[DifficultyCoords] = None
+    coords: Optional[DifficultyCoords] = None
     while rejects <= cfg.max_rejects_per_sample:
         try:
             coords = draw_difficulty(cfg, rng)
-            last_coords = coords
             dim = draw_dimension(cfg, rng)
             topo, classes = sample_topology_meta(cfg, rng)
             positions = embed_graph(topo, dim, cfg, rng)
             embedded = straight_graph(topo.u, topo.v, positions, topo.multiplicity)
-            cloud, geometry = sample_point_cloud(embedded, cfg, rng, coords)
-            metadata = {
-                "seed": int(sub),
-                "requested": {
-                    "noise_ratio": coords.noise_ratio,
-                    "separation": coords.separation,
-                    "density": coords.density,
-                    "thickness": coords.thickness,
-                },
-                "realized": {
-                    "tube_radius": geometry.tube_radius,
-                    "noise_scale": geometry.noise_scale,
-                    "clearance": geometry.clearance,
-                    "shrink": geometry.shrink,
-                },
-                "topology_classes": list(classes),
-                "embedding_dim": int(dim),
-                "reject_count": rejects,
-                "parent_kinds": list(geometry.parent_kinds),
-                "parent_ids": [int(p) for p in geometry.parent_ids],
-                "point_components": [int(c) for c in geometry.point_components],
-            }
-            sample = SyntheticSample(
-                cloud=cloud,
-                graph=geometry.graph,
-                reduced_graph=graphmod.reduce(geometry.graph),
-                metadata=metadata,
-            )
-            verdict = validate(sample, cfg)
-            if verdict.ok:
+            cloud, latent, record = sample_point_cloud(embedded, cfg, rng, coords)
+            provenance = {"seed": sub, "topology_classes": classes, "embedding_dim": dim, "reject_count": rejects}
+            sample = SyntheticSample(cloud, latent, {"requested": asdict(coords), **record, **provenance})
+            if validate(sample, cfg).ok:
                 return sample
             rejects += 1
         except GenerationReject:
             rejects += 1
     raise GenerationError(
         f"sample {index} exhausted {cfg.max_rejects_per_sample} rejects; "
-        f"last requested coordinates: {last_coords}"
+        f"last requested coordinates: {coords}"
     )

@@ -136,6 +136,10 @@ def test_generate_layout(small_bench):
     sample = load_sample(small_bench / "00000")
     assert sample.cloud.n >= 20
     assert sample.graph.positions is not None
+    # The reduced graph is derived from graph.json again, and equals the block write_sample stored.
+    for sid in manifest["sample_ids"]:
+        meta = json.loads((small_bench / sid / "meta.json").read_text())
+        assert json.loads(screeb.graph_to_json(load_sample(small_bench / sid).reduced_graph)) == meta["reduced_graph"]
 
 
 # -- run ----------------------------------------------------------------------
@@ -790,6 +794,9 @@ def test_bench_workers_env_below_one(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("BENCH_WORKERS", value)
     with pytest.raises(ConfigError, match=f"BENCH_WORKERS must be >= 1, got {value}"):
         default_workers()
+    # A RunConfig built without workers reads the same rule, and is refused when built.
+    with pytest.raises(ConfigError, match=f"BENCH_WORKERS must be >= 1, got {value}"):
+        RunConfig(str(tmp_path / "bench"), ("mapper",), str(tmp_path / "run"))
     bench = tmp_path / "bench"
     assert cli_main(["generate", "--n", "1", "--seed", "5", "--out", str(bench)]) == 1
     assert not bench.exists()
@@ -803,6 +810,10 @@ def test_bench_workers_env(tmp_path, monkeypatch):
     from screeb.harness import default_workers
 
     assert default_workers() == 2
+    assert RunConfig(str(tmp_path), ("mapper",), str(tmp_path / "run")).workers == 2
+    assert RunConfig(str(tmp_path), ("mapper",), str(tmp_path / "run"), workers=1).workers == 1
+    monkeypatch.delenv("BENCH_WORKERS")
+    assert RunConfig(str(tmp_path), ("mapper",), str(tmp_path / "run")).workers == 1
     monkeypatch.setenv("BENCH_WORKERS", "junk")
     with pytest.raises(ConfigError):
         default_workers()

@@ -202,3 +202,29 @@ def test_vertex_ids_that_are_no_integers_are_refused(ids):
     assert induced_neighbor_subgraph(nbrs, []).n == 0
     with pytest.raises(errors.InvalidDataError, match="got 0 pieces"):
         fiedler_filter(affinity, [])
+
+
+NO_INTEGER_COUNTS = {
+    "knn_graph-k-2.5": (lambda cloud, nbrs: knn_graph(cloud, 2.5), "k"),  # built a graph with a float64 own_indptr
+    "knn_graph-k-True": (lambda cloud, nbrs: knn_graph(cloud, True), "k"),  # built a k = 1 graph
+    "knn_graph-k-float64": (lambda cloud, nbrs: knn_graph(cloud, np.float64(3.0)), "k"),
+    "adaptive_affinity-k_bw-2.5": (lambda cloud, nbrs: adaptive_affinity(cloud, nbrs, 2.5), "k_bw"),  # a bare IndexError
+    "condense-k_smooth-2.5": (lambda cloud, nbrs: condense(cloud, 2.5, 1, 2), "k_smooth"),  # a bare IndexError
+    "condense-t-1.5": (lambda cloud, nbrs: condense(cloud, 5, 1.5, 2), "t"),  # a bare TypeError
+    "condense-t-False": (lambda cloud, nbrs: condense(cloud, 5, False, 2), "t"),  # returned the cloud
+    "condense-k_bw-2.5": (lambda cloud, nbrs: condense(cloud, 5, 1, 2.5), "k_bw"),
+}
+
+
+@pytest.mark.parametrize("case", NO_INTEGER_COUNTS)
+def test_counts_that_are_no_integers_are_refused(case):
+    call, name = NO_INTEGER_COUNTS[case]
+    cloud, nbrs, _, _ = _thirty_points()
+    with pytest.raises(errors.InvalidDataError, match=f"^{name} must be an integer"):
+        call(cloud, nbrs)
+
+
+def test_counts_of_numpy_integer_types_are_taken():
+    cloud, _, _, _ = _thirty_points()
+    assert np.array_equal(knn_graph(cloud, np.int64(5)).own_indices, knn_graph(cloud, 5).own_indices)
+    assert np.array_equal(condense(cloud, np.int32(5), np.int64(1), np.uint8(2)).points, condense(cloud, 5, 1, 2).points)

@@ -321,13 +321,13 @@ def test_tube_degenerate_segment(rng):
     cfg = GeneratorConfig(edge_jitter_range=(0.0, 0.0), min_tube_radius_ratio=1e-9)
     g = embedded(Multigraph(2, (Edge(0, 1, 1.0),)), cfg, rng)
     coords = DifficultyCoords(noise_ratio=0.02, separation=0.0, density=10.0, thickness=1e-6)
-    cloud, geom = sample_point_cloud(g, cfg, rng, coords)
+    cloud, latent, record = sample_point_cloud(g, cfg, rng, coords)
     assert cloud.n >= 10
-    a, b = np.asarray(geom.graph.positions)
+    a, b = np.asarray(latent.positions)
     d = np.linalg.norm(b - a)
     endpoints_hit = 0
     for v in (a, b):
-        if np.min(np.linalg.norm(cloud.points - v, axis=1)) < 6 * geom.noise_scale + 1e-9:
+        if np.min(np.linalg.norm(cloud.points - v, axis=1)) < 6 * record["realized"]["noise_scale"] + 1e-9:
             endpoints_hit += 1
     assert endpoints_hit == 2
     along = (cloud.points - a) @ (b - a) / d**2
@@ -340,9 +340,10 @@ def test_tube_support_hexagon(rng):
     cfg = GeneratorConfig()
     g = embedded(Multigraph(6, tuple(Edge(i, (i + 1) % 6, 1.0) for i in range(6))), cfg, rng)
     coords = DifficultyCoords(noise_ratio=0.02, separation=0.0, density=12.0, thickness=1.0)
-    cloud, geom = sample_point_cloud(g, cfg, rng, coords)
-    d = parent_feature_distances(cloud.points, geom.graph, geom.parent_kinds, geom.parent_ids)
-    assert np.all(d <= geom.tube_radius + 6 * geom.noise_scale + 1e-9)
+    cloud, latent, record = sample_point_cloud(g, cfg, rng, coords)
+    realized = record["realized"]
+    d = parent_feature_distances(cloud.points, latent, record["parent_kinds"], record["parent_ids"])
+    assert np.all(d <= realized["tube_radius"] + 6 * realized["noise_scale"] + 1e-9)
 
 
 def test_noise_capped_by_clearance(rng):
@@ -352,12 +353,12 @@ def test_noise_capped_by_clearance(rng):
         local = np.random.default_rng(seed + 100)
         try:
             g = embedded(sample_topology_meta(cfg, local)[0], cfg, local)
-            _, geom = sample_point_cloud(g, cfg, local, draw_difficulty(cfg, local))
+            realized = sample_point_cloud(g, cfg, local, draw_difficulty(cfg, local))[2]["realized"]
         except GenerationReject:
             continue
         checked += 1
-        assert geom.noise_scale <= geom.clearance / cfg.safety_multiplier + 1e-12
-        assert geom.tube_radius >= cfg.min_tube_radius_ratio * min(e.length for e in g.edges) * 0.5
+        assert realized["noise_scale"] <= realized["clearance"] / cfg.safety_multiplier + 1e-12
+        assert realized["tube_radius"] >= cfg.min_tube_radius_ratio * min(e.length for e in g.edges) * 0.5
     assert checked >= 8
 
 
@@ -391,7 +392,7 @@ def test_validate_rejects_overlapping_tubes(rng):
     meta["realized"] = realized
     from screeb.synthgen import SyntheticSample
 
-    doctored = SyntheticSample(sample.cloud, sample.graph, sample.reduced_graph, meta)
+    doctored = SyntheticSample(sample.cloud, sample.graph, meta)
     verdict = validate(doctored, cfg)
     assert not verdict.ok and verdict.reason == "tube-overlap"
 
@@ -927,7 +928,7 @@ def test_validate_component_checks_match_pairwise_reference(ci_samples):
             bound = across / cfg.safety_multiplier
             for noise in (0.0, np.nextafter(bound, -math.inf), bound, np.nextafter(bound, math.inf)):
                 meta["realized"]["noise_scale"] = float(noise)
-                got = validate(synthgen.SyntheticSample(s.cloud, s.graph, s.reduced_graph, meta), cfg).reason
+                got = validate(synthgen.SyntheticSample(s.cloud, s.graph, meta), cfg).reason
                 want = None if within < across else "component-count"
                 if across < cfg.safety_multiplier * noise:
                     want = "component-separation"
