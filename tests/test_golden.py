@@ -7,8 +7,11 @@ and ``bench report``'s stdout.
 ``tests/golden/circle_digest.json`` the same two tiers for ``screeb`` on one
 pinned noisy circle whose level sets hold about 290k (slice, edge)
 crossings, so ``reeb_graph`` works through several slice blocks (no CI
-sample reaches a second one). ``tests/golden/union_digests.json`` pins
-``screeb`` and every ``screeb_tower`` level on the first ``UNION_SAMPLES``
+sample reaches a second one). ``tests/golden/mapper_circle_digests.json``
+pins ``mapper_graph`` on that circle and on the ``LADDER_N``-point circle
+drawn the same way, whose cover cells hold hundreds of points each.
+``tests/golden/union_digests.json`` pins ``screeb``, ``mapper_graph`` and
+every ``screeb_tower`` level on the first ``UNION_SAMPLES``
 CI samples side by side in ``UNION_DIM`` dimensions, rotated and shuffled,
 so one call recovers many separated components.
 ``tests/golden/generator_digests.json`` pins what ``bench generate``
@@ -55,6 +58,7 @@ from screeb import (
     geometry,
     graph_to_json,
     load_graph,
+    mapper_graph,
     screeb,
     screeb_tower,
 )
@@ -62,11 +66,13 @@ from screeb.harness import RunConfig, cmd_evaluate, cmd_generate, cmd_report, cm
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "ci_digests.json"
 CIRCLE_GOLDEN = GOLDEN.parent / "circle_digest.json"
+MAPPER_CIRCLE_GOLDEN = GOLDEN.parent / "mapper_circle_digests.json"
 HARNESS_GOLDEN = GOLDEN.parent / "harness_digests.json"
 UNION_GOLDEN = GOLDEN.parent / "union_digests.json"
 GENERATOR_GOLDEN = GOLDEN.parent / "generator_digests.json"
 CI_SEED = 20260422
 CIRCLE_N = 2000
+LADDER_N = 8000
 N_SAMPLES = 40
 N_BATCH = 10
 METHODS = ("screeb", "screebtower", "mapper")
@@ -162,15 +168,31 @@ def harness_digests(root: Path, report_stdout: str) -> dict:
     }
 
 
+def noisy_circle(n: int) -> PointCloud:
+    """A noisy unit circle of ``n`` points drawn from ``CI_SEED`` (the
+    ``ladder`` benchmark circle of that size, unrotated)."""
+    rng = np.random.default_rng((CI_SEED, n))
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    return PointCloud(np.c_[np.cos(theta), np.sin(theta)] + rng.normal(0.0, 0.05, (n, 2)))
+
+
 def circle_digest() -> dict:
-    """``screeb`` on a noisy unit circle of ``CIRCLE_N`` points drawn from
-    ``CI_SEED`` (the ``ladder`` benchmark circle, unrotated)."""
-    rng = np.random.default_rng((CI_SEED, CIRCLE_N))
-    theta = rng.uniform(0.0, 2.0 * np.pi, CIRCLE_N)
-    points = np.c_[np.cos(theta), np.sin(theta)] + rng.normal(0.0, 0.05, (CIRCLE_N, 2))
-    g = screeb(PointCloud(points))
+    """``screeb`` on the ``CIRCLE_N``-point :func:`noisy_circle`."""
+    g = screeb(noisy_circle(CIRCLE_N))
     doc = {"n": CIRCLE_N, "seed": CI_SEED, "numpy": np.__version__, "scipy": scipy.__version__}
     return doc | _graph_doc(g, graph_to_json(g).encode())
+
+
+def mapper_circle_digests() -> dict:
+    """``mapper_graph`` on the ``CIRCLE_N``- and ``LADDER_N``-point
+    :func:`noisy_circle`."""
+    graphs = {f"mapper/{n}": mapper_graph(noisy_circle(n)) for n in (CIRCLE_N, LADDER_N)}
+    return {
+        "seed": CI_SEED,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "files": {name: _graph_doc(g, graph_to_json(g).encode()) for name, g in graphs.items()},
+    }
 
 
 def union_cloud() -> PointCloud:
@@ -193,10 +215,11 @@ def union_cloud() -> PointCloud:
 
 
 def union_digests() -> dict:
-    """``screeb`` and each ``screeb_tower`` level on :func:`union_cloud`."""
+    """``screeb``, ``mapper_graph`` and each ``screeb_tower`` level on
+    :func:`union_cloud`."""
     cloud = union_cloud()
     tower = screeb_tower(cloud)
-    graphs = {"screeb": screeb(cloud)} | {f"screebtower/level_{i}": tower.graph(i) for i in range(len(tower))}
+    graphs = {"screeb": screeb(cloud), "mapper": mapper_graph(cloud)} | {f"screebtower/level_{i}": tower.graph(i) for i in range(len(tower))}
     return {
         "n": cloud.n,
         "seed": CI_SEED,
@@ -284,6 +307,10 @@ def test_multi_block_circle_golden_digest():
     assert not _changed_digests(got, golden)
 
 
+def test_mapper_circle_golden_digests():
+    _assert_files_match(mapper_circle_digests(), json.loads(MAPPER_CIRCLE_GOLDEN.read_text()))
+
+
 def test_many_component_union_golden_digests():
     golden = json.loads(UNION_GOLDEN.read_text())
     got = union_digests()
@@ -331,6 +358,7 @@ def main(argv=None) -> int:
         docs = {GOLDEN: ci_digests(root), HARNESS_GOLDEN: harness_digests(root, stdout), CIRCLE_GOLDEN: circle_digest()}
         docs[GENERATOR_GOLDEN] = generator_digests(root / "generator")
     docs[UNION_GOLDEN] = union_digests()
+    docs[MAPPER_CIRCLE_GOLDEN] = mapper_circle_digests()
     differ = 0
     for path, doc in docs.items():
         if args.rewrite:
