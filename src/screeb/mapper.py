@@ -1,16 +1,17 @@
 """Mapper baseline: PCA lens, cubical cover, per-cell DBSCAN, nerve graph.
 
 The cover uses six equal-width intervals per lens dimension, each expanded
-by the overlap fraction on both sides; clustering inside cover cells uses
-DBSCAN with a radius derived once from the cloud's distinct points (1.5 x
-the median third-neighbor distance). Cluster nodes sit at member
-centroids, nodes sharing a data point are joined, duplicate nodes
-(identical member sets) are removed, and the nerve is reduced.
+by the overlap fraction on both sides. Every cover cell is clustered by
+DBSCAN, with the semantics of the public :func:`dbscan`, at one radius
+derived from the cloud's distinct points (1.5 x the median third-neighbor
+distance); one ε-pair query of the cloud and one component labelling serve
+all cells at once. Cluster nodes sit at member centroids, nodes sharing a
+data point are joined, duplicate nodes (identical member sets) are
+removed, and the nerve is reduced.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import graph as graphmod
@@ -94,35 +96,53 @@ def dbscan(points: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = len(points)
-    labels = np.full(n, -1, dtype=int)
-    if n == 0:
-        return labels
-    tree = cKDTree(points)
-    neighborhoods = tree.query_ball_point(points, r=eps)
-    core = np.array([len(nbh) >= min_samples for nbh in neighborhoods])
-
-    cluster = 0
-    for seed_idx in range(n):
-        if not core[seed_idx] or labels[seed_idx] != -1:
-            continue
-        labels[seed_idx] = cluster
-        frontier = [seed_idx]
-        while frontier:
-            p = frontier.pop()
-            for q in neighborhoods[p]:
-                if core[q] and labels[q] == -1:
-                    labels[q] = cluster
-                    frontier.append(q)
-        cluster += 1
-    # Border points join the lowest-id cluster among reachable cores.
-    for p in range(n):
-        if core[p] or labels[p] != -1:
-            continue
-        reachable = [labels[q] for q in neighborhoods[p] if core[q]]
-        if reachable:
-            labels[p] = min(reachable)
+    one_cell = np.zeros((len(points), 1), dtype=int)
+    _, labels = _cell_dbscan(points, eps, min_samples, one_cell, one_cell + 1)
+    labels[labels >= 0] = np.unique(labels[labels >= 0], return_inverse=True)[1]
     return labels
+
+
+def _products(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's cells, the products of its ranges ``first[r, a] +
+    arange(count[r, a])`` over the axes a: each cell's row and indices, rows in
+    order and a row's cells lexicographic."""
+    rows, cells = np.arange(len(first)), np.zeros((len(first), 0), dtype=int)
+    for axis in range(first.shape[1]):
+        c = count[rows, axis]
+        pick = np.repeat(np.arange(rows.size), c)
+        rows = rows[pick]
+        cells = np.c_[cells[pick], first[rows, axis] + np.arange(pick.size) - (np.cumsum(c) - c)[pick]]
+    return rows, cells
+
+
+def _cell_dbscan(points: np.ndarray, eps: float, min_samples: int, first: np.ndarray, stop: np.ndarray):
+    """:func:`dbscan` in every cover cell at once, point p lying in intervals
+    ``first[p, a]`` to ``stop[p, a] - 1`` of lens axis a. A pair counts in each
+    cell holding both ends. Returns the point and label of each (cell, point)
+    key: the rank, in (cell, point) order, of its cluster's first core key, or -1."""
+    count = stop - first
+    key_point, cells = _products(first, count)
+    # Point p's keys run lexicographically from base[p]: (cell, p) is base[p] + (cell - first[p]) . stride[p].
+    base = np.searchsorted(key_point, np.arange(len(first)))
+    stride = np.c_[np.cumprod(count[:, :0:-1], axis=1)[:, ::-1], np.ones(len(first), dtype=int)]
+    i, j = cKDTree(points).query_pairs(eps, output_type="ndarray").reshape(-1, 2).T
+    lo = np.maximum(first[i], first[j])
+    pair, shared = _products(lo, np.maximum(np.minimum(stop[i], stop[j]) - lo, 0))
+    a, b = (base[p] + ((shared - first[p]) * stride[p]).sum(axis=1) for p in (i[pair], j[pair]))
+    n_keys = key_point.size
+    core = np.bincount(np.r_[a, b], minlength=n_keys) + 1 >= min_samples
+    rank = np.empty(n_keys, dtype=int)
+    rank[np.lexsort((key_point, *cells.T[::-1]))] = np.arange(n_keys)
+    both = core[a] & core[b]
+    n_comp, comp = connected_components(sp.coo_matrix((np.ones(both.sum()), (a[both], b[both])), (n_keys, n_keys)))
+    lead = np.full(n_comp, n_keys)
+    np.minimum.at(lead, comp[core], rank[core])
+    labels = np.where(core, lead[comp], n_keys)
+    for x, y in ((a, b), (b, a)):  # a border key joins the lowest-id cluster among its core neighbors
+        reach = core[x] & ~core[y]
+        np.minimum.at(labels, y[reach], labels[x[reach]])
+    labels[labels == n_keys] = -1
+    return key_point, labels
 
 
 def third_neighbor_eps(points: np.ndarray, factor: float = 1.5) -> float:
@@ -156,30 +176,22 @@ def mapper_graph(cloud: PointCloud, params: MapperParams = MapperParams()) -> Mu
     distinct = np.unique(cloud.points, axis=0)
     eps = (len(distinct) > 1 and third_neighbor_eps(distinct, params.eps_factor)) or 1.0
 
-    mins = lens.min(axis=0)
-    maxs = lens.max(axis=0)
+    # Point p lies in intervals first[p, a] to stop[p, a] - 1 of axis a, those
+    # with lo <= lens[p, a] <= hi; both bounds rise with the interval.
+    mins, maxs = lens.min(axis=0), lens.max(axis=0)
     widths = (maxs - mins) / params.n_intervals
     pad = params.overlap * widths
+    idx = np.arange(params.n_intervals)[:, None]
+    lo, hi = mins + idx * widths - pad, mins + (idx + 1) * widths + pad
+    first = np.array([np.searchsorted(bound, x) for bound, x in zip(hi.T, lens.T)]).T
+    stop = np.array([np.searchsorted(bound, x, side="right") for bound, x in zip(lo.T, lens.T)]).T
+    key_point, labels = _cell_dbscan(cloud.points, eps, params.min_samples, first, stop)
 
-    members_by_cell: list[np.ndarray] = []
-    for cell in itertools.product(range(params.n_intervals), repeat=d_lens):
-        mask = np.ones(cloud.n, dtype=bool)
-        for axis, idx in enumerate(cell):
-            lo = mins[axis] + idx * widths[axis] - pad[axis]
-            hi = mins[axis] + (idx + 1) * widths[axis] + pad[axis]
-            mask &= (lens[:, axis] >= lo) & (lens[:, axis] <= hi)
-        if mask.any():
-            members_by_cell.append(np.flatnonzero(mask))
-
-    node_members: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for members in members_by_cell:
-        labels = dbscan(cloud.points[members], eps, params.min_samples)
-        for cluster_id in range(labels.max() + 1 if labels.size else 0):
-            member_set = tuple(members[labels == cluster_id].tolist())
-            if member_set and member_set not in seen:
-                seen.add(member_set)
-                node_members.append(member_set)
+    # Clusters in node order (by cell, then by smallest core member), each
+    # member set kept at its first cluster.
+    order = np.lexsort((key_point, labels))[np.count_nonzero(labels < 0) :]
+    clusters = np.split(key_point[order], np.flatnonzero(np.diff(labels[order])) + 1)
+    node_members = [m for m in dict.fromkeys(tuple(c.tolist()) for c in clusters) if m]
 
     n_nodes = len(node_members)
     if n_nodes == 0:

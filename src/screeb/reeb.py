@@ -294,14 +294,17 @@ def _sweep(
         at_top = (count > 0) & (b[v0:v1] >= s1)
         block_top[at_top] = node[stop[at_top] - 1]
 
-    # One mean over all nodes of a size sums each node's rows in touched
-    # order, exactly as ``pts[members].mean(axis=0)`` does.
+    # One sum over all nodes of a size keeps the bits of ``pts[members].mean(axis=0)``: numpy
+    # sums pairwise along a contiguous axis (dim == 1) and sequentially along any other.
     sizes = np.concatenate(sizes)
     offsets = np.cumsum(sizes) - sizes
     centroids = np.empty((n_nodes, pts.shape[1]))
     for size in np.unique(sizes):
         ids = np.flatnonzero(sizes == size)
-        centroids[ids] = pts[members[offsets[ids, None] + np.arange(size)]].mean(axis=1)
+        if pts.shape[1] == 1:  # node-major
+            centroids[ids] = pts[members[offsets[ids, None] + np.arange(size)]].mean(axis=1)
+        else:  # position-major: one (nodes, dim) slab added per position
+            centroids[ids] = pts[members[offsets[ids] + np.arange(size)[:, None]]].sum(axis=0) / size
     down, gap = np.divmod(np.concatenate(joins), n)
     return centroids, down, down + gap, np.concatenate(slices)
 

@@ -222,12 +222,13 @@ def test_mapper_duplicated_cloud_scale_invariant(rng, monkeypatch):
     # with the data.
     base = circle_cloud(rng, n=100).points
     radii = []
+    cell_dbscan = mapper_module._cell_dbscan
 
-    def recording_dbscan(points, eps, min_samples):
+    def recording_cell_dbscan(points, eps, *args):
         radii.append(eps)
-        return dbscan(points, eps, min_samples)
+        return cell_dbscan(points, eps, *args)
 
-    monkeypatch.setattr(mapper_module, "dbscan", recording_dbscan)
+    monkeypatch.setattr(mapper_module, "_cell_dbscan", recording_cell_dbscan)
     shapes = []
     for scale in (1e-3, 1e3):
         radii.clear()
@@ -285,10 +286,12 @@ def test_mapper_membership_invariants(rng):
     assert covered | noise == set(range(cloud.n))
 
 
-def dict_nerve_mapper(cloud, params=MapperParams()):
+def dict_nerve_mapper(cloud, params=MapperParams(), cluster=dbscan):
     """``mapper_graph`` with its nerve taken pair by pair: a dict from each
     point to the nodes that hold it, and every pair of those nodes. The
-    cover, the clusters and the node order are ``mapper_graph``'s own."""
+    cover, the node order and, with ``cluster=dbscan``, the clusters are
+    ``mapper_graph``'s own; each cover cell is built from its own mask and
+    clustered on its own by ``cluster``."""
     d_lens = params.resolve_d_lens(cloud.n, cloud.dim)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -308,7 +311,7 @@ def dict_nerve_mapper(cloud, params=MapperParams()):
         members = np.flatnonzero(mask)
         if not members.size:
             continue
-        labels = dbscan(cloud.points[members], eps, params.min_samples)
+        labels = cluster(cloud.points[members], eps, params.min_samples)
         for cluster_id in range(labels.max() + 1):
             member_set = tuple(members[labels == cluster_id].tolist())
             if member_set not in seen:
@@ -330,13 +333,20 @@ def dict_nerve_mapper(cloud, params=MapperParams()):
     return reduce(Multigraph.from_arrays(len(node_members), a, b, lengths, positions=centroids))
 
 
+def reference_mapper(cloud, params=MapperParams()):
+    """Mapper from a mask per cover cell, :func:`brute_force_dbscan` on each
+    cell and the pairwise nerve: no tree, pair query or labelling of
+    ``mapper_graph``'s."""
+    return dict_nerve_mapper(cloud, params, cluster=brute_force_dbscan)
+
+
 @st.composite
-def clouds_with_copies(draw):
+def clouds_with_copies(draw, scales=(0.25, 1.0, 1e3)):
     """Points on a coarse grid (so coordinates tie), some of them repeated."""
     dim = draw(st.integers(1, 4))
     base = draw(st.lists(st.lists(st.integers(-12, 12), min_size=dim, max_size=dim), min_size=2, max_size=70))
     copies = draw(st.lists(st.integers(0, len(base) - 1), max_size=30))
-    scale = draw(st.sampled_from([0.25, 1.0, 1e3]))
+    scale = draw(st.sampled_from(scales))
     return PointCloud(scale * np.array(base + [base[i] for i in copies], dtype=float))
 
 
@@ -345,3 +355,40 @@ def clouds_with_copies(draw):
 def test_sparse_nerve_matches_pairwise_nerve(cloud, n_intervals, overlap):
     params = MapperParams(n_intervals=n_intervals, overlap=overlap)
     assert graph_to_json(mapper_graph(cloud, params)) == graph_to_json(dict_nerve_mapper(cloud, params))
+
+
+@given(clouds_with_copies(), st.integers(1, 8), st.sampled_from([0.0, 0.2, 0.35, 0.6]), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_mapper_matches_per_cell_brute_force_reference(cloud, n_intervals, overlap, d_lens):
+    # Grid clouds tie coordinates and put pairs exactly at the radius; copies make coincident points.
+    params = MapperParams(n_intervals=n_intervals, overlap=overlap, d_lens=min(d_lens, cloud.dim))
+    assert graph_to_json(mapper_graph(cloud, params)) == graph_to_json(reference_mapper(cloud, params))
+
+
+@given(clouds_with_copies(scales=(1.0,)), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_dbscan_matches_oracle_with_ties_and_copies(cloud, eps, min_samples):
+    # Integer points: many pairs sit exactly at an integer radius.
+    labels = dbscan(cloud.points, eps, min_samples)
+    assert labels.tolist() == brute_force_dbscan(cloud.points, eps, min_samples).tolist()
+
+
+def test_many_cell_cover_matches_reference_in_memory_free_of_the_cell_count(rng):
+    # 40 intervals on 3 lens axes make 64 000 cells, nearly all empty. The peak
+    # is about 2 MB and falls as cells get more and smaller; a table of cells x
+    # points would take 128 MB of booleans at n = 2000.
+    import tracemalloc
+
+    params = MapperParams(n_intervals=40, d_lens=3)
+    cloud = PointCloud(rng.normal(size=(2000, 3)) * [3.0, 2.0, 1.0])
+    sub = PointCloud(cloud.points[:800])
+    want = reference_mapper(sub, params)
+    assert want.n_vertices > 10 and graph_to_json(mapper_graph(sub, params)) == graph_to_json(want)
+    tracemalloc.start()
+    try:
+        g = mapper_graph(cloud, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n_vertices > 0
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
