@@ -88,7 +88,8 @@ def dbscan(points: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     """Density-based clustering; returns per-point labels with noise = -1.
 
     Core points have at least ``min_samples`` neighbors within ``eps``
-    (inclusive, counting the point itself); clusters are connected
+    (inclusive, counting the point itself; a pair is within ``eps`` when its
+    squared distance is at most ``eps**2``, the kd-tree's rule); clusters are connected
     components of core points plus reachable border points. Cluster ids are
     assigned by smallest core index, and a border point reachable from
     several clusters joins the lowest-id one.

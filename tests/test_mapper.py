@@ -29,10 +29,13 @@ from conftest import circle_cloud, disk_points
 
 def brute_force_dbscan(points, eps, min_samples):
     """Reachability oracle: core sets from pairwise distances, clusters as
-    transitive closure over cores, border points to the lowest cluster id."""
+    transitive closure over cores, border points to the lowest cluster id.
+    Like the kd-tree, it compares squared distances with eps**2, which can
+    differ from ``distance <= eps`` at an exact tie (6000*sqrt(2) against
+    1.5 * 4000*sqrt(2))."""
     n = len(points)
-    d = squareform(pdist(points)) if n > 1 else np.zeros((n, n))
-    neighbors = [set(np.flatnonzero(d[i] <= eps).tolist()) for i in range(n)]
+    d = squareform(pdist(points, "sqeuclidean")) if n > 1 else np.zeros((n, n))
+    neighbors = [set(np.flatnonzero(d[i] <= eps * eps).tolist()) for i in range(n)]
     core = [len(neighbors[i]) >= min_samples for i in range(n)]
     labels = [-1] * n
     cluster = 0
@@ -361,7 +364,8 @@ def test_sparse_nerve_matches_pairwise_nerve(cloud, n_intervals, overlap):
 @settings(max_examples=200, deadline=None)
 def test_mapper_matches_per_cell_brute_force_reference(cloud, n_intervals, overlap, d_lens):
     # Grid clouds tie coordinates and put pairs exactly at the radius; copies make coincident points.
-    params = MapperParams(n_intervals=n_intervals, overlap=overlap, d_lens=min(d_lens, cloud.dim))
+    # A PCA lens has at most min(n, dim) axes; more is refused by both graphs alike.
+    params = MapperParams(n_intervals=n_intervals, overlap=overlap, d_lens=min(d_lens, cloud.n, cloud.dim))
     assert graph_to_json(mapper_graph(cloud, params)) == graph_to_json(reference_mapper(cloud, params))
 
 
