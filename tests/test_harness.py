@@ -417,6 +417,32 @@ def test_evaluate_malformed_graph_excluded(small_bench, small_run, tmp_path):
     assert doc["error"].endswith("9007199254740992 edge copies: a diagram takes at most 4194304")
 
 
+def test_evaluate_excludes_failed_and_missing_samples(small_bench, small_run, tmp_path):
+    # One mapper sample failed in the run; another's graph.json is gone. Each
+    # results.json carries its run status and error and no score, and both count.
+    broken_run = tmp_path / "broken"
+    shutil.copytree(small_run, broken_run)
+    manifest_path = broken_run / "mapper" / "run_manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["samples"]["00000"].update(status="error", error="RuntimeError: boom")
+    manifest_path.write_text(json.dumps(manifest))
+    (broken_run / "mapper" / "00001" / "graph.json").unlink()
+    out = tmp_path / "results"
+    assert cmd_evaluate(str(small_bench), str(broken_run), str(out)) == 0
+    for sid in ("00000", "00001"):
+        doc = json.loads((out / "mapper" / sid / "results.json").read_text())
+        run_status = manifest["samples"][sid]
+        assert (doc["status"], doc["error"]) == (run_status["status"], run_status.get("error"))
+        assert doc["timing_ms"] == run_status["timing_ms"]
+        assert "wasserstein_similarity" not in doc and "ged" not in doc
+    table = json.loads((out / "evaluate.json").read_text())["table"]
+    assert {m: row["excluded"] for m, row in table.items()} == {"screeb": 0, "screebtower": 0, "mapper": 2}
+    csv = (out / "aggregate.csv").read_text().strip().splitlines()
+    assert csv[3] == "excluded," + ",".join("2" if m == "mapper" else "0" for m in csv[0].split(",")[1:])
+    scored = [json.loads((out / "mapper" / sid / "results.json").read_text()) for sid in ("00002", "00003")]
+    assert table["mapper"]["ged"] == np.mean([d["ged"] for d in scored])
+
+
 # -- report ----------------------------------------------------------------------
 
 
