@@ -36,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import PointCloud, load_points_csv, save_points_csv
-from .graph import Multigraph, _is_number, graph_to_json, load_graph, save_graph
+from .geometry import load_points_csv, save_points_csv
+from .graph import _is_number, graph_to_json, load_graph, save_graph
 from .mapper import MapperParams, mapper_graph
 from .metrics import check_diagram_size, compare
 from .reeb import ReebParams, screeb, screeb_tower
@@ -45,6 +45,7 @@ from .synthgen import GeneratorConfig, SyntheticSample, generate_sample
 
 FORMAT_VERSION = 1
 KNOWN_METHODS = ("screeb", "screebtower", "mapper")
+_SCORES = ("wasserstein_similarity", "ged")  # averaged in evaluate.json's table, listed in stratified.csv
 
 
 @dataclass(frozen=True)
@@ -269,24 +270,6 @@ class _SharedWork:
         return value
 
 
-def _run_method_on_cloud(
-    method: str, cloud: PointCloud, params, level: Optional[int], shared: _SharedWork
-) -> tuple[Multigraph, dict, list[tuple[str, Multigraph]]]:
-    """Runs one of ``KNOWN_METHODS`` with its ``params``; returns (scored
-    graph, status fields, extra per-level outputs)."""
-    if method == "mapper":
-        return mapper_graph(cloud, params), {}, []
-    # The tower's level 0 is screeb's graph, so parameters that differ only
-    # in levels share it; ``screeb`` itself reads no ``levels``.
-    base = shared.get(replace(params, levels=0), lambda: screeb(cloud, params))
-    if method == "screeb":
-        return base, {"tower_level": 0}, []
-    tower = screeb_tower(cloud, params, base=base)
-    scored = params.levels if level is None else level  # RunConfig checked it
-    extras = [(f"level_{i}.json", tower.graph(i)) for i in range(len(tower))]
-    return tower.graph(scored), {"tower_level": scored}, extras
-
-
 def _run_method(
     method: str, sample_dir: Path, out: Path, params, level: Optional[int], shared: _SharedWork
 ) -> dict:
@@ -295,22 +278,26 @@ def _run_method(
         src = Path(method.split(":", 1)[1]) / sample_dir.name / "graph.json"
         if not src.exists():
             return {"status": "missing", "error": f"no graph.json at {src}"}
-        g = load_graph(src)  # validate before copying
-        save_graph(g, out / "graph.json")
+        save_graph(load_graph(src), out / "graph.json")  # validate before copying
         return {"status": "ok"}
     cloud = shared.get("points.csv", lambda: load_points_csv(sample_dir / "points.csv"))
-    g, fields_, extras = _run_method_on_cloud(method, cloud, params, level, shared)
-    for fname, extra_graph in extras:
-        save_graph(extra_graph, out / fname)
-    if extras:
-        tower_doc = {
-            "levels": len(extras),
-            "files": [fname for fname, _ in extras],
-            "scored_level": fields_.get("tower_level"),
-        }
-        _write(out / "tower.json", tower_doc)
-    save_graph(g, out / "graph.json")
-    return {"status": "ok", **fields_}
+    if method == "mapper":
+        save_graph(mapper_graph(cloud, params), out / "graph.json")
+        return {"status": "ok"}
+    # The tower's level 0 is screeb's graph, so parameters that differ only
+    # in levels share it; ``screeb`` itself reads no ``levels``.
+    base = shared.get(replace(params, levels=0), lambda: screeb(cloud, params))
+    if method == "screeb":
+        save_graph(base, out / "graph.json")
+        return {"status": "ok", "tower_level": 0}
+    tower = screeb_tower(cloud, params, base=base)
+    scored = params.levels if level is None else level  # RunConfig checked it
+    files = [f"level_{i}.json" for i in range(len(tower))]
+    for i, fname in enumerate(files):
+        save_graph(tower.graph(i), out / fname)
+    _write(out / "tower.json", {"levels": len(files), "files": files, "scored_level": scored})
+    save_graph(tower.graph(scored), out / "graph.json")
+    return {"status": "ok", "tower_level": scored}
 
 
 def _run_sample(args) -> tuple[str, dict[str, dict]]:
@@ -387,13 +374,10 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
             raise ConfigError(f"latent graph {path}: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sims: dict[str, list[float]] = {m: [] for m in methods}
-    geds: dict[str, list[float]] = {m: [] for m in methods}
-    excluded = dict.fromkeys(methods, 0)
+    scored: dict[str, list[dict]] = {m: [] for m in methods}  # each method's comparisons, as score dicts
     for sid in manifest["sample_ids"]:
         for method, mdirname in methods.items():
             status = run_statuses[method].get(sid, {"status": "missing"})
-            sample_out = out / mdirname / sid
             result_doc: dict = {
                 "sample_id": sid,
                 "method": method,
@@ -402,38 +386,29 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
             }
             graph_path = Path(run_dir) / mdirname / sid / "graph.json"
             if status.get("status") != "ok" or not graph_path.exists():
-                excluded[method] += 1
                 result_doc["status"] = status.get("status", "missing")
                 result_doc["error"] = status.get("error")
             else:
                 try:
                     comparison = compare(load_graph(graph_path), latents[sid])  # refuses more edge copies than a diagram takes
                 except (ValueError, OSError, KeyError) as exc:
-                    excluded[method] += 1
                     result_doc["status"] = "error"
                     result_doc["error"] = f"malformed graph.json: {exc}"
                 else:
-                    result_doc.update(comparison.to_dict())
-                    result_doc["status"] = "ok"
-                    result_doc["diagram"] = comparison.diagram_s.to_dict()
-                    result_doc["requested"] = requested[sid]
-                    sims[method].append(comparison.wasserstein_similarity)
-                    geds[method].append(comparison.ged)
+                    scores = comparison.to_dict()
+                    scored[method].append(scores)
+                    result_doc.update(scores, status="ok", diagram=comparison.diagram_s.to_dict(), requested=requested[sid])
+            sample_out = out / mdirname / sid
             sample_out.mkdir(parents=True, exist_ok=True)
             _write(sample_out / "results.json", result_doc)
     table: dict[str, dict[str, float]] = {
-        m: {
-            "wasserstein_similarity": float(np.mean(sims[m])) if sims[m] else float("nan"),
-            "ged": float(np.mean(geds[m])) if geds[m] else float("nan"),
-            "excluded": float(excluded[m]),
-        }
-        for m in methods
+        m: {k: float(np.mean([c[k] for c in cs])) if cs else float("nan") for k in _SCORES}
+        | {"excluded": float(len(manifest["sample_ids"]) - len(cs))}  # failed, missing or malformed
+        for m, cs in scored.items()
     }
-    method_names = list(methods)
-    lines = ["metric," + ",".join(method_names)]
-    for metric in ("wasserstein_similarity", "ged", "excluded"):
-        cells = [_fmt_cell(table[m][metric]) for m in method_names]
-        lines.append(f"{metric}," + ",".join(cells))
+    lines = ["metric," + ",".join(methods)]
+    for metric in (*_SCORES, "excluded"):
+        lines.append(f"{metric}," + ",".join(_fmt_cell(table[m][metric]) for m in methods))
     _write(out / "aggregate.csv", lines)
     _write(out / "evaluate.json", {"methods": {m: methods[m] for m in methods}, "table": table})
     return 0
@@ -461,33 +436,20 @@ def cmd_report(results_dir: str, out_path: Optional[str] = None) -> int:
     if not rows:
         print("no results")
         return 1
-    methods, scores = sorted({r["method"] for r in rows}), ("wasserstein_similarity", "ged", "excluded")
-    if not all(isinstance(table.get(m, {}).get(k), (int, float)) for m in methods for k in scores):
+    methods = sorted({r["method"] for r in rows})
+    if not all(isinstance(table.get(m, {}).get(k), (int, float)) for m in methods for k in (*_SCORES, "excluded")):
         raise ConfigError(f"evaluation summary {eval_path} must hold a table row of numbers for each of {methods}")
     print("metric".ljust(28) + "".join(m.rjust(18) for m in methods))
-    for metric in scores[:2]:
+    for metric in _SCORES:
         cells = ["n/a" if np.isnan(table[m][metric]) else f"{table[m][metric]:.4f}" for m in methods]
         print(metric.ljust(28) + "".join(c.rjust(18) for c in cells))
     print("excluded".ljust(28) + "".join(str(int(table[m]["excluded"])).rjust(18) for m in methods))
 
     strat_path = Path(out_path) if out_path else results_root / "stratified.csv"
-    header = "sample_id,method,noise_ratio,separation,density,thickness,wasserstein_similarity,ged"
-    lines = [header]
+    columns = ("noise_ratio", "separation", "density", "thickness", *_SCORES)  # the difficulty coordinates, then scores
+    lines = [",".join(("sample_id", "method", *columns))]
     for r in sorted(rows, key=lambda r: (r["method"], r["sample_id"])):
-        req = r.get("requested", {})
-        lines.append(
-            ",".join(
-                [
-                    r["sample_id"],
-                    r["method"],
-                    _fmt_cell(req.get("noise_ratio", float("nan"))),
-                    _fmt_cell(req.get("separation", float("nan"))),
-                    _fmt_cell(req.get("density", float("nan"))),
-                    _fmt_cell(req.get("thickness", float("nan"))),
-                    _fmt_cell(r.get("wasserstein_similarity", float("nan"))),
-                    _fmt_cell(r.get("ged", float("nan"))),
-                ]
-            )
-        )
+        values = {**r.get("requested", {}), **r}
+        lines.append(",".join([r["sample_id"], r["method"], *(_fmt_cell(values.get(c, float("nan"))) for c in columns)]))
     _write(strat_path, lines)
     return 0
