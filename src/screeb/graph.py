@@ -249,7 +249,8 @@ def reduce(g: Multigraph) -> Multigraph:  # noqa: A001 - module-level name is th
     steps = ahead.nonzero()[0]
     steps = steps[np.lexsort((np.where(cycle, entry.repeat(2), -left)[steps], group[steps]))]
     heads = np.concatenate(([True], group[steps[1:]] != group[steps[:-1]]))
-    sums = _running_sums(g.length[entry[steps >> 1]], heads)
+    with np.errstate(over="ignore"):  # the check below refuses a sum that overflowed
+        sums = _running_sums(g.length[entry[steps >> 1]], heads)
     head = steps[heads]
     ring = cycle[head]
     sums[ring] += 0.0  # a cycle's sum starts from 0.0

@@ -135,7 +135,7 @@ def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> floa
 
 def persistence_similarity(distance: float) -> float:
     """Convert a diagram distance into a similarity in (0, 1]: 1 / (1 + d)."""
-    if distance < 0:
+    if not distance >= 0:  # NaN too
         raise ValueError("distance must be non-negative")
     return 1.0 / (1.0 + distance)
 

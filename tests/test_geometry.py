@@ -69,6 +69,14 @@ def test_cloud_rejects_nonfinite():
         PointCloud(np.array([[0.0], [np.inf]]))
 
 
+@pytest.mark.parametrize(
+    "points, message", [(np.zeros(5), "points must be a 2-D array"), (np.zeros((0, 2)), "must have n >= 1 and m >= 1")]
+)
+def test_cloud_refuses_arrays_that_hold_no_cloud(points, message):
+    with pytest.raises(InvalidDataError, match=message):
+        PointCloud(points)
+
+
 def test_cloud_immutable():
     cloud = PointCloud(np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -76,6 +84,11 @@ def test_cloud_immutable():
 
 
 # -- knn_graph -------------------------------------------------------------------
+
+
+def test_knn_refuses_k_below_one():
+    with pytest.raises(ValueError, match="k must be positive"):
+        knn_graph(PointCloud(np.arange(6.0).reshape(3, 2)), 0)
 
 
 def test_knn_line_three_points():
@@ -282,6 +295,12 @@ def test_row_dots_match_linalg_norm_bitwise(rng, dim):
 
 
 # -- adaptive_affinity --------------------------------------------------------
+
+
+def test_affinity_refuses_a_neighbor_graph_of_another_cloud(rng):
+    cloud, other = PointCloud(rng.normal(size=(20, 2))), PointCloud(rng.normal(size=(25, 2)))
+    with pytest.raises(InvalidDataError, match="neighbor graph does not match the point cloud"):
+        adaptive_affinity(cloud, knn_graph(other, 5), 3)
 
 
 def test_affinity_two_points_exp_minus_one():
@@ -877,6 +896,8 @@ def test_filter_of_ids_short_of_a_component_uses_full_row_degrees(rng, monkeypat
 def test_condense_t0_identity(rng):
     cloud = PointCloud(rng.normal(size=(30, 2)))
     assert condense(cloud, 5, 0, 5) is cloud
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        condense(cloud, 5, -1, 5)
 
 
 def test_condense_preserves_row_count(rng):

@@ -1,6 +1,7 @@
 """Multigraph core: components, Betti numbers, reduction, serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,19 @@ def theta_graph():
 def test_edges_canonicalized():
     g = Multigraph(3, (Edge(2, 0, 1.0), Edge(0, 2, 1.0), Edge(1, 0, 0.5)))
     assert g.edges == (Edge(0, 1, 0.5, 1), Edge(0, 2, 1.0, 2))
+
+
+@pytest.mark.parametrize(
+    "n, positions, message",
+    [
+        (-1, None, "vertex count must be non-negative"),
+        (3, np.zeros((2, 2)), "positions must be a finite"),
+        (3, np.zeros(3), "positions must be a finite"),
+    ],
+)
+def test_multigraph_refuses_bad_vertex_counts_and_positions(n, positions, message):
+    with pytest.raises(ValueError, match=message):
+        Multigraph(n, (), positions)
 
 
 def test_invalid_edges_rejected():
@@ -312,6 +326,16 @@ def test_reduce_keeps_multiplicity_whole():
     r = graphmod.reduce(Multigraph(3, (Edge(0, 1, 0.7, 2), Edge(0, 2, 1.5))))
     assert r.n_vertices == 2
     assert r.edges == (Edge(0, 0, 1.4, 1), Edge(0, 1, 1.5, 1))
+
+
+@pytest.mark.parametrize("edges", [(Edge(0, 1, 1.7e308), Edge(1, 2, 1.7e308)), (Edge(0, 1, 1.7e308, 2),)])
+def test_reduce_refuses_a_chain_longer_than_float64_without_a_warning(edges):
+    # A path through a degree-2 vertex, and a cycle of two parallel copies.
+    g = Multigraph(max(max(e.u, e.v) for e in edges) + 1, edges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="a contracted chain is longer than float64 holds"):
+            graphmod.reduce(g)
 
 
 # -- serialization ------------------------------------------------------------

@@ -23,6 +23,7 @@ from screeb.harness import (
     cmd_report,
     cmd_run,
     load_sample,
+    read_json,
     read_manifest,
 )
 
@@ -113,6 +114,11 @@ def test_generate_force_through_symlinked_output(tmp_path):
     assert cmd_generate(None, 2, 1, str(link), force=True) == 0
     assert link.is_symlink() and link.resolve() == target.resolve()
     assert sorted(p.name for p in target.iterdir()) == ["00000", "00001", "manifest.json"]
+
+
+def test_read_json_refuses_a_missing_file(tmp_path):
+    with pytest.raises(ConfigError, match=f"config file not found at {re.escape(str(tmp_path / 'none.json'))}"):
+        read_json(tmp_path / "none.json")
 
 
 def test_generate_invalid_config_names_field(tmp_path):

@@ -109,6 +109,11 @@ def test_lens_one_dimensional_identity(rng):
     )
 
 
+def test_lens_refuses_more_axes_than_the_cloud_has(rng):
+    with pytest.raises(ValueError, match=r"d_lens must satisfy 1 <= d_lens <= min\(n, m\)"):
+        pca_lens(PointCloud(rng.normal(size=(10, 2))), 3)
+
+
 def test_lens_rank_deficient_pads_zero():
     x = np.zeros((20, 3))
     x[:, 0] = np.linspace(0, 1, 20)
@@ -145,6 +150,12 @@ def test_lens_sign_deterministic(rng):
 
 
 # -- dbscan ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("eps", [0, -1.0])
+def test_dbscan_refuses_a_radius_that_is_not_positive(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        dbscan(np.zeros((3, 2)), eps=eps, min_samples=2)
 
 
 def test_dbscan_coincident_points_single_cluster():
@@ -190,6 +201,11 @@ def test_eps_rule_regular_simplex():
     d = pdist(simplex)
     assert np.allclose(d, c)
     assert third_neighbor_eps(simplex) == pytest.approx(1.5 * c)
+
+
+def test_eps_rule_refuses_a_single_point():
+    with pytest.raises(ValueError, match="radius rule requires at least two points"):
+        third_neighbor_eps(np.zeros((1, 2)))
 
 
 # -- mapper_graph ----------------------------------------------------------------

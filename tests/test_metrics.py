@@ -172,6 +172,19 @@ def test_diagram_triangle_by_hand():
     assert d.h1_births.tolist() == [1.0]
 
 
+@pytest.mark.parametrize(
+    "deaths, essential, births, message",
+    [
+        ([np.nan], 1, [], "H0 deaths must be finite and non-negative"),
+        ([], 1, [-1.0], "H1 births must be finite and non-negative"),
+        ([], -1, [], "essential count must be non-negative"),
+    ],
+)
+def test_diagram_refuses_bad_entries(deaths, essential, births, message):
+    with pytest.raises(ValueError, match=message):
+        PersistenceDiagram(np.array(deaths), essential, np.array(births))
+
+
 def test_diagram_single_vertex():
     d = edge_length_diagram(Multigraph(1, ()))
     assert d.h0_deaths.size == 0 and d.h1_births.size == 0
@@ -323,8 +336,9 @@ def test_similarity_values():
     assert persistence_similarity(0.0) == 1.0
     assert persistence_similarity(1.0) == 0.5
     assert persistence_similarity(3.0) == 0.25
-    with pytest.raises(ValueError):
-        persistence_similarity(-0.1)
+    for distance in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="distance must be non-negative"):
+            persistence_similarity(distance)
 
 
 # -- approx_ged -----------------------------------------------------------------

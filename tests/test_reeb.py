@@ -43,6 +43,10 @@ def test_params_validation():
         ReebParams(levels=-1)
     with pytest.raises(ValueError):
         ReebParams(t=0)
+    with pytest.raises(ValueError, match="k_smooth must be >= 2"):
+        ReebParams(k_smooth=1)
+    with pytest.raises(ValueError, match="k_bw must be >= 1"):
+        ReebParams(k_bw=0)
     for k_smooth, k_bw in ((10, 11), (None, 81)):
         with pytest.raises(ValueError, match="k_bw must not exceed k_smooth"):
             ReebParams(k_smooth=k_smooth, k_bw=k_bw)
@@ -118,6 +122,12 @@ def test_reeb_monotone_hamiltonian_filter_single_edge(rng):
     g = graphmod.reduce(reeb_graph(nbrs, t, cloud))
     assert g.n_vertices == 2
     assert g.edge_count() == 1
+
+
+def test_reeb_refuses_a_filter_of_another_length():
+    cloud = PointCloud(np.arange(8.0).reshape(4, 2))
+    with pytest.raises(ValueError, match="filter must assign one value per vertex"):
+        reeb_graph(knn_graph(cloud, 2), np.arange(3.0), cloud)
 
 
 def test_reeb_rejects_disconnected_neighbor_graph():

@@ -135,6 +135,19 @@ def test_config_refuses_values_a_draw_would_fail_on(doc, field):
         GeneratorConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"class_probs": {"tree": 1.0}}, "class_probs must cover exactly"),
+        ({"dim_probs": {2: 0.5, 7: 0.5}}, "dim_probs keys must lie in"),
+        ({"component_prob": 1.5}, r"component_prob must lie in \[0, 1\]"),
+    ],
+)
+def test_config_refuses_tables_and_probabilities_out_of_their_domain(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        GeneratorConfig(**kwargs)
+
+
 def test_config_keeps_values_no_draw_reads():
     # One cycle per component is drawable when multi_cycle never is, and short
     # cycles are when no class draws a cycle.
@@ -306,6 +319,11 @@ def embedded(g, cfg, rng, dim=2):
         tuple(Edge(e.u, e.v, float(np.linalg.norm(pos[e.u] - pos[e.v])), e.multiplicity) for e in g.edges),
         pos,
     )
+
+
+def test_sample_point_cloud_refuses_a_graph_without_positions(rng):
+    with pytest.raises(InvalidDataError, match="sample_point_cloud requires an embedded graph"):
+        sample_point_cloud(Multigraph(2, (Edge(0, 1, 1.0),)), GeneratorConfig(), rng, DifficultyCoords(0.05, 0.0, 10.0, 0.5))
 
 
 def test_sample_point_cloud_rejects_empty_graph(rng):
