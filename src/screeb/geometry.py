@@ -357,10 +357,8 @@ def transition_matrix(affinity: sp.csr_matrix) -> sp.csr_matrix:
 
 def affinity_components(affinity: sp.csr_matrix) -> list[np.ndarray]:
     """Connected components of the affinity graph (stored zeros included), ordered by smallest id."""
-    _, labels = _cs_components(affinity, directed=False)
-    out = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    out.sort(key=lambda idx: idx[0])
-    return out
+    _, labels = _cs_components(affinity, directed=False)  # numbered as the scan meets each smallest id
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
 
 
 def fiedler_filter(affinity: sp.csr_matrix, component: np.ndarray) -> np.ndarray:

@@ -579,10 +579,9 @@ def _rotate2(vec: np.ndarray, angle: float) -> np.ndarray:
 
 
 def _unit(vec: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """``vec`` scaled to length 1; a shorter vector than 1e-12, passed only with ``rng``, gets a random direction."""
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
-        if rng is None:
-            return np.array([1.0, 0.0])
         angle = rng.uniform(0, 2 * math.pi)
         return np.array([math.cos(angle), math.sin(angle)])
     return vec / norm
