@@ -165,6 +165,17 @@ def test_run_outputs(small_bench, small_run):
     assert tower_doc["scored_level"] == depth
 
 
+def test_run_status_fields_per_method(small_run):
+    # Only the Reeb methods name a tower level: screeb the base, the tower its scored level.
+    from screeb import ReebParams
+
+    want = {"screeb": {"tower_level": 0}, "screebtower": {"tower_level": ReebParams().levels}, "mapper": {}}
+    for method, fields in want.items():
+        samples = json.loads((small_run / method / "run_manifest.json").read_text())["samples"]
+        for st in samples.values():
+            assert {k: v for k, v in st.items() if k != "timing_ms"} == {"status": "ok", **fields}
+
+
 def test_run_rerun_byte_identical(small_bench, small_run, tmp_path):
     out2 = tmp_path / "run2"
     cfg = RunConfig(
