@@ -82,11 +82,11 @@ class PointCloud:
 
 
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (m, d) arrays. Each row is one BLAS
+    """Row-wise dot products of two (..., m, d) arrays. Each row is one BLAS
     ``ddot``, the call a 1-D ``x @ y`` or ``np.linalg.norm`` makes, so the
     values match those bit for bit; ``einsum`` or hand-expanded sums do not
     where BLAS fuses multiply-adds."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def straight_graph(u, v, positions: np.ndarray, multiplicity=None) -> Multigraph:

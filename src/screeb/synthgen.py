@@ -573,14 +573,30 @@ def _cycle_loops(g: Multigraph) -> list[list[int]]:
 # Embedding
 
 
-def _rotate2(vec: np.ndarray, angle: float) -> np.ndarray:
+def _rotate2(vec: np.ndarray, angle: float) -> tuple[float, float]:
+    """The 2-vector ``vec`` turned by ``angle``, in Python floats: their IEEE
+    products and sums are numpy's elementwise ones, without an array per
+    operation."""
     c, s = math.cos(angle), math.sin(angle)
-    return np.array([c * vec[0] - s * vec[1], s * vec[0] + c * vec[1]])
+    x, y = vec.tolist()
+    return c * x - s * y, s * x + c * y
+
+
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` for float bounds: the same draw and the same
+    bits, which numpy computes as ``lo + (hi - lo) * rng.random()``, at a
+    quarter of the call's cost. A span numpy refuses (negative, infinite or
+    NaN) goes to ``rng.uniform`` for its error."""
+    span = hi - lo
+    if not 0.0 <= span < math.inf:
+        return rng.uniform(lo, hi)
+    return lo + span * rng.random()
 
 
 def _unit(vec: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """``vec`` scaled to length 1; a shorter vector than 1e-12, passed only with ``rng``, gets a random direction."""
-    norm = np.linalg.norm(vec)
+    """``vec`` scaled to length 1; a shorter vector than 1e-12, passed only with ``rng``, gets a random direction.
+    The norm is ``np.linalg.norm``'s for a 1-D vector: one BLAS ``ddot`` and a correctly rounded square root."""
+    norm = math.sqrt(vec.dot(vec))
     if norm < 1e-12:
         angle = rng.uniform(0, 2 * math.pi)
         return np.array([math.cos(angle), math.sin(angle)])
@@ -607,30 +623,64 @@ def _segment_distances(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.nd
     """Minimum distances between segments [p1[i], p2[i]] and [q1[i], q2[i]]
     for (m, d) endpoint arrays: the clamped closed form of Ericson,
     *Real-Time Collision Detection*, 5.1.9. A segment whose squared length
-    is at most 1e-30 is a point."""
+    is at most 1e-30 is a point.
+
+    ``scalar_segment_distance`` in the tests, the formula one pair at a
+    time, pins the operation order: each distance must equal it bit for
+    bit, so a rewrite may drop array passes but not reorder a sum or fuse a
+    product. Every dot product is one BLAS ``ddot`` (``row_dots``)."""
     d1 = p2 - p1
     d2 = q2 - q1
+    return _closest_distances(p1, d1, row_dots(d1, d1), q1, d2, row_dots(d2, d2))
+
+
+def _closest_distances(p1, d1, a, q1, d2, e) -> np.ndarray:
+    """``_segment_distances`` for segments ``p1 + s * d1`` and ``q1 + t * d2``,
+    s and t in [0, 1], whose squared lengths ``a`` and ``e`` are given, so
+    that a caller with many pairs per segment computes each length once."""
     r = p1 - q1
-    a = row_dots(d1, d1)
-    e = row_dots(d2, d2)
-    f = row_dots(d2, r)
     c = row_dots(d1, r)
+    f = row_dots(d2, r)
     b = row_dots(d1, d2)
-    p_point = a <= 1e-30
-    q_point = e <= 1e-30
     # Every branch is evaluated and the degenerate ones are masked out, so
-    # their divisions by zero are expected; a NaN that ``np.clip`` keeps is
+    # their divisions by zero are expected; a NaN that ``_clamp01`` keeps is
     # overwritten through ``denom``, ``p_point`` or ``q_point``.
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = a * e - b * b
-        s = np.where(denom > 1e-30, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
+        s = _clamp01(np.where(denom > 1e-30, (b * f - c * e) / denom, 0.0))
         t = (b * s + f) / e
-        s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0), np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
-        t = np.clip(t, 0.0, 1.0)
-        s = np.where(p_point, 0.0, np.where(q_point, np.clip(-c / a, 0.0, 1.0), s))
-        t = np.where(q_point, 0.0, np.where(p_point, np.clip(f / e, 0.0, 1.0), t))
+        # Where t leaves [0, 1], s is recomputed for t clamped to 0 or 1:
+        # b * 0 - c and b * 1 - c are the oracle's -c and b - c up to the
+        # sign of a zero, which no squared gap keeps.
+        t_end = _clamp01(t)
+        s = np.where(t != t_end, _clamp01((b * t_end - c) / a), s)
+        t = t_end
+        p_point = a <= 1e-30
+        q_point = e <= 1e-30
+        if np.count_nonzero(p_point) or np.count_nonzero(q_point):
+            s = np.where(p_point, 0.0, np.where(q_point, _clamp01(-c / a), s))
+            t = np.where(q_point, 0.0, np.where(p_point, _clamp01(f / e), t))
     gap = (p1 + s[:, None] * d1) - (q1 + t[:, None] * d2)
     return np.sqrt(row_dots(gap, gap))
+
+
+def _point_segment_distances(p: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """``_segment_distances(p, p, q1, q2)`` bit for bit, the point branch
+    alone: two dot products per pair instead of six. ``p`` broadcasts
+    against the segments, so (n, 1, d) points and (k, d) ends give an (n, k)
+    matrix."""
+    d2 = q2 - q1
+    e = row_dots(d2, d2)
+    f = row_dots(d2, p - q1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(e <= 1e-30, 0.0, _clamp01(f / e))
+    gap = p - (q1 + t[..., None] * d2)  # p + 0 * 0 is p, up to the sign of a zero
+    return np.sqrt(row_dots(gap, gap))
+
+
+def _clamp01(x: np.ndarray) -> np.ndarray:
+    """``np.clip(x, 0.0, 1.0)`` without its wrapper: the same values, NaN kept."""
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def _edge_lengths(g: Multigraph, positions: np.ndarray) -> np.ndarray:
@@ -646,23 +696,29 @@ def _features(g: Multigraph) -> np.ndarray:
     return np.column_stack([np.append(g.u, isolated), np.append(g.v, isolated)])
 
 
-def _clearance_pairs(g: Multigraph) -> tuple[np.ndarray, ...]:
-    """Every pair of non-adjacent features of ``g``, as four vertex-id
-    arrays: the first feature's two ends, then the second's."""
+def _clearance_pairs(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
+    """The features of ``g`` (``_features``) and every pair of non-adjacent
+    ones, as a (2, m) array of feature ids: each pair ``i < j`` once, in
+    row-major order, read off a k x k mask of features that share no end."""
     feats = _features(g)
-    i, j = np.triu_indices(len(feats), k=1)
-    a, b = feats[i], feats[j]
-    keep = ~(a[:, :, None] == b[:, None, :]).any(axis=(1, 2))
-    a, b = a[keep], b[keep]
-    return a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    u, v = feats.T
+    ids = np.arange(len(feats))
+    apart = (ids[:, None] < ids) & (u[:, None] != u) & (u[:, None] != v) & (v[:, None] != u) & (v[:, None] != v)
+    return feats, np.array(np.nonzero(apart))
 
 
-def _pair_clearance(positions: np.ndarray, pairs: tuple[np.ndarray, ...]) -> float:
+def _pair_clearance(positions: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> float:
     """Minimum distance between the feature pairs of ``_clearance_pairs`` at
-    ``positions``; infinite when there are none."""
-    if not len(pairs[0]):
+    ``positions``; infinite when there are none. Each feature's direction
+    and squared length are computed once, not once per pair."""
+    feats, ids = pairs
+    if not ids.shape[1]:
         return math.inf
-    return float(np.min(_segment_distances(*(positions[ends] for ends in pairs))))
+    starts = positions[feats[:, 0]]
+    dirs = positions[feats[:, 1]] - starts
+    # ``np.take`` copies the same rows as fancy indexing, in a third of the time.
+    (p1, q1), (d1, d2), (a, e) = (np.take(x, ids, axis=0) for x in (starts, dirs, row_dots(dirs, dirs)))
+    return float(_closest_distances(p1, d1, a, q1, d2, e).min())
 
 
 def _min_clearance(positions: np.ndarray, g: Multigraph) -> float:
@@ -680,28 +736,29 @@ def _hole_scales(positions: np.ndarray, loops: list[list[int]]) -> list[float]:
     centroids = np.repeat([positions[loop].mean(axis=0) for loop in loops], sizes, axis=0)
     starts = [v for loop in loops for v in loop]
     ends = [v for loop in loops for v in loop[1:] + loop[:1]]
-    dists = _segment_distances(centroids, centroids, positions[starts], positions[ends])
+    dists = _point_segment_distances(centroids, positions[starts], positions[ends])
     return np.minimum.reduceat(dists, np.cumsum([0] + sizes[:-1])).tolist()
 
 
 def _place_polygon(
-    anchor_pos: np.ndarray,
+    anchor_pos: tuple[float, float],
     n_sides: int,
-    out_dir: np.ndarray,
+    out_dir: tuple[float, float],
     jitter: float,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
+) -> list[tuple[float, float]]:
     """Vertices of a regular n-gon with unit nominal side, one vertex pinned
     at ``anchor_pos``; returns the n - 1 free vertices in cycle order."""
     radius = 1.0 / (2.0 * math.sin(math.pi / n_sides))
-    center = anchor_pos + radius * out_dir
-    base_angle = math.atan2(anchor_pos[1] - center[1], anchor_pos[0] - center[0])
+    (ax, ay), (ox, oy) = anchor_pos, out_dir
+    cx, cy = ax + radius * ox, ay + radius * oy
+    base_angle = math.atan2(ay - cy, ax - cx)
     step = 2.0 * math.pi / n_sides
     pts = []
     for k in range(1, n_sides):
-        r_k = radius * (1.0 + rng.uniform(-jitter, jitter))
-        theta = base_angle + step * k + rng.uniform(-jitter, jitter) * step * 0.4
-        pts.append(center + np.array([r_k * math.cos(theta), r_k * math.sin(theta)]))
+        r_k = radius * (1.0 + _uniform(rng, -jitter, jitter))
+        theta = base_angle + step * k + _uniform(rng, -jitter, jitter) * step * 0.4
+        pts.append((cx + r_k * math.cos(theta), cy + r_k * math.sin(theta)))
     return pts
 
 
@@ -710,67 +767,87 @@ def _place_arc(a: np.ndarray, z: np.ndarray, n_interior: int, side_dir: np.ndarr
     segment lengths are close to 1."""
     n_seg = n_interior + 1
     chord = z - a
-    chord_len = float(np.linalg.norm(chord))
-    normal = _unit(side_dir - (side_dir @ _unit(chord)) * _unit(chord), rng) if chord_len > 1e-12 else _unit(side_dir, rng)
+    if math.sqrt(chord.dot(chord)) > 1e-12:  # the chord's ``np.linalg.norm``
+        along = _unit(chord)
+        normal = _unit(side_dir - (side_dir @ along) * along, rng)
+    else:
+        normal = _unit(side_dir, rng)
     # Interior vertex i sits at a + chord * (i / n_seg) + normal * h * sin(pi * i / n_seg),
     # and only h changes between bisection steps. ``math.sin``, BLAS norms and a
-    # left-to-right ``sum`` keep the bits of the point-by-point form.
+    # left-to-right ``sum`` keep the bits of the point-by-point form; every
+    # step writes into the same buffers.
     base = a + chord * np.array([i / n_seg for i in range(1, n_seg)])[:, None]
     shape = [math.sin(math.pi * i / n_seg) for i in range(1, n_seg)]
     column = np.array(shape)[:, None]
     pts = np.vstack([a, base, z])
+    interior, ahead, behind = pts[1:-1], pts[1:], pts[:-1]
+    steps = np.empty((n_seg, 2))
+    step_rows, step_cols = steps[:, None, :], steps[:, :, None]
+    lengths = np.empty((n_seg, 1, 1))
 
     def polyline_len(h: float) -> float:
-        pts[1:-1] = base + (normal * h) * column
-        steps = pts[1:] - pts[:-1]
-        return sum(np.sqrt(row_dots(steps, steps)).tolist())
+        np.add(base, np.multiply(column, normal * h, out=interior), out=interior)
+        np.subtract(ahead, behind, out=steps)
+        np.matmul(step_rows, step_cols, out=lengths)  # ``row_dots(steps, steps)``
+        return sum(np.sqrt(lengths, out=lengths).ravel().tolist())
 
     target = float(n_seg)
     lo, hi = 0.0, float(n_seg)
     if polyline_len(0.0) < target:
         lo, hi = _bisect(lambda h: not polyline_len(h) < target, lo, hi, 24)
     h = 0.5 * (lo + hi)
-    return [row + normal * (h * arch * (1.0 + rng.uniform(-jitter, jitter))) for row, arch in zip(base, shape)]
+    return [row + normal * (h * arch * (1.0 + _uniform(rng, -jitter, jitter))) for row, arch in zip(base, shape)]
 
 
-def _layout_component_2d(plan, cfg: GeneratorConfig, rng: np.random.Generator) -> dict[int, np.ndarray]:
-    """Draw one 2-D layout of a component over its ``_component_plan``."""
+def _layout_component_2d(plan, cfg: GeneratorConfig, rng: np.random.Generator) -> dict[int, tuple[float, float]]:
+    """Draw one 2-D layout of a component over its ``_component_plan``.
+
+    Positions are pairs of Python floats, whose IEEE sums, products and
+    quotients are numpy's elementwise ones; only norms go through an array,
+    for their BLAS ``ddot``. Means are sums in placement order divided by
+    the count: the bits of ``np.mean`` over the same rows."""
     adj, twigs, blocks = plan
     jitter = rng.uniform(*cfg.edge_jitter_range)
     spread = rng.uniform(*cfg.branch_angle_spread_range)
-    pos: dict[int, np.ndarray] = {}
-    # Means are sums in placement order divided by the count: the bits of
-    # ``np.mean`` over the same rows, without building an array per call.
-    total = np.zeros(2)
+    pos: dict[int, tuple[float, float]] = {}
+    tx = ty = 0.0  # the sum of the placed positions
 
-    def place(v: int, p: np.ndarray) -> None:
-        nonlocal total
-        total = total + p if pos else p
+    def place(v: int, p: tuple[float, float]) -> None:
+        nonlocal tx, ty
+        tx, ty = (tx + p[0], ty + p[1]) if pos else p
         pos[v] = p
 
-    def centroid() -> np.ndarray:  # read only once the first vertex is placed
-        return total / len(pos)
+    def centroid() -> tuple[float, float]:  # read only once the first vertex is placed
+        return tx / len(pos), ty / len(pos)
 
     def outward(anchor: int) -> np.ndarray:
         placed_nbrs = [pos[w] for w, _ in adj[anchor] if w in pos]
         if placed_nbrs:
-            return _unit(pos[anchor] - sum(placed_nbrs[1:], placed_nbrs[0]) / len(placed_nbrs), rng)
-        return _unit(pos[anchor] - centroid(), rng)
+            cx, cy = placed_nbrs[0]
+            for x, y in placed_nbrs[1:]:
+                cx, cy = cx + x, cy + y
+            cx, cy = cx / len(placed_nbrs), cy / len(placed_nbrs)
+        else:
+            cx, cy = centroid()
+        ax, ay = pos[anchor]
+        return _unit(np.array([ax - cx, ay - cy]), rng)
 
     def grow(anchor: int, leaf: int) -> None:
-        angle = rng.uniform(-spread, spread)
-        step = 1.0 * (1.0 + rng.uniform(-jitter, jitter))
-        place(leaf, pos[anchor] + step * _rotate2(outward(anchor), angle))
+        angle = _uniform(rng, -spread, spread)
+        step = 1.0 * (1.0 + _uniform(rng, -jitter, jitter))
+        dx, dy = _rotate2(outward(anchor), angle)
+        ax, ay = pos[anchor]
+        place(leaf, (ax + step * dx, ay + step * dy))
 
     if not blocks:  # a tree: its root is the one vertex no twig removes
-        place(twigs[-1][0] if twigs else next(iter(adj)), np.zeros(2))
+        place(twigs[-1][0] if twigs else next(iter(adj)), (0.0, 0.0))
     for anchor, block, chains in blocks:
         if not pos:
-            place(anchor, np.zeros(2))
+            place(anchor, (0.0, 0.0))
         if chains is None:
             grow(anchor, next(v for v in block if v != anchor))
             continue
-        out_dir = _rotate2(outward(anchor), rng.uniform(-spread, spread))
+        out_dir = _rotate2(outward(anchor), _uniform(rng, -spread, spread))
         ring = _place_polygon(pos[anchor], len(chains[0]) - 1, out_dir, jitter, rng)
         for vert, p in zip(chains[0][1:-1], ring):
             place(vert, p)
@@ -778,9 +855,10 @@ def _layout_component_2d(plan, cfg: GeneratorConfig, rng: np.random.Generator) -
         for a, *interior, z in chains[1:]:
             if not interior:
                 continue
-            side = _unit(0.5 * (pos[a] + pos[z]) - centroid(), rng)
-            for vert, p in zip(interior, _place_arc(pos[a], pos[z], len(interior), side, jitter, rng)):
-                place(vert, p)
+            (ax, ay), (zx, zy), (cx, cy) = pos[a], pos[z], centroid()
+            side = _unit(np.array([0.5 * (ax + zx) - cx, 0.5 * (ay + zy) - cy]), rng)
+            for vert, p in zip(interior, _place_arc(np.array(pos[a]), np.array(pos[z]), len(interior), side, jitter, rng)):
+                place(vert, tuple(p.tolist()))
     for anchor, leaf, _e in reversed(twigs):
         grow(anchor, leaf)
     return pos
@@ -1135,10 +1213,7 @@ def validate(sample: SyntheticSample, cfg: GeneratorConfig) -> ValidationResult:
     # (d) noise confusion
     if g.u.size:
         ends = np.column_stack((g.u, g.v))
-        # Point i against edge j in row i * |E| + j, the point as a zero-length segment.
-        p = np.repeat(points, len(ends), axis=0)
-        a, b = (np.tile(positions[end], (len(points), 1)) for end in (g.u, g.v))
-        dist_matrix = _segment_distances(p, p, a, b).reshape(len(points), len(ends))
+        dist_matrix = _point_segment_distances(points[:, None, :], positions[g.u], positions[g.v])  # point i, edge j
         on_edge = np.asarray(parent_kinds) == "e"
         # Each point's parent feature as two vertex ids (a vertex twice).
         parent_ends = np.repeat(parent_ids[:, None], 2, axis=1)

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,9 +38,12 @@ from screeb.synthgen import (
     _min_clearance,
     _pair_clearance,
     _place_arc,
+    _point_segment_distances,
+    _rotate2,
     _segment_distances,
     _simple_adjacency,
     _strip_leaves,
+    _uniform,
     _unit,
     draw_difficulty,
     sample_subseed,
@@ -545,6 +549,68 @@ def test_segment_distances_known_values():
     assert got.tolist() == [want for _, want in cases]
 
 
+@given(segment_pairs())
+@settings(max_examples=300, deadline=None)
+def test_point_segment_distances_are_the_kernels_point_branch(pairs):
+    # Row by row, and with the points broadcast against every segment as in
+    # validate's (points, edges) matrix, equal to the kernel on zero-length
+    # first segments bit for bit.
+    p, _, q1, q2 = pairs
+    assert _point_segment_distances(p, q1, q2).tobytes() == _segment_distances(p, p, q1, q2).tobytes()
+    rows = np.repeat(p, len(q1), axis=0)
+    ends = [np.tile(q, (len(p), 1)) for q in (q1, q2)]
+    want = _segment_distances(rows, rows, *ends).reshape(len(p), len(q1))
+    assert _point_segment_distances(p[:, None, :], q1, q2).tobytes() == want.tobytes()
+
+
+def numpy_unit(vec, rng):
+    """``_unit`` with ``np.linalg.norm``: the form its norm must equal."""
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        angle = rng.uniform(0, 2 * math.pi)
+        return np.array([math.cos(angle), math.sin(angle)])
+    return vec / norm
+
+
+def numpy_rotate2(vec, angle):
+    """``_rotate2`` on numpy scalars, one array built from their products."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([c * vec[0] - s * vec[1], s * vec[0] + c * vec[1]])
+
+
+def test_unit_and_rotate2_match_their_numpy_forms():
+    # Scales from 1e-20 to 1e5 put a quarter of the norms below the 1e-12
+    # guard, where both forms must draw the same angle from the same stream.
+    rng = np.random.default_rng(34)
+    vecs = rng.normal(size=(4000, 2)) * 10.0 ** rng.integers(-20, 6, size=(4000, 1))
+    vecs[:50] = 0.0
+    tiny = 0
+    for i, (vec, angle) in enumerate(zip(vecs, rng.uniform(-4.0, 4.0, size=len(vecs)))):
+        got_rng, want_rng = np.random.default_rng(i), np.random.default_rng(i)
+        assert _unit(vec, got_rng).tobytes() == numpy_unit(vec, want_rng).tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        tiny += np.linalg.norm(vec) < 1e-12
+        assert np.array(_rotate2(vec, angle)).tobytes() == numpy_rotate2(vec, angle).tobytes()
+    assert 500 < tiny < 3000
+
+
+def test_uniform_draws_what_rng_uniform_draws():
+    # Same bits and the same generator state for ordered float bounds, zero
+    # widths and signed zeros included; the same refusal otherwise.
+    rng = np.random.default_rng(7)
+    bounds = np.sort(rng.normal(size=(5000, 2)) * 10.0 ** rng.integers(-6, 7, size=(5000, 1)), axis=1).tolist()
+    bounds += [(0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0), (-0.3, 0.3), (2.5, 2.5)]
+    got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for lo, hi in bounds:
+        assert _uniform(got_rng, lo, hi).hex() == want_rng.uniform(lo, hi).hex()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for lo, hi in ((1.0, 0.0), (-1e308, 1e308), (0.0, math.nan)):
+        with pytest.raises((ValueError, OverflowError)) as want:
+            want_rng.uniform(lo, hi)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            _uniform(got_rng, lo, hi)
+
+
 @pytest.fixture(scope="module")
 def ci_samples():
     """The 40 samples of the shipped preset at the CI seed."""
@@ -634,6 +700,40 @@ def small_embedded_graphs(draw):
     for _ in range(draw(st.integers(0, 3))):
         loops.append(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
     return positions, g, loops
+
+
+def brute_force_clearance_pairs(g):
+    """Every pair i < j of features (edges in entry order, then isolated
+    vertices as (v, v)) that share no vertex."""
+    feats = list(zip(g.u.tolist(), g.v.tolist())) + [(v, v) for v in range(g.n_vertices) if g.degrees()[v] == 0]
+    return feats, [(i, j) for i, j in itertools.combinations(range(len(feats)), 2) if not set(feats[i]) & set(feats[j])]
+
+
+def assert_clearance_pairs_brute_force(g):
+    feats, pairs = _clearance_pairs(g)
+    want_feats, want_pairs = brute_force_clearance_pairs(g)
+    assert feats.tolist() == [list(f) for f in want_feats]
+    assert pairs.shape == (2, len(want_pairs)) and list(zip(*pairs.tolist())) == want_pairs
+
+
+@given(small_embedded_graphs())
+@settings(max_examples=200, deadline=None)
+def test_clearance_pairs_match_brute_force_enumeration(drawn):
+    assert_clearance_pairs_brute_force(drawn[1])
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (0, []),  # no feature
+        (1, []),  # one point feature, no pair
+        (4, []),  # edgeless: every pair of isolated vertices
+        (5, [(0, 1), (1, 2), (2, 3)]),  # a path: shared ends, and isolated vertex 4
+        (4, [(0, 1), (1, 2), (0, 2)]),  # a triangle: every edge pair adjacent, one isolated vertex
+    ],
+)
+def test_clearance_pairs_of_small_graphs(n, edges):
+    assert_clearance_pairs_brute_force(Multigraph(n, tuple(Edge(u, v, 1.0) for u, v in edges)))
 
 
 @given(small_embedded_graphs(), st.floats(0.1, 1.0))
