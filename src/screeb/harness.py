@@ -296,7 +296,7 @@ def _run_method(
     for i, fname in enumerate(files):
         save_graph(tower.graph(i), out / fname)
     _write(out / "tower.json", {"levels": len(files), "files": files, "scored_level": scored})
-    save_graph(tower.graph(scored), out / "graph.json")
+    shutil.copyfile(out / files[scored], out / "graph.json")  # the scored level's bytes, serialized once
     return {"status": "ok", "tower_level": scored}
 
 
@@ -385,9 +385,12 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
                 "timing_ms": status.get("timing_ms"),
             }
             graph_path = Path(run_dir) / mdirname / sid / "graph.json"
-            if status.get("status") != "ok" or not graph_path.exists():
+            if status.get("status") != "ok":
                 result_doc["status"] = status.get("status", "missing")
                 result_doc["error"] = status.get("error")
+            elif not graph_path.exists():  # the run wrote it, but it is gone
+                result_doc["status"] = "missing"
+                result_doc["error"] = f"no graph.json at {graph_path}"
             else:
                 try:
                     comparison = compare(load_graph(graph_path), latents[sid])  # refuses more edge copies than a diagram takes
@@ -397,7 +400,8 @@ def cmd_evaluate(bench_dir: str, run_dir: str, out_dir: str) -> int:
                 else:
                     scores = comparison.to_dict()
                     scored[method].append(scores)
-                    result_doc.update(scores, status="ok", diagram=comparison.diagram_s.to_dict(), requested=requested[sid])
+                    result_doc.update(scores, status="ok", diagram=comparison.diagram_s.to_dict())
+            result_doc["requested"] = requested[sid]  # scored or not, so a failure can be stratified too
             sample_out = out / mdirname / sid
             sample_out.mkdir(parents=True, exist_ok=True)
             _write(sample_out / "results.json", result_doc)

@@ -434,23 +434,33 @@ def test_evaluate_malformed_graph_excluded(small_bench, small_run, tmp_path):
     assert doc["error"].endswith("9007199254740992 edge copies: a diagram takes at most 4194304")
 
 
-def test_evaluate_excludes_failed_and_missing_samples(small_bench, small_run, tmp_path):
-    # One mapper sample failed in the run; another's graph.json is gone. Each
-    # results.json carries its run status and error and no score, and both count.
+def break_mapper_run(small_run, tmp_path):
+    """A copy of ``small_run`` in which mapper sample 00000 failed and the
+    graph.json of 00001 is gone; returns the copy, its mapper run manifest
+    and the missing path."""
     broken_run = tmp_path / "broken"
     shutil.copytree(small_run, broken_run)
     manifest_path = broken_run / "mapper" / "run_manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["samples"]["00000"].update(status="error", error="RuntimeError: boom")
     manifest_path.write_text(json.dumps(manifest))
-    (broken_run / "mapper" / "00001" / "graph.json").unlink()
+    gone = broken_run / "mapper" / "00001" / "graph.json"
+    gone.unlink()
+    return broken_run, manifest, gone
+
+
+def test_evaluate_excludes_failed_and_missing_samples(small_bench, small_run, tmp_path):
+    # One mapper sample failed in the run; another's graph.json is gone. The
+    # failed one's results.json carries its run status and error, the other
+    # status "missing" and the path it lacks; neither has a score, both count.
+    broken_run, manifest, gone = break_mapper_run(small_run, tmp_path)
     out = tmp_path / "results"
     assert cmd_evaluate(str(small_bench), str(broken_run), str(out)) == 0
-    for sid in ("00000", "00001"):
+    expected = {"00000": ("error", "RuntimeError: boom"), "00001": ("missing", f"no graph.json at {gone}")}
+    for sid, (status, error) in expected.items():
         doc = json.loads((out / "mapper" / sid / "results.json").read_text())
-        run_status = manifest["samples"][sid]
-        assert (doc["status"], doc["error"]) == (run_status["status"], run_status.get("error"))
-        assert doc["timing_ms"] == run_status["timing_ms"]
+        assert (doc["status"], doc["error"]) == (status, error)
+        assert doc["timing_ms"] == manifest["samples"][sid]["timing_ms"]
         assert "wasserstein_similarity" not in doc and "ged" not in doc
     table = json.loads((out / "evaluate.json").read_text())["table"]
     assert {m: row["excluded"] for m, row in table.items()} == {"screeb": 0, "screebtower": 0, "mapper": 2}
@@ -458,6 +468,28 @@ def test_evaluate_excludes_failed_and_missing_samples(small_bench, small_run, tm
     assert csv[3] == "excluded," + ",".join("2" if m == "mapper" else "0" for m in csv[0].split(",")[1:])
     scored = [json.loads((out / "mapper" / sid / "results.json").read_text()) for sid in ("00002", "00003")]
     assert table["mapper"]["ged"] == np.mean([d["ged"] for d in scored])
+
+
+def test_excluded_samples_keep_their_difficulty_coordinates(small_bench, small_run, tmp_path):
+    # Every results.json holds its sample's requested coordinates, scored or
+    # not, so an excluded row of stratified.csv reads them and only its
+    # scores are nan.
+    broken_run, _, _ = break_mapper_run(small_run, tmp_path)
+    out = tmp_path / "results"
+    assert cmd_evaluate(str(small_bench), str(broken_run), str(out)) == 0
+    assert cmd_report(str(out)) == 0
+    lines = (out / "stratified.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = {tuple(cells[:2]): dict(zip(header, cells)) for cells in (line.split(",") for line in lines[1:])}
+    assert len(rows) == 4 * 3
+    for (sid, method), row in rows.items():
+        requested = json.loads((small_bench / sid / "meta.json").read_text())["requested"]
+        doc = json.loads((out / method / sid / "results.json").read_text())
+        assert doc["requested"] == requested
+        for c in ("noise_ratio", "separation", "density", "thickness"):
+            assert row[c] == f"{requested[c]:.12g}"  # the CSV's 12 significant digits
+        excluded = method == "mapper" and sid in ("00000", "00001")
+        assert all(np.isnan(float(row[c])) == excluded for c in ("wasserstein_similarity", "ged")), (sid, method)
 
 
 # -- report ----------------------------------------------------------------------
