@@ -823,10 +823,7 @@ def _layout_component_2d(plan, cfg: GeneratorConfig, rng: np.random.Generator) -
     def outward(anchor: int) -> np.ndarray:
         placed_nbrs = [pos[w] for w, _ in adj[anchor] if w in pos]
         if placed_nbrs:
-            cx, cy = placed_nbrs[0]
-            for x, y in placed_nbrs[1:]:
-                cx, cy = cx + x, cy + y
-            cx, cy = cx / len(placed_nbrs), cy / len(placed_nbrs)
+            cx, cy = (sum(c[1:], c[0]) / len(placed_nbrs) for c in zip(*placed_nbrs))
         else:
             cx, cy = centroid()
         ax, ay = pos[anchor]
