@@ -634,7 +634,7 @@ def _segment_distances(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.nd
     return _closest_distances(p1, d1, row_dots(d1, d1), q1, d2, row_dots(d2, d2))
 
 
-def _closest_distances(p1, d1, a, q1, d2, e) -> np.ndarray:
+def _closest_distances(p1: np.ndarray, d1: np.ndarray, a: np.ndarray, q1: np.ndarray, d2: np.ndarray, e: np.ndarray) -> np.ndarray:
     """``_segment_distances`` for segments ``p1 + s * d1`` and ``q1 + t * d2``,
     s and t in [0, 1], whose squared lengths ``a`` and ``e`` are given, so
     that a caller with many pairs per segment computes each length once."""

@@ -579,7 +579,7 @@ def numpy_rotate2(vec, angle):
 
 
 def test_unit_and_rotate2_match_their_numpy_forms():
-    # Scales from 1e-20 to 1e5 put a quarter of the norms below the 1e-12
+    # Scales from 1e-20 to 1e5 put about a third of the norms below the 1e-12
     # guard, where both forms must draw the same angle from the same stream.
     rng = np.random.default_rng(34)
     vecs = rng.normal(size=(4000, 2)) * 10.0 ** rng.integers(-20, 6, size=(4000, 1))
